@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.resources.normalization import BenchmarkNormalizer
-from repro.resources.vectors import ResourceVector
+from repro.resources.vectors import ZERO, ResourceVector
 
 
 class DeviceClass:
@@ -80,11 +80,13 @@ class Device:
         self.capacity = capacity
         self.properties: Dict[str, str] = dict(properties or {})
         self.installed_components: Set[str] = set(installed_components)
-        self._allocated = ResourceVector()
+        self._allocated = ZERO
         self._allocations: Dict[int, ResourceAllocation] = {}
         self._ids = itertools.count(1)
         self._online = True
         self._state_version = 0
+        # available() memo: (state version it was computed at, vector).
+        self._available_memo: Optional[Tuple[int, ResourceVector]] = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -105,7 +107,7 @@ class Device:
         """Mark the device as departed/crashed; allocations become void."""
         self._online = False
         self._allocations.clear()
-        self._allocated = ResourceVector()
+        self._allocated = ZERO
         self._state_version += 1
 
     def go_online(self) -> None:
@@ -121,10 +123,22 @@ class Device:
         return self._allocated
 
     def available(self) -> ResourceVector:
-        """Remaining availability: capacity minus allocations."""
+        """Remaining availability: capacity minus allocations.
+
+        Memoized on :attr:`state_version`, which every allocation change
+        bumps. The token is read *before* computing, so a concurrent bump
+        makes the next call recompute rather than reuse a stale vector.
+        """
+        version = self._state_version
+        memo = self._available_memo
+        if memo is not None and memo[0] == version:
+            return memo[1]
         if not self._online:
-            return ResourceVector()
-        return self.capacity - self._allocated
+            available = ZERO
+        else:
+            available = self.capacity - self._allocated
+        self._available_memo = (version, available)
+        return available
 
     def can_host(self, resources: ResourceVector) -> bool:
         """True when the requirement fits the current availability."""
@@ -155,9 +169,10 @@ class Device:
         # Recompute from the live table rather than decrementing the
         # running sum: repeated add/subtract of scaled vectors accumulates
         # float residue, and a fully drained device must read exactly zero.
-        self._allocated = ResourceVector.sum(
-            a.resources for a in self._allocations.values()
-        )
+        allocated = ZERO
+        for live in self._allocations.values():
+            allocated = allocated + live.resources
+        self._allocated = allocated
         self._state_version += 1
 
     def active_allocations(self) -> List[ResourceAllocation]:

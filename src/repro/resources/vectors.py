@@ -10,10 +10,18 @@ Definition 3.2 (component-wise ``<=``). Two vectors are only combined when
 they "represent the same set of resources" — missing names are treated as
 zero on the requirement side but raise on the availability side, which
 catches mismatched resource models early.
+
+Only the public constructor validates amounts (finite, non-negative).
+Results of ``+``, ``-`` and ``*`` are built by a trusted constructor that
+skips the check: their operands were validated already. The arithmetic is
+bit-identical to validating every result — ``+`` and ``-`` iterate the
+``set(a) | set(b)`` union in the same order, so key order and every float
+downstream of it are unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Union
 
 MEMORY = "memory"
@@ -44,12 +52,20 @@ class ResourceVector(Mapping[str, float]):
         for source in (amounts or {}), kwargs:
             for name, raw in source.items():
                 value = float(raw)
-                if value < 0:
+                if not 0.0 <= value < math.inf:
+                    problem = "non-negative" if value < 0 else "finite"
                     raise ValueError(
-                        f"resource amounts must be non-negative, got {name}={raw}"
+                        f"resource amounts must be {problem}, got {name}={raw}"
                     )
                 merged[name] = value
         self._amounts: Dict[str, float] = merged
+
+    @classmethod
+    def _trusted(cls, amounts: Dict[str, float]) -> "ResourceVector":
+        """Wrap already-valid float amounts without re-checking them."""
+        vector = cls.__new__(cls)
+        vector._amounts = amounts
+        return vector
 
     # -- Mapping interface -------------------------------------------------
 
@@ -61,6 +77,21 @@ class ResourceVector(Mapping[str, float]):
 
     def __len__(self) -> int:
         return len(self._amounts)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._amounts
+
+    def get(self, name: str, default=None):
+        return self._amounts.get(name, default)
+
+    def keys(self):
+        return self._amounts.keys()
+
+    def items(self):
+        return self._amounts.items()
+
+    def values(self):
+        return self._amounts.values()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):
@@ -83,9 +114,12 @@ class ResourceVector(Mapping[str, float]):
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        names = set(self._amounts) | set(other._amounts)
-        return ResourceVector(
-            {n: self.get(n, 0.0) + other.get(n, 0.0) for n in names}
+        mine, theirs = self._amounts, other._amounts
+        return ResourceVector._trusted(
+            {
+                n: mine.get(n, 0.0) + theirs.get(n, 0.0)
+                for n in set(mine) | set(theirs)
+            }
         )
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
@@ -97,17 +131,25 @@ class ResourceVector(Mapping[str, float]):
         """
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        names = set(self._amounts) | set(other._amounts)
-        return ResourceVector(
-            {n: max(0.0, self.get(n, 0.0) - other.get(n, 0.0)) for n in names}
+        mine, theirs = self._amounts, other._amounts
+        return ResourceVector._trusted(
+            {
+                n: max(0.0, mine.get(n, 0.0) - theirs.get(n, 0.0))
+                for n in set(mine) | set(theirs)
+            }
         )
 
     def __mul__(self, factor: Number) -> "ResourceVector":
         if not isinstance(factor, (int, float)):
             return NotImplemented
-        if factor < 0:
-            raise ValueError("cannot scale a resource vector by a negative factor")
-        return ResourceVector({n: v * factor for n, v in self._amounts.items()})
+        if not 0 <= factor < math.inf:
+            raise ValueError(
+                "cannot scale a resource vector by a negative or non-finite "
+                f"factor, got {factor!r}"
+            )
+        return ResourceVector._trusted(
+            {n: v * factor for n, v in self._amounts.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -121,8 +163,9 @@ class ResourceVector(Mapping[str, float]):
         availability names but the requirement omits are treated as zero
         requirements.
         """
+        available = availability._amounts
         for name, required in self._amounts.items():
-            if required > 0 and required > availability.get(name, 0.0):
+            if required > 0 and required > available.get(name, 0.0):
                 return False
         return True
 
@@ -154,7 +197,7 @@ class ResourceVector(Mapping[str, float]):
     @staticmethod
     def sum(vectors: Iterable["ResourceVector"]) -> "ResourceVector":
         """Sum a collection of vectors (Definition 3.1 over the collection)."""
-        total = ResourceVector()
+        total = ZERO
         for v in vectors:
             total = total + v
         return total
@@ -172,6 +215,7 @@ def weighted_magnitude(
     resource requirement as a scalar via this weighted sum (footnote 3 of
     the paper). With no weights given, all resources weigh equally.
     """
+    amounts = vector._amounts
     if weights is None:
-        return sum(vector.values())
-    return sum(weights.get(name, 0.0) * amount for name, amount in vector.items())
+        return sum(amounts.values())
+    return sum(weights.get(name, 0.0) * amount for name, amount in amounts.items())

@@ -27,6 +27,7 @@ Specs round-trip: ``ScenarioSpec.from_dict(spec.to_dict()) == spec``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -123,6 +124,11 @@ def _resource_dict(value: object, path: str) -> Dict[str, float]:
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise ScenarioValidationError(
                 f"{path}.{name}", f"resource amounts are numbers, got {raw!r}"
+            )
+        if not 0.0 <= raw < math.inf:
+            raise ScenarioValidationError(
+                f"{path}.{name}",
+                f"resource amounts are finite and non-negative, got {raw!r}",
             )
         out[name] = float(raw)
     return out

@@ -41,7 +41,7 @@ from repro.graph.cuts import Assignment
 from repro.graph.service_graph import ServiceGraph
 from repro.network.topology import BandwidthReservation
 from repro.observability.tracing import get_tracer
-from repro.resources.vectors import ResourceVector
+from repro.resources.vectors import ZERO, ResourceVector
 from repro.store.records import LedgerEvent, LedgerEventKind
 
 
@@ -81,6 +81,11 @@ class ReservationTransaction:
     link_holds: Dict[Tuple[str, str], float] = field(default_factory=dict)
     allocations: List[ResourceAllocation] = field(default_factory=list)
     reservations: List[BandwidthReservation] = field(default_factory=list)
+    # The holds in LedgerEvent form, packed once at prepare for the audit
+    # trail's PREPARED and COMMITTED events (None while nothing is packed).
+    packed_holds: Optional[Tuple[tuple, tuple]] = field(
+        default=None, repr=False, compare=False
+    )
 
 
 class ReservationLedger:
@@ -103,6 +108,8 @@ class ReservationLedger:
         # Aggregated holds of PREPARED (not yet committed) transactions.
         self._pending_device: Dict[str, ResourceVector] = {}
         self._pending_link: Dict[Tuple[str, str], float] = {}
+        # utilization() memo: ((ledger version, domain snapshot), value).
+        self._utilization_memo: Optional[Tuple[tuple, float]] = None
         # Optional durable audit trail (see attach_store): None = silent.
         self._store = None
         self._store_epoch = 0
@@ -145,6 +152,17 @@ class ReservationLedger:
         """
         if self._store is None:
             return
+        device_holds: tuple = ()
+        link_holds: tuple = ()
+        if with_holds:
+            # Holds are fixed from prepare on, so one packing serves both
+            # the PREPARED and the COMMITTED event.
+            if txn.packed_holds is None:
+                txn.packed_holds = (
+                    LedgerEvent.pack_devices(txn.device_holds),
+                    LedgerEvent.pack_links(txn.link_holds),
+                )
+            device_holds, link_holds = txn.packed_holds
         self._store.append_ledger_event(
             LedgerEvent(
                 epoch=self._store_epoch,
@@ -152,16 +170,8 @@ class ReservationLedger:
                 kind=kind,
                 at_s=self._store_clock(),
                 owner=txn.owner,
-                device_holds=(
-                    LedgerEvent.pack_devices(txn.device_holds)
-                    if with_holds
-                    else ()
-                ),
-                link_holds=(
-                    LedgerEvent.pack_links(txn.link_holds)
-                    if with_holds
-                    else ()
-                ),
+                device_holds=device_holds,
+                link_holds=link_holds,
             )
         )
 
@@ -252,7 +262,7 @@ class ReservationLedger:
             if not device.online:
                 conflicts.append(f"device {device_id!r} is offline")
                 continue
-            pending = self._pending_device.get(device_id, ResourceVector())
+            pending = self._pending_device.get(device_id, ZERO)
             if not load.fits_within(device.available() - pending):
                 conflicts.append(
                     f"device {device_id!r}: load {dict(load)!r} exceeds "
@@ -278,7 +288,7 @@ class ReservationLedger:
         txn.device_holds = loads
         txn.link_holds = links
         for device_id, load in loads.items():
-            current = self._pending_device.get(device_id, ResourceVector())
+            current = self._pending_device.get(device_id, ZERO)
             self._pending_device[device_id] = current + load
         for pair, demand in links.items():
             self._pending_link[pair] = (
@@ -438,7 +448,7 @@ class ReservationLedger:
                 CandidateDevice(
                     device_id,
                     device.available()
-                    - pending_device.get(device_id, ResourceVector()),
+                    - pending_device.get(device_id, ZERO),
                 )
                 for device_id, device in devices.items()
             ]
@@ -454,20 +464,27 @@ class ReservationLedger:
         """Worst-case committed+pending fraction across devices, in [0, 1].
 
         The admission controller's overload signal: 1.0 means some device
-        has no headroom on some resource.
+        has no headroom on some resource. Memoized on the ledger version
+        (pending holds) plus the domain snapshot version (membership and
+        every online device's allocations, including ones made outside the
+        ledger, such as fault-injected resource pressure).
         """
         with self._lock:
+            token = (self._version, self.server.snapshot_version())
+            memo = self._utilization_memo
+            if memo is not None and memo[0] == token:
+                return memo[1]
             worst = 0.0
             for device in self.server.available_devices():
-                pending = self._pending_device.get(
-                    device.device_id, ResourceVector()
-                )
-                used = device.allocated + pending
-                for name in device.capacity.names():
-                    cap = device.capacity[name]
+                used = device.allocated
+                pending = self._pending_device.get(device.device_id)
+                if pending is not None:
+                    used = used + pending
+                for name, cap in device.capacity.items():
                     if cap <= 0:
                         continue
                     worst = max(worst, min(1.0, used.get(name, 0.0) / cap))
+            self._utilization_memo = (token, worst)
             return worst
 
     # -- invariants ---------------------------------------------------------------
@@ -493,7 +510,7 @@ class ReservationLedger:
                 if txn.state is not TransactionState.COMMITTED:
                     continue
                 for device_id, load in txn.device_holds.items():
-                    current = committed.get(device_id, ResourceVector())
+                    current = committed.get(device_id, ZERO)
                     committed[device_id] = current + load
             for device_id, total in sorted(committed.items()):
                 try:
@@ -548,9 +565,7 @@ class ReservationLedger:
 
     def _drop_pending(self, txn: ReservationTransaction) -> None:
         for device_id, load in txn.device_holds.items():
-            remaining = self._pending_device.get(
-                device_id, ResourceVector()
-            ) - load
+            remaining = self._pending_device.get(device_id, ZERO) - load
             if remaining.is_zero():
                 self._pending_device.pop(device_id, None)
             else:

@@ -138,8 +138,6 @@ class DomainConfigurationService:
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self._lock = threading.Lock()
         self._outcomes: Dict[str, RequestOutcome] = {}
-        # Memoized routing-load score: (token, score). See load_score().
-        self._load_cache: Optional[tuple] = None
 
     def now(self) -> float:
         """The service's notion of time (sim or wall clock)."""
@@ -183,30 +181,14 @@ class DomainConfigurationService:
         )
 
     def load_score(self) -> float:
-        """Queue occupancy plus ledger utilization, memoized on versions.
+        """Queue occupancy plus ledger utilization.
 
         The routing load signal (both terms in [0, 1]: an idle shard scores
-        0.0, a saturated one ~2.0). Recomputing ledger utilization walks
-        every device under the ledger lock, so the score is cached behind
-        an O(1) staleness token — the queue and ledger version counters
-        plus the domain snapshot version (membership changes move device
-        capacity without touching the ledger). Power-of-two-choices probes
-        between state changes therefore cost two tuple compares, not two
-        domain walks.
+        0.0, a saturated one ~2.0). The ledger memoizes utilization on its
+        own version tokens, so probes between state changes do not walk
+        the domain.
         """
-        token = (
-            self.queue.version,
-            self.ledger.version,
-            self.configurator.server.snapshot_version(),
-        )
-        cached = self._load_cache
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        score = (
-            self.queue.depth / self.queue.capacity + self.ledger.utilization()
-        )
-        self._load_cache = (token, score)
-        return score
+        return self.queue.depth / self.queue.capacity + self.ledger.utilization()
 
     # -- the worker side -----------------------------------------------------------
 

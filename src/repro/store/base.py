@@ -175,7 +175,7 @@ class InMemoryRecordStore(RecordStore):
 
     def append_ledger_event(self, event: LedgerEvent) -> LedgerEvent:
         with self._lock:
-            stamped = replace(event, seq=len(self._events) + 1)
+            stamped = event.with_seq(len(self._events) + 1)
             self._events.append(stamped)
             return stamped
 

@@ -123,6 +123,17 @@ class LedgerEvent:
     note: str = ""
     seq: int = 0
 
+    def with_seq(self, seq: int) -> "LedgerEvent":
+        """This event stamped with ``seq``.
+
+        Same result as ``dataclasses.replace(self, seq=seq)`` without its
+        per-field validation pass: the fields were checked when ``self``
+        was built, so the copy takes them over as they are.
+        """
+        stamped = object.__new__(LedgerEvent)
+        stamped.__dict__.update(self.__dict__, seq=seq)
+        return stamped
+
     @staticmethod
     def pack_devices(
         holds: Dict[str, object]
@@ -131,7 +142,7 @@ class LedgerEvent:
         packed = []
         for device_id in sorted(holds):
             vector = holds[device_id]
-            items = tuple(sorted((str(k), float(v)) for k, v in dict(vector).items()))
+            items = tuple(sorted((str(k), float(v)) for k, v in vector.items()))
             packed.append((device_id, items))
         return tuple(packed)
 

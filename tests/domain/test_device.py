@@ -115,6 +115,44 @@ class TestLifecycle:
         assert not device.online
 
 
+class TestAvailableMemo:
+    """available() is memoized on state_version; every mutation shows."""
+
+    def test_repeated_reads_share_one_vector(self):
+        device = make_device()
+        assert device.available() is device.available()
+
+    def test_allocate_and_release_move_availability(self):
+        device = make_device()
+        before = device.available()
+        allocation = device.allocate(ResourceVector(memory=40, cpu=0.25))
+        assert device.available() == ResourceVector(memory=60, cpu=0.75)
+        device.release(allocation)
+        assert device.available() == before == device.capacity
+
+    def test_go_offline_and_online_move_availability(self):
+        device = make_device()
+        device.allocate(ResourceVector(memory=40))
+        assert device.available()["memory"] == 60
+        device.go_offline()
+        assert device.available().is_zero()
+        device.go_online()
+        assert device.available() == device.capacity
+
+    def test_every_mutation_bumps_the_token(self):
+        device = make_device()
+        seen = [device.state_version]
+        allocation = device.allocate(ResourceVector(memory=1))
+        seen.append(device.state_version)
+        device.release(allocation)
+        seen.append(device.state_version)
+        device.go_offline()
+        seen.append(device.state_version)
+        device.go_online()
+        seen.append(device.state_version)
+        assert seen == sorted(set(seen))
+
+
 class TestSoftwareInventory:
     def test_component_installation(self):
         device = make_device()

@@ -22,6 +22,25 @@ class TestConstruction:
         assert "cpu" in vector
         assert vector.get("memory", 0.0) == 0.0
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+    def test_non_finite_amount_rejected(self, amount):
+        with pytest.raises(ValueError, match="finite"):
+            ResourceVector(cpu=amount)
+        with pytest.raises(ValueError, match="finite"):
+            ResourceVector({"memory": amount})
+
+    def test_negative_infinity_rejected_as_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ResourceVector(memory=float("-inf"))
+
+    def test_mapping_views_match_the_amounts(self):
+        vector = ResourceVector(memory=8, cpu=0.5)
+        assert list(vector.keys()) == ["memory", "cpu"]
+        assert list(vector.values()) == [8.0, 0.5]
+        assert list(vector.items()) == [("memory", 8.0), ("cpu", 0.5)]
+        assert dict(vector) == {"memory": 8.0, "cpu": 0.5}
+        assert vector.get("gpu") is None
+
 
 class TestAddition:
     def test_definition_3_1(self):
@@ -68,6 +87,11 @@ class TestScaling:
         with pytest.raises(ValueError):
             ResourceVector(memory=1) * -1
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, factor):
+        with pytest.raises(ValueError):
+            ResourceVector(memory=1) * factor
+
     def test_scaled_by_named_factors(self):
         vector = ResourceVector(memory=32, cpu=1.0)
         scaled = vector.scaled({"cpu": 0.4})
@@ -93,6 +117,15 @@ class TestFitsWithin:
 
     def test_equality_boundary_fits(self):
         assert ResourceVector(memory=32).fits_within(ResourceVector(memory=32))
+
+    def test_nan_cannot_reach_the_fit_check(self):
+        # A NaN requirement would compare False against every bound and so
+        # fit any device; a NaN capacity would accept any load. Neither can
+        # be built, so the ledger and audit() agree on every fit.
+        with pytest.raises(ValueError):
+            ResourceVector(cpu=float("nan")).fits_within(ResourceVector(cpu=1))
+        with pytest.raises(ValueError):
+            ResourceVector(cpu=5).fits_within(ResourceVector(cpu=float("nan")))
 
     def test_dominates_is_inverse(self):
         big = ResourceVector(memory=32, cpu=1.0)

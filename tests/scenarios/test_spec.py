@@ -180,6 +180,26 @@ class TestLoading:
         path.write_text(spec.to_json(), encoding="utf-8")
         assert load_scenario(path) == spec
 
+    @pytest.mark.parametrize(
+        "where",
+        [
+            ("devices", "hub", "capacity", "cpu"),
+            ("components", "src", "resources", "memory"),
+        ],
+    )
+    def test_yaml_nan_resource_amount_names_its_path(self, where):
+        yaml = pytest.importorskip("yaml")
+        data = minimal_spec_dict()
+        *parents, leaf = where
+        node = data
+        for key in parents:
+            node = node[key]
+        node[leaf] = "NAN_HERE"
+        text = yaml.safe_dump(data).replace("NAN_HERE", ".nan")
+        with pytest.raises(ScenarioValidationError, match="finite") as excinfo:
+            loads_scenario_text(text)
+        assert excinfo.value.path == ".".join(where)
+
     def test_loads_yaml_text(self, spec):
         yaml = pytest.importorskip("yaml")
         text = yaml.safe_dump(minimal_spec_dict())

@@ -257,46 +257,45 @@ class TestBatchedThreadStress:
         assert service.ledger.audit() == []
 
 
-class TestLoadScoreMemo:
-    def test_probes_between_state_changes_hit_the_cache(self):
+class TestLoadScoreProbes:
+    """load_score() reads the queue live and the ledger's utilization memo."""
+
+    @staticmethod
+    def count_domain_walks(service):
+        server = service.ledger.server
+        walks = []
+        real_walk = server.available_devices
+
+        def counting_walk():
+            walks.append(1)
+            return real_walk()
+
+        server.available_devices = counting_walk
+        return walks
+
+    def test_probes_between_state_changes_hit_ledger_memo(self):
         testbed = build_audio_testbed()
         service = make_batching_service(testbed)
-        calls = []
-        real_utilization = service.ledger.utilization
-
-        def counting_utilization():
-            calls.append(1)
-            return real_utilization()
-
-        service.ledger.utilization = counting_utilization
+        walks = self.count_domain_walks(service)
         first = service.load_score()
         for _ in range(5):
             assert service.load_score() == first
-        assert len(calls) == 1
+        assert len(walks) == 1
 
-    def test_queue_or_ledger_changes_invalidate(self):
+    def test_queue_or_ledger_changes_move_the_score(self):
         testbed = build_audio_testbed()
         service = make_batching_service(testbed)
-        calls = []
-        real_utilization = service.ledger.utilization
-
-        def counting_utilization():
-            calls.append(1)
-            return real_utilization()
-
-        service.ledger.utilization = counting_utilization
-        service.load_score()
-        assert len(calls) == 1
-        # submit() itself consults utilization for the shed decision, so
-        # track increments relative to snapshots rather than absolutes.
-        service.submit(request(testbed, "r1"))  # queue version moves
-        after_submit = len(calls)
+        walks = self.count_domain_walks(service)
+        idle = service.load_score()
+        assert len(walks) == 1
+        service.submit(request(testbed, "r1"))
+        # The queue term is read live; the ledger did not move, so the
+        # utilization term is still a memo hit.
         score_with_backlog = service.load_score()
-        assert len(calls) == after_submit + 1
-        assert score_with_backlog > 0.0
-        assert service.load_score() == score_with_backlog
-        assert len(calls) == after_submit + 1
+        assert score_with_backlog == idle + 1 / service.queue.capacity
+        assert len(walks) == 1
         service.process_batch()  # ledger version moves on admission
-        before_probe = len(calls)
-        service.load_score()
-        assert len(calls) == before_probe + 1
+        before_probe = len(walks)
+        admitted = service.load_score()
+        assert len(walks) == before_probe + 1
+        assert admitted == service.ledger.utilization() > idle

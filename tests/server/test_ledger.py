@@ -1,16 +1,24 @@
 """Unit tests for the transactional reservation ledger."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.apps.audio_on_demand import build_audio_testbed
+from repro.faults.injector import FaultInjector
+from repro.faults.model import FaultKind, FaultSpec
 from repro.graph.cuts import Assignment
 from repro.resources.vectors import ResourceVector
+from repro.runtime.clock import SimScheduler
 from repro.server.ledger import (
     LedgerConflictError,
     ReservationLedger,
     TransactionState,
 )
+from repro.sim.kernel import Simulator
 
-from tests.server.conftest import split_assignment, stream_graph
+from tests.server.conftest import build_pair_domain, split_assignment, stream_graph
 
 
 class TestTwoPhaseLifecycle:
@@ -170,6 +178,132 @@ class TestSnapshots:
         assert ledger.transactions(TransactionState.COMMITTED) == [a]
         assert ledger.transactions(TransactionState.ABORTED) == [b]
         assert len(ledger.transactions()) == 2
+
+
+class TestUtilizationMemo:
+    """utilization() is memoized on (ledger version, domain snapshot)."""
+
+    def test_moves_after_prepare_commit_release(self, ledger):
+        assert ledger.utilization() == 0.0
+        txn = ledger.begin()
+        ledger.prepare(txn, stream_graph(memory=80.0), split_assignment())
+        assert ledger.utilization() == pytest.approx(0.8)
+        ledger.commit(txn)
+        assert ledger.utilization() == pytest.approx(0.8)
+        ledger.release(txn)
+        assert ledger.utilization() == 0.0
+
+    def test_moves_after_abort(self, ledger):
+        txn = ledger.begin()
+        ledger.prepare(txn, stream_graph(memory=60.0), split_assignment())
+        assert ledger.utilization() == pytest.approx(0.6)
+        ledger.abort(txn)
+        assert ledger.utilization() == 0.0
+
+    def test_moves_after_device_crash(self, pair_server, ledger):
+        busy = ledger.begin()
+        ledger.prepare(
+            busy, stream_graph(memory=45.0), Assignment({"src": "d1", "sink": "d1"})
+        )
+        ledger.commit(busy)
+        assert ledger.utilization() == pytest.approx(0.9)
+        pair_server.domain.device("d1").go_offline()
+        assert ledger.utilization() == 0.0
+
+    def test_moves_after_fault_injected_pressure(self):
+        scheduler = SimScheduler(Simulator())
+        testbed = build_audio_testbed(clock=scheduler.clock())
+        ledger = ReservationLedger(testbed.server)
+        injector = FaultInjector(testbed.server, scheduler)
+        idle = ledger.utilization()
+        version = ledger.version
+        assert injector.inject(
+            FaultSpec(FaultKind.RESOURCE_PRESSURE, 0.0, "desktop2", magnitude=0.9)
+        )
+        # Pressure allocates on the device directly: only its state
+        # version moves, never the ledger's.
+        assert ledger.version == version
+        assert ledger.utilization() > idle
+        assert ledger.utilization() == pytest.approx(0.9)
+
+    def test_unchanged_state_skips_the_domain_walk(self, pair_server, ledger):
+        walks = []
+        real_walk = pair_server.available_devices
+
+        def counting_walk():
+            walks.append(1)
+            return real_walk()
+
+        pair_server.available_devices = counting_walk
+        first = ledger.utilization()
+        for _ in range(5):
+            assert ledger.utilization() == first
+        assert len(walks) == 1
+        txn = ledger.begin()
+        ledger.prepare(txn, stream_graph(memory=10.0), split_assignment())
+        ledger.utilization()
+        assert len(walks) == 2
+
+
+class TestMemosUnderThreads:
+    def test_readers_racing_writers_never_keep_a_stale_memo(self):
+        # Writers serialize through the ledger; readers hit the two memos
+        # (Device.available, ledger.utilization) concurrently. A memo
+        # stored under a newer token than the state it was computed from
+        # would survive the run and disagree with a fresh computation.
+        server = build_pair_domain(memory=100.0, cpu=2.0)
+        ledger = ReservationLedger(server)
+        devices = [server.domain.device(name) for name in ("d1", "d2")]
+        stop = threading.Event()
+        errors = []
+
+        def writer(index):
+            try:
+                for _ in range(40):
+                    txn = ledger.begin(owner=f"w{index}")
+                    try:
+                        ledger.prepare(
+                            txn, stream_graph(memory=20.0, cpu=0.3), split_assignment()
+                        )
+                        ledger.commit(txn)
+                    except LedgerConflictError:
+                        continue
+                    ledger.release(txn)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    assert 0.0 <= ledger.utilization() <= 1.0
+                    for device in devices:
+                        assert device.available().fits_within(device.capacity)
+            except Exception as exc:
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [
+                threading.Thread(target=writer, args=(i,)) for i in range(4)
+            ]
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert errors == []
+        for device in devices:
+            assert device.allocated.is_zero()
+            assert device.available() == device.capacity - device.allocated
+        assert ledger.utilization() == ReservationLedger(server).utilization() == 0.0
+        assert ledger.audit() == []
 
 
 class TestColocation:
