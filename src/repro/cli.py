@@ -27,8 +27,7 @@ the built-in catalog (or any YAML/JSON spec path) through the unified
 spec → compile → run pipeline.
 
 The sweep flags above are declared once in
-:mod:`repro.experiments.runner`; renamed spellings (``--linger``) still
-parse but emit a :class:`DeprecationWarning`.
+:mod:`repro.experiments.runner`.
 """
 
 from __future__ import annotations
@@ -620,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--batched",
         action="store_true",
-        help="serve through the batched admission core",
+        help="drain the services in multi-request chunks",
     )
     scenario.add_argument(
         "--store",

@@ -159,7 +159,8 @@ def _run_serving_cell(
     """Measure one (shard count × mode) cell.
 
     Requests are submitted through the cluster router in capacity-sized
-    waves and drained single-threaded; admitted sessions stop between
+    waves and drained single-threaded, in chunks of the mode's batch
+    policy (one request per chunk unbatched); admitted sessions stop between
     waves so the ledger keeps turning over and every wave exercises real
     admissions rather than saturated-ladder failures.
     """
@@ -184,11 +185,7 @@ def _run_serving_cell(
             )
             rid += 1
         for shard in cluster.shards:
-            if batched:
-                while shard.process_batch():  # type: ignore[attr-defined]
-                    pass
-            else:
-                shard.drain()
+            shard.drain()
         for shard in cluster.shards:
             for outcome in shard.outcomes():
                 if (

@@ -36,17 +36,13 @@ from repro.observability.tracing import Tracer, activated
 from repro.runtime.clock import SimScheduler
 from repro.runtime.degradation import DegradationLadder
 from repro.server.cluster import (
-    ClusterSimulatedDriver,
-    ClusterThreadPoolDriver,
     ConsistentHashRouter,
     DomainCluster,
     LeastLoadedRouter,
     ShardRouter,
 )
-from repro.server.batching import BatchingDomainService, BatchPolicy
-from repro.server.drivers import SimulatedServerDriver
-from repro.server.metrics import ServerMetrics
-from repro.server.service import DomainConfigurationService, ServerRequest
+from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
+from repro.server.service import BatchPolicy, ServerRequest
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import arrival_trace
 
@@ -189,32 +185,21 @@ def build_cluster(
     Returns ``(cluster, testbeds)``; requests must be composed against the
     testbed of the shard they land on, so the request factory resolves the
     testbed per shard at submit time via the cluster's router — see
-    :func:`run_cluster_once`. With ``batched=True`` each shard is a
-    :class:`~repro.server.batching.BatchingDomainService` and the cluster
-    drivers serve grouped admission rounds.
+    :func:`run_cluster_once`. ``batched`` chooses the shards' chunk
+    policy (``batch``, default :class:`BatchPolicy()`, or one request
+    per flush).
     """
-    registry = registry if registry is not None else MetricsRegistry()
     testbeds = [build_audio_testbed() for _ in range(shard_count)]
-    service_cls = BatchingDomainService if batched else DomainConfigurationService
-    extra_kwargs = {"batch": batch or BatchPolicy()} if batched else {}
-    shards = [
-        service_cls(
-            testbed.configurator,
-            ladder=ladder or audio_degradation_ladder(),
-            queue_capacity=queue_capacity,
-            clock=clock,
-            skip_downloads=True,
-            metrics=ServerMetrics(
-                registry=registry, namespace=f"cluster.shard{index}"
-            ),
-            **extra_kwargs,
-        )
-        for index, testbed in enumerate(testbeds)
-    ]
-    cluster = DomainCluster(
-        shards,
+    cluster = DomainCluster.build(
+        [testbed.configurator for testbed in testbeds],
         router=make_router(router, shard_count),
         registry=registry,
+        batched=batched,
+        batch=batch,
+        ladder=ladder or audio_degradation_ladder(),
+        queue_capacity=queue_capacity,
+        clock=clock,
+        skip_downloads=True,
     )
     return cluster, testbeds
 
@@ -268,7 +253,7 @@ def run_cluster_once(
         controller = cluster.attach_controller(
             SimScheduler(simulator), policy=control_policy
         )
-    driver = ClusterSimulatedDriver(
+    driver = SimulatedServerDriver(
         cluster, simulator, workers=workers, min_service_s=min_service_s
     )
     arrivals = arrival_trace(
@@ -388,7 +373,7 @@ def run_cluster_thread_once(
         batched=batched,
         batch=batch,
     )
-    driver = ClusterThreadPoolDriver(cluster, workers_per_shard=workers_per_shard)
+    driver = ThreadPoolDriver(cluster, workers=workers_per_shard)
     driver.start()
     try:
         for index in range(request_count):

@@ -28,10 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.apps.audio_on_demand import AudioTestbed, audio_request
 from repro.experiments.cluster_sweep import build_cluster
 from repro.experiments.server_sweep import BASE_RATE_PER_S, CLIENT_CYCLE
-from repro.federation.drivers import (
-    FederationSimulatedDriver,
-    FederationThreadDriver,
-)
+from repro.federation.migration import MigrationSchedule
 from repro.federation.tier import (
     FederatedRequest,
     FederationMember,
@@ -39,7 +36,7 @@ from repro.federation.tier import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer, activated
-from repro.server.drivers import SimulatedServerDriver
+from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
 from repro.server.service import ServerRequest
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import ArrivalEvent, arrival_trace
@@ -261,9 +258,10 @@ def run_federation_once(
         clock=SimulatedServerDriver.clock(simulator),
         escalation=escalation,
     )
-    driver = FederationSimulatedDriver(
+    driver = SimulatedServerDriver(
         tier, simulator, workers=workers, min_service_s=min_service_s
     )
+    roams = MigrationSchedule(tier, simulator)
     # The *total* offered load scales with federation size, so isolated
     # and federated runs of the same (count, multiplier) are comparable.
     arrivals = arrival_trace(
@@ -329,7 +327,7 @@ def run_federation_once(
                 # Mid-stream: late enough to be admitted, early enough
                 # that long sessions are still running; sessions already
                 # gone by then drop the roam hint (a stale prediction).
-                driver.schedule_migration(
+                roams.schedule(
                     event.arrival_s + 0.5 * event.duration_s,
                     f"req-{event.request_id}",
                     destination,
@@ -401,9 +399,7 @@ def run_federation_thread_once(
         shards_per_cluster=shards_per_cluster,
         queue_capacity=queue_capacity,
     )
-    driver = FederationThreadDriver(
-        tier, workers_per_shard=workers_per_shard
-    )
+    driver = ThreadPoolDriver(tier, workers=workers_per_shard)
     driver.start()
     try:
         for index in range(request_count):

@@ -7,36 +7,15 @@ until now each subparser declared them independently, with drifting
 help strings and (in one case) a misnamed flag. This module is the one
 place those options are defined; :mod:`repro.cli` composes them per
 subcommand.
-
-Renamed flags keep their old spellings as deprecated aliases: passing
-``--linger`` still works but emits a :class:`DeprecationWarning`
-steering users to ``--batch-linger``.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
 from typing import Optional, Sequence
 
 DEFAULT_SEED = 42
 DEFAULT_HORIZON_S = 300.0
-
-
-class DeprecatedAlias(argparse.Action):
-    """Store into the preferred flag's ``dest``, warning on use."""
-
-    def __init__(self, option_strings, dest, preferred: str, **kwargs):
-        self.preferred = preferred
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; use {self.preferred}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def add_seed_option(
@@ -105,17 +84,12 @@ def add_controlled_option(
 
 
 def add_batching_options(parser: argparse.ArgumentParser) -> None:
-    """``--batched``, ``--batch-size`` and ``--batch-linger``.
-
-    ``--linger`` is the deprecated pre-rename spelling of
-    ``--batch-linger``; it still parses (into the same destination) but
-    warns.
-    """
+    """``--batched``, ``--batch-size`` and ``--batch-linger``."""
     parser.add_argument(
         "--batched",
         action="store_true",
-        help="serve through the batched admission core "
-        "(grouped ledger prepare/commit rounds)",
+        help="drain services in multi-request chunks "
+        "(grouped ledger prepare/commit rounds per chunk)",
     )
     parser.add_argument(
         "--batch-size",
@@ -130,21 +104,13 @@ def add_batching_options(parser: argparse.ArgumentParser) -> None:
         help="seconds an under-full batch waits for company "
         "(with --batched)",
     )
-    parser.add_argument(
-        "--linger",
-        type=float,
-        dest="batch_linger",
-        action=DeprecatedAlias,
-        preferred="--batch-linger",
-        help=argparse.SUPPRESS,
-    )
 
 
 def batch_policy_from(args: argparse.Namespace):
     """The :class:`BatchPolicy` the parsed flags ask for (or ``None``)."""
     if not getattr(args, "batched", False):
         return None
-    from repro.server.batching import BatchPolicy
+    from repro.server.service import BatchPolicy
 
     return BatchPolicy(
         max_batch_size=args.batch_size, max_linger_s=args.batch_linger
@@ -174,7 +140,6 @@ def write_artifacts(
 __all__ = [
     "DEFAULT_HORIZON_S",
     "DEFAULT_SEED",
-    "DeprecatedAlias",
     "add_artifact_options",
     "add_batching_options",
     "add_controlled_option",

@@ -16,6 +16,7 @@ from repro.federation.fabric import FederationFabric, InterClusterLink
 from repro.federation.migration import (
     MIGRATION_PHASES,
     MigrationOutcome,
+    MigrationSchedule,
     SessionMigrator,
 )
 from repro.federation.tier import (
@@ -25,10 +26,6 @@ from repro.federation.tier import (
     FederationOutcome,
     FederationTier,
 )
-from repro.federation.drivers import (
-    FederationSimulatedDriver,
-    FederationThreadDriver,
-)
 
 __all__ = [
     "ClusterDigest",
@@ -37,12 +34,11 @@ __all__ = [
     "InterClusterLink",
     "MIGRATION_PHASES",
     "MigrationOutcome",
+    "MigrationSchedule",
     "SessionMigrator",
     "FederatedRequest",
     "FederationMember",
     "FederationMetrics",
     "FederationOutcome",
     "FederationTier",
-    "FederationSimulatedDriver",
-    "FederationThreadDriver",
 ]

@@ -33,16 +33,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.events.types import Topics
 from repro.federation.fabric import FederationFabric
-from repro.federation.tier import FederationMember
+from repro.federation.tier import FederationMember, FederationTier
 from repro.mobility.checkpoint import CheckpointStore
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import get_tracer
 from repro.runtime.session import ApplicationSession, SessionState
 from repro.server.admission import AdmissionResult
+from repro.sim.kernel import Simulator
 
 MIGRATION_PHASES: Tuple[str, ...] = (
     "reach",
@@ -301,4 +302,69 @@ class SessionMigrator:
             admission=admission,
             state_transfer_s=transfer_s,
             new_session=new_session,
+        )
+
+
+class MigrationSchedule:
+    """Roam hints that fire as logical-time migrations across a tier.
+
+    Each hint names a request, a destination cluster and the client's new
+    device; at fire time the request's session migrates through
+    ``migrator`` (by default one sharing the tier's fabric and registry).
+    Outcomes collect in :attr:`migrations`.
+    """
+
+    def __init__(
+        self,
+        tier: FederationTier,
+        simulator: Simulator,
+        migrator: Optional[SessionMigrator] = None,
+    ) -> None:
+        self.tier = tier
+        self.sim = simulator
+        self.migrator = (
+            migrator
+            if migrator is not None
+            else SessionMigrator(fabric=tier.fabric, registry=tier.registry)
+        )
+        self.migrations: List[MigrationOutcome] = []
+
+    def schedule(
+        self,
+        at_s: float,
+        request_id: str,
+        destination: str,
+        new_client_device: str,
+    ) -> None:
+        """Migrate a served request's session at ``at_s``.
+
+        A no-op at fire time when the request was shed, never admitted,
+        already stopped, or already lives in the destination cluster — a
+        roam hint against a dead session is simply dropped, matching how
+        a real tier would treat a stale mobility prediction.
+        """
+        self.sim.schedule_at(
+            at_s,
+            lambda: self._fire(request_id, destination, new_client_device),
+        )
+
+    def _fire(
+        self, request_id: str, destination: str, new_client_device: str
+    ) -> None:
+        origin_name = self.tier.member_of(request_id)
+        if origin_name is None or origin_name == destination:
+            return
+        outcome = self.tier.outcome(request_id)
+        if outcome is None or not outcome.admitted:
+            return
+        session = outcome.session
+        if session is None or not session.running:
+            return
+        self.migrations.append(
+            self.migrator.migrate(
+                session,
+                origin=self.tier.member(origin_name),
+                destination=self.tier.member(destination),
+                new_client_device=new_client_device,
+            )
         )

@@ -31,7 +31,12 @@ from repro.observability.metrics import MetricsRegistry, stable_round
 from repro.observability.tracing import get_tracer
 from repro.runtime.degradation import DegradationLadder
 from repro.server.cluster import ClusterOutcome, DomainCluster
-from repro.server.service import RequestStatus, ServerRequest
+from repro.server.service import (
+    DomainConfigurationService,
+    RequestOutcome,
+    RequestStatus,
+    ServerRequest,
+)
 
 
 @dataclass(frozen=True)
@@ -284,6 +289,31 @@ class FederationTier:
                     span.set("version", digest.version)
                     span.set("headroom", round(digest.headroom, 6))
         return published
+
+    # -- the drain target ----------------------------------------------------------
+
+    def drain_order(
+        self,
+        on_requeue: Optional[Callable[[DomainConfigurationService], None]] = None,
+    ) -> List[DomainConfigurationService]:
+        """Every member's shards, members in name order."""
+        services: List[DomainConfigurationService] = []
+        for name in sorted(self._by_name):
+            services.extend(
+                self._by_name[name].cluster.drain_order(on_requeue)
+            )
+        return services
+
+    def place(
+        self, request: FederatedRequest
+    ) -> Tuple[RequestOutcome, Optional[DomainConfigurationService]]:
+        """Submit; report the outcome and the shard that queued it."""
+        routed = self.submit(request)
+        placed = routed.placed
+        if placed.outcome.status is RequestStatus.QUEUED:
+            cluster = self._by_name[routed.member].cluster
+            return placed.outcome, cluster.shards[placed.shard]
+        return placed.outcome, None
 
     # -- the front door ------------------------------------------------------------
 

@@ -13,9 +13,6 @@ on the simulation kernel (logical time, deterministic) or on real threads
 - :class:`WallClockScheduler` backs the same contract with
   ``threading.Timer`` for the thread-pool server driver; ``close()``
   cancels everything still pending.
-
-This module used to live at ``repro.faults.scheduling``; that path is
-kept as a deprecation shim.
 """
 
 from __future__ import annotations

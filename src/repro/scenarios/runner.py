@@ -32,17 +32,14 @@ from repro.faults.recovery import RecoveryManager, RecoveryPolicy
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer, activated
 from repro.runtime.clock import SimScheduler
-from repro.server.batching import BatchingDomainService, BatchPolicy
+from repro.server.batching import BatchingDomainService
 from repro.server.cluster import (
-    ClusterSimulatedDriver,
-    ClusterThreadPoolDriver,
     ConsistentHashRouter,
     DomainCluster,
     LeastLoadedRouter,
 )
 from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
-from repro.server.metrics import ServerMetrics
-from repro.server.service import DomainConfigurationService
+from repro.server.service import UNBATCHED, BatchPolicy
 from repro.sim.kernel import Simulator
 from repro.store import (
     ReadoptionReport,
@@ -188,28 +185,31 @@ def run_scenario(
     )
 
 
+def _service_kwargs(compiled: CompiledScenario, clock) -> Dict[str, object]:
+    """The spec's server knobs, shared by single-domain and shard builds."""
+    spec = compiled.spec
+    return dict(
+        ladder=compiled.ladder(),
+        queue_capacity=spec.server.queue_capacity,
+        clock=clock,
+        skip_downloads=spec.server.skip_downloads,
+        max_conflict_retries=spec.server.max_conflict_retries,
+        scenario=spec.name,
+    )
+
+
 def _make_service(
     compiled: CompiledScenario,
     testbed,
     clock,
     batched: bool,
     store: Optional[RecordStore],
-    metrics: Optional[ServerMetrics] = None,
-):
-    spec = compiled.spec
-    service_cls = BatchingDomainService if batched else DomainConfigurationService
-    extra = {"batch": BatchPolicy()} if batched else {}
-    return service_cls(
+) -> BatchingDomainService:
+    return BatchingDomainService(
         testbed.configurator,
-        ladder=compiled.ladder(),
-        queue_capacity=spec.server.queue_capacity,
-        clock=clock,
-        skip_downloads=spec.server.skip_downloads,
-        max_conflict_retries=spec.server.max_conflict_retries,
-        metrics=metrics,
         store=store,
-        scenario=spec.name,
-        **extra,
+        batch=BatchPolicy() if batched else UNBATCHED,
+        **_service_kwargs(compiled, clock),
     )
 
 
@@ -479,23 +479,12 @@ def _run_cluster(
     testbeds = [
         compiled.build_testbed(clock=sim_clock) for _ in range(shard_count)
     ]
-    shards = [
-        _make_service(
-            compiled,
-            testbed,
-            sim_clock,
-            batched,
-            store=None,
-            metrics=ServerMetrics(
-                registry=registry, namespace=f"cluster.shard{index}"
-            ),
-        )
-        for index, testbed in enumerate(testbeds)
-    ]
-    cluster = DomainCluster(
-        shards,
+    cluster = DomainCluster.build(
+        [testbed.configurator for testbed in testbeds],
         router=_make_router(spec.cluster.router, shard_count),
         registry=registry,
+        batched=batched,
+        **_service_kwargs(compiled, sim_clock),
     )
     arrivals = compiled.arrival_trace(multiplier=multiplier)
     to_request = compiled.request_factory(testbeds[0])
@@ -512,7 +501,7 @@ def _run_cluster(
                     window_s=spec.control.window_s,
                 ),
             )
-        cluster_driver = ClusterSimulatedDriver(
+        cluster_driver = SimulatedServerDriver(
             cluster,
             simulator,
             workers=spec.server.workers,
@@ -542,9 +531,7 @@ def _run_cluster(
                     "cluster ledger invariant violated: " + "; ".join(problems)
                 )
     else:
-        pool = ClusterThreadPoolDriver(
-            cluster, workers_per_shard=max(2, spec.server.workers)
-        )
+        pool = ThreadPoolDriver(cluster, workers=max(2, spec.server.workers))
         pool.start()
         try:
             for event in arrivals:
@@ -702,7 +689,7 @@ def run_crash_restart(
     for event in remainder:
         sim2.schedule_at(
             event.arrival_s - crash_at_s,
-            lambda e=event: driver2._arrive(to_request(e)),
+            lambda e=event: driver2.arrive(to_request(e)),
         )
     driver2.run()
     problems = service2.ledger.audit()

@@ -10,17 +10,19 @@ package is the serving layer in front of
   overlapping configurations can never double-book capacity;
 - :mod:`repro.server.queue` — a bounded request queue with FIFO and
   priority policies and per-request deadlines;
-- :mod:`repro.server.admission` — the admission controller: walks the
-  degradation ladder under contention and applies load shedding with
-  retry-after backpressure;
+- :mod:`repro.server.admission` — the admission controller: walks a
+  chunk of requests down the degradation ladder in grouped ledger
+  prepare/commit rounds against one shared environment snapshot, and
+  applies load shedding with retry-after backpressure;
 - :mod:`repro.server.metrics` — per-run counters and latency percentiles,
   exported as deterministic JSON;
-- :mod:`repro.server.service` — the front end tying the pieces together;
+- :mod:`repro.server.service` — the front end tying the pieces together,
+  served in chunks sized by a :class:`BatchPolicy`;
 - :mod:`repro.server.drivers` — a thread-pool driver (real concurrency)
-  and a sim-kernel driver (deterministic trace replay);
-- :mod:`repro.server.batching` — the batched admission core: drains the
-  queue in chunks and admits each chunk through grouped ledger
-  prepare/commit rounds against one shared environment snapshot;
+  and a sim-kernel driver (deterministic trace replay), each driving a
+  service, a cluster or a federation tier;
+- :mod:`repro.server.batching` — a service drained in multi-request
+  chunks;
 - :mod:`repro.server.cluster` — the sharded multi-domain cluster: a
   pluggable shard router (consistent hashing / power-of-two-choices),
   cross-shard overflow, and merged cluster metrics.
@@ -45,23 +47,22 @@ from repro.server.admission import (
     OverloadPolicy,
 )
 from repro.server.service import (
+    UNBATCHED,
+    BatchPolicy,
     DomainConfigurationService,
     RequestOutcome,
     RequestStatus,
     ServerRequest,
 )
-from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
-from repro.server.batching import (
-    BatchingDomainService,
-    BatchingSimulatedDriver,
-    BatchingThreadPoolDriver,
-    BatchPolicy,
+from repro.server.drivers import (
+    ServingTarget,
+    SimulatedServerDriver,
+    ThreadPoolDriver,
 )
+from repro.server.batching import BatchingDomainService
 from repro.server.cluster import (
     ClusterMetrics,
     ClusterOutcome,
-    ClusterSimulatedDriver,
-    ClusterThreadPoolDriver,
     ConsistentHashRouter,
     DomainCluster,
     LeastLoadedRouter,
@@ -86,16 +87,14 @@ __all__ = [
     "RequestOutcome",
     "RequestStatus",
     "ServerRequest",
+    "ServingTarget",
     "SimulatedServerDriver",
     "ThreadPoolDriver",
     "BatchingDomainService",
-    "BatchingSimulatedDriver",
-    "BatchingThreadPoolDriver",
     "BatchPolicy",
+    "UNBATCHED",
     "ClusterMetrics",
     "ClusterOutcome",
-    "ClusterSimulatedDriver",
-    "ClusterThreadPoolDriver",
     "ConsistentHashRouter",
     "DomainCluster",
     "LeastLoadedRouter",

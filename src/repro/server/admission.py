@@ -1,11 +1,14 @@
 """Admission control: degradation under contention, shedding under load.
 
 The controller walks a :class:`~repro.runtime.degradation.DegradationLadder`
-exactly like the single-session ``DegradingConfigurator`` — try the
-preferred QoS first, walk down — but with one serving-layer twist: a
-failure caused by a *reservation conflict* (another request committed the
-capacity between this request's plan and its prepare) is retried at the
-same level against a fresh snapshot instead of being treated as genuine
+like the single-session ``DegradingConfigurator`` — try the preferred QoS
+first, walk down — but for a whole chunk of requests at once:
+:meth:`AdmissionController.walk` plans every member against one shared
+snapshot, then prepares and commits the round's plans under one ledger
+lock each. A single admission is a walk of one. A failure caused by a
+*reservation conflict* (a walk mate or a concurrent walk committed the
+capacity between this plan and its prepare) is retried at the same level
+against a fresh snapshot instead of being treated as genuine
 infeasibility. Only when a level fails on real capacity grounds does the
 walk descend.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.composition.composer import CompositionRequest
 from repro.distribution.pareto import (
@@ -37,6 +40,7 @@ from repro.runtime.session import (
     ConfigurationRecord,
     SessionState,
 )
+from repro.server.ledger import LedgerConflictError
 
 
 @dataclass
@@ -135,6 +139,26 @@ class AdmissionResult:
         return sum(r.timing.total_ms for r in self.attempts) / 1000.0
 
 
+@dataclass
+class LadderWalk:
+    """One session's progress through the grouped ladder walk.
+
+    ``order`` holds ladder-level indices in walk order (the utility
+    profile's preference order, entry offset already applied);
+    ``position`` is the current index into it.
+    """
+
+    result: AdmissionResult
+    order: Tuple[int, ...]
+    retries_left: int
+    on_done: Optional[Callable[[AdmissionResult], None]] = None
+    position: int = 0
+
+    def finish(self) -> None:
+        if self.on_done is not None:
+            self.on_done(self.result)
+
+
 class FrontCache:
     """Per-domain cache of measured ladder-level objective points.
 
@@ -193,7 +217,7 @@ class FrontCache:
 
 
 class AdmissionController:
-    """Serves one configuration request end-to-end through the ledger."""
+    """Admits configuration requests through the configurator's ledger."""
 
     def __init__(
         self,
@@ -205,6 +229,8 @@ class AdmissionController:
     ) -> None:
         if max_conflict_retries < 0:
             raise ValueError("max_conflict_retries cannot be negative")
+        if configurator.ledger is None:
+            raise ValueError("admission needs a configurator with a ledger")
         self.configurator = configurator
         self.ladder = ladder
         self.max_conflict_retries = max_conflict_retries
@@ -389,6 +415,8 @@ class AdmissionController:
             order = order[offset:]
         return tuple(order)
 
+    # -- the grouped ladder walk ---------------------------------------------------
+
     def admit(
         self,
         request: CompositionRequest,
@@ -399,9 +427,10 @@ class AdmissionController:
     ) -> AdmissionResult:
         """Walk the ladder (or try once, ladder-less) until admission.
 
-        ``utility_profile`` (a name or a profile object) reorders the
-        walk by the request class's utility over the measured per-level
-        front; None keeps the classic best-fidelity-first descent.
+        A walk of one. ``utility_profile`` (a name or a profile object)
+        reorders the walk by the request class's utility over the measured
+        per-level front; None keeps the classic best-fidelity-first
+        descent.
         """
         session = self.configurator.create_session(
             request, user_id=user_id, session_id=session_id
@@ -409,9 +438,11 @@ class AdmissionController:
         with get_tracer().span(
             "admission.admit", session_id=session.session_id
         ) as span:
-            result = self._walk(
+            walk = self.open_walk(
                 session, priority=priority, utility_profile=utility_profile
             )
+            self.walk([walk])
+            result = walk.result
             span.set("admitted", result.success)
             span.set("level", result.admitted_level or "")
             span.set("attempts", len(result.attempts))
@@ -420,53 +451,149 @@ class AdmissionController:
                 span.set("profile", result.profile)
             return result
 
-    def _walk(
+    def open_walk(
         self,
         session: ApplicationSession,
         priority: int = 0,
         utility_profile: Optional[Union[str, UtilityProfile]] = None,
-    ) -> AdmissionResult:
+        on_done: Optional[Callable[[AdmissionResult], None]] = None,
+    ) -> LadderWalk:
+        """Fix one session's walk order (profile order, entry offset applied).
+
+        ``on_done`` is called with the final result the moment this
+        session's walk finishes, which may be before its walk mates'.
+        """
         if isinstance(utility_profile, str):
             utility_profile = resolve_utility_profile(utility_profile)
-        offset = self.entry_offset_for(priority)
-        result = AdmissionResult(
-            session=session,
-            admitted_level=None,
-            entry_offset=offset,
-            profile=utility_profile.name if utility_profile else None,
-        )
-        if self.ladder is None:
-            levels: Tuple[Optional[object], ...] = (None,)
-        else:
-            order = self.level_order(
+        return LadderWalk(
+            result=AdmissionResult(
+                session=session,
+                admitted_level=None,
+                entry_offset=self.entry_offset_for(priority),
+                profile=utility_profile.name if utility_profile else None,
+            ),
+            order=self.level_order(
                 session.request, priority=priority, profile=utility_profile
+            ),
+            retries_left=self.max_conflict_retries,
+            on_done=on_done,
+        )
+
+    def walk(self, walks: Sequence[LadderWalk]) -> None:
+        """Walk every session down its ladder in grouped rounds.
+
+        Each round plans every active session at its current level against
+        one shared environment snapshot, holds all the plans under one
+        ledger lock (:meth:`ReservationLedger.prepare_many` — each plan
+        sees its walk mates' holds, so the group cannot over-book),
+        commits the survivors under one more, and deploys the winners.
+        A session whose capacity was taken retries at the same level
+        against a fresh snapshot until its conflict budget is spent; a
+        genuine capacity failure descends. Every session either finishes,
+        spends a retry or descends per round, so the loop terminates.
+        """
+        levels = self.ladder.levels if self.ladder is not None else (None,)
+        with get_tracer().span("admission.walk", size=len(walks)):
+            active = list(walks)
+            while active:
+                next_round: List[LadderWalk] = []
+                planned = []
+                for walk in active:
+                    plan = self._plan(walk, levels, next_round)
+                    if plan is not None:
+                        planned.append((walk, plan))
+                if planned:
+                    self._commit_round(planned, next_round)
+                active = next_round
+
+    def _plan(self, walk: LadderWalk, levels, next_round):
+        """Plan one session at its current level; absorb a plan-time failure."""
+        session = walk.result.session
+        if session.state is SessionState.FAILED:
+            session.state = SessionState.NEW
+        level = levels[walk.order[walk.position]]
+        if level is not None:
+            session.request = dataclasses.replace(
+                session.request, user_qos=level.user_qos
             )
-            levels = tuple(self.ladder.levels[i] for i in order)
-        for level in levels:
-            if level is not None:
-                session.request = dataclasses.replace(
-                    session.request, user_qos=level.user_qos
-                )
-                label = f"admit@{level.label}"
-                scale = level.demand_scale
+            label = f"admit@{level.label}"
+            scale = level.demand_scale
+        else:
+            label = "admit"
+            scale = 1.0
+        planned, failure = self.configurator.plan(
+            session,
+            session.request,
+            label,
+            graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
+        )
+        if failure is None:
+            return planned
+        session.absorb_record(failure)
+        walk.result.attempts.append(failure)
+        self._descend(walk, next_round)
+        return None
+
+    def _commit_round(self, planned, next_round) -> None:
+        """One grouped prepare/commit round over this round's plans."""
+        ledger = self.configurator.ledger
+        txns = [
+            ledger.begin(owner=walk.result.session.session_id)
+            for walk, _plan in planned
+        ]
+        prepare_errors = ledger.prepare_many(
+            [
+                (txn, plan.graph, plan.assignment)
+                for txn, (_walk, plan) in zip(txns, planned)
+            ]
+        )
+        to_commit = []
+        for (walk, plan), txn, error in zip(planned, txns, prepare_errors):
+            if error is None:
+                to_commit.append((walk, plan, txn))
             else:
-                label = "admit"
-                scale = 1.0
-            retries_left = self.max_conflict_retries
-            while True:
-                if session.state is SessionState.FAILED:
-                    session.state = SessionState.NEW
-                record = session.start(
-                    label=label,
-                    skip_downloads=self.skip_downloads,
-                    graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
-                )
-                result.attempts.append(record)
-                if record.success:
-                    result.admitted_level = label
-                    return result
-                if not record.conflict or retries_left <= 0:
-                    break
-                retries_left -= 1
-                result.conflict_retries += 1
-        return result
+                ledger.abort(txn)
+                self._conflicted(walk, plan, next_round)
+        if not to_commit:
+            return
+        commit_results = ledger.commit_many([txn for _w, _p, txn in to_commit])
+        for (walk, plan, txn), tokens in zip(to_commit, commit_results):
+            if isinstance(tokens, LedgerConflictError):
+                # commit_many already aborted the transaction.
+                self._conflicted(walk, plan, next_round)
+                continue
+            session = walk.result.session
+            record = self.configurator.deploy_planned(
+                session, plan, tokens, txn, skip_downloads=self.skip_downloads
+            )
+            session.absorb_record(record)
+            walk.result.attempts.append(record)
+            if record.success:
+                walk.result.admitted_level = record.label
+                walk.finish()
+            else:
+                # A deployment error is not a conflict: descend.
+                self._descend(walk, next_round)
+
+    def _conflicted(self, walk: LadderWalk, plan, next_round) -> None:
+        """A walk mate (or a concurrent walk) took this plan's capacity."""
+        session = walk.result.session
+        record = self.configurator.fail_planned(session, plan, conflict=True)
+        session.absorb_record(record)
+        walk.result.attempts.append(record)
+        if walk.retries_left > 0:
+            walk.retries_left -= 1
+            walk.result.conflict_retries += 1
+            next_round.append(walk)
+            return
+        self._descend(walk, next_round)
+
+    def _descend(self, walk: LadderWalk, next_round) -> None:
+        """Move to the next level of the walk order, or finish as FAILED."""
+        if walk.position + 1 < len(walk.order):
+            walk.position += 1
+            walk.retries_left = self.max_conflict_retries
+            next_round.append(walk)
+            return
+        walk.finish()
+

@@ -1,151 +1,54 @@
-"""The batched admission serving core.
+"""The batching domain service: chunks bigger than one.
 
-The thread-per-request hot path costs O(N) lock acquisitions for N
-admissions: every request snapshots the environment alone, walks the
-degradation ladder alone, and runs a private ledger prepare/commit round.
-:class:`BatchingDomainService` amortizes all three. A worker drains the
-queue in chunks (:meth:`BoundedRequestQueue.pop_many` — one lock round
-trip per chunk) and serves the chunk in grouped rounds:
-
-1. **Plan** — every active request composes and distributes at its current
-   ladder level against ONE shared environment snapshot (the configurator
-   memoizes on the ledger version, which does not move between rounds);
-2. **Prepare** — :meth:`ReservationLedger.prepare_many` validates and
-   holds the whole round's assignments under one ledger lock acquisition,
-   each plan seeing the holds of its batch mates, so the group cannot
-   over-book;
-3. **Commit + deploy** — :meth:`ReservationLedger.commit_many` converts
-   the surviving holds into allocations (again one lock acquisition) and
-   the deployer runs in pre-acquired mode per winner.
-
-Losers of a round — plans whose capacity was taken by an earlier batch
-mate — re-enter the next round against a fresh snapshot, first burning
-their conflict-retry budget at the same level and then descending the
-ladder, exactly mirroring the single-request
-:class:`~repro.server.admission.AdmissionController` walk. Rounds are
-bounded: every member either finishes, spends a retry, or descends, so
-the loop terminates.
-
-Both drivers are batch-aware: :class:`BatchingSimulatedDriver` flushes on
-logical-time linger/size triggers (deterministic, byte-identical replay
-per seed) and :class:`BatchingThreadPoolDriver` drains real chunks per
-worker wakeup.
+Every service is served in chunks by the shared core,
+:meth:`~repro.server.service.DomainConfigurationService.serve_chunk`: it
+sheds a chunk's expired requests and walks the rest down the degradation
+ladder together through
+:meth:`~repro.server.admission.AdmissionController.walk` — one shared
+environment snapshot per round, one ledger lock for the round's
+``prepare_many`` and one for its ``commit_many``. A plain service's
+:class:`~repro.server.service.BatchPolicy` drains one request per flush.
+:class:`BatchingDomainService` carries a bigger policy, so the drivers
+hand it multi-request chunks and the lock round trips are amortized over
+the chunk; it also records the size of every chunk it serves.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional, Sequence
 
-from repro.observability.tracing import get_tracer
-from repro.runtime.configurator import ServiceConfigurator
-from repro.runtime.degradation import DegradationLadder, scale_graph_demand
-from repro.runtime.session import SessionState
-from repro.server.admission import AdmissionResult, OverloadPolicy
-from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
-from repro.server.ledger import LedgerConflictError
-from repro.server.metrics import ServerMetrics
-from repro.server.queue import QueuedRequest, QueuePolicy
+from repro.server.queue import QueuedRequest
 from repro.server.service import (
+    BatchPolicy,
     DomainConfigurationService,
     RequestOutcome,
-    RequestStatus,
-    ServerRequest,
 )
-from repro.sim.kernel import Simulator
 
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """When a worker flushes a batch.
-
-    ``max_batch_size`` caps the chunk drained per flush; ``max_linger_s``
-    is how long an under-full batch may wait for company before it is
-    served anyway (0 disables lingering: every flush takes whatever is
-    queued right now). Both are read by the drivers — the service itself
-    serves whatever chunk it is handed.
-    """
-
-    max_batch_size: int = 8
-    max_linger_s: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        if self.max_linger_s < 0:
-            raise ValueError("max_linger_s cannot be negative")
-
-
-@dataclass
-class _BatchItem:
-    """One request's progress through the grouped ladder walk.
-
-    ``order`` is the item's walk order over ladder-level indices (the
-    utility-profile preference order, entry offset already applied);
-    ``level_index`` is the current *position* within it.
-    """
-
-    queued: QueuedRequest
-    request: ServerRequest
-    wait_s: float
-    result: AdmissionResult
-    order: tuple = (0,)
-    level_index: int = 0
-    retries_left: int = 0
-    outcome: Optional[RequestOutcome] = None
+__all__ = ["BatchingDomainService", "BatchPolicy"]
 
 
 class BatchingDomainService(DomainConfigurationService):
-    """A domain service whose worker side serves requests in batches.
+    """A domain service drained in chunks of up to ``batch.max_batch_size``.
 
-    The front door (``submit``) is inherited unchanged — batching is a
-    worker-side amortization, invisible to clients. ``process_next`` keeps
-    working (a batch of one), so non-batch-aware tooling still drains the
-    queue correctly.
+    Takes every :class:`DomainConfigurationService` argument plus
+    ``batch`` (default :class:`BatchPolicy()`). The front door is
+    unchanged — batching is a worker-side amortization, invisible to
+    clients.
     """
 
     def __init__(
-        self,
-        configurator: ServiceConfigurator,
-        ladder: Optional[DegradationLadder] = None,
-        queue_capacity: int = 64,
-        queue_policy: QueuePolicy = QueuePolicy.FIFO,
-        overload: Optional[OverloadPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
-        skip_downloads: bool = False,
-        max_conflict_retries: int = 2,
-        metrics: Optional[ServerMetrics] = None,
-        batch: Optional[BatchPolicy] = None,
-        store=None,
-        scenario: Optional[str] = None,
-        front_cache: bool = True,
+        self, *args, batch: Optional[BatchPolicy] = None, **kwargs
     ) -> None:
-        super().__init__(
-            configurator,
-            ladder=ladder,
-            queue_capacity=queue_capacity,
-            queue_policy=queue_policy,
-            overload=overload,
-            clock=clock,
-            skip_downloads=skip_downloads,
-            max_conflict_retries=max_conflict_retries,
-            metrics=metrics,
-            store=store,
-            scenario=scenario,
-            front_cache=front_cache,
-        )
+        super().__init__(*args, **kwargs)
         self.batch = batch or BatchPolicy()
         self._batch_sizes = self.metrics.registry.histogram(
             self.metrics.namespace + ".batch_size"
         )
 
-    # -- the worker side -----------------------------------------------------------
-
     def process_batch(
         self, max_size: Optional[int] = None
     ) -> List[RequestOutcome]:
-        """Drain one chunk from the queue and serve it as a batch.
+        """Drain one chunk from the queue and serve it.
 
         Returns the final outcomes in drain order; empty list when the
         queue was empty. ``max_size`` overrides the policy's batch cap for
@@ -154,319 +57,11 @@ class BatchingDomainService(DomainConfigurationService):
         items = self.queue.pop_many(max_size or self.batch.max_batch_size)
         if not items:
             return []
-        return self._serve_batch(items)
+        return self.serve_chunk(items)
 
-    def _serve_batch(
-        self, queued: List[QueuedRequest]
+    def serve_chunk(
+        self, queued: Sequence[QueuedRequest]
     ) -> List[RequestOutcome]:
-        """Serve an already-drained chunk: deadline sheds, then group admit."""
-        with get_tracer().span("server.batch", size=len(queued)) as span:
-            self._batch_sizes.record(float(len(queued)))
-            now = self._clock()
-            items: List[_BatchItem] = []
-            outcomes_in_order: List[QueuedRequest] = list(queued)
-            shed: Dict[int, RequestOutcome] = {}
-            for index, entry in enumerate(queued):
-                request: ServerRequest = entry.request  # type: ignore[assignment]
-                wait_s = max(0.0, now - entry.enqueued_at)
-                self.metrics.record("queue_wait_ms", wait_s * 1000.0)
-                if entry.expired(now):
-                    self.metrics.incr("shed_deadline")
-                    shed[index] = self._finish(
-                        RequestOutcome(
-                            request_id=request.request_id,
-                            status=RequestStatus.SHED,
-                            shed_reason="deadline",
-                            queue_wait_s=wait_s,
-                            duration_s=request.duration_s,
-                        )
-                    )
-                    continue
-                session = self.configurator.create_session(
-                    request.composition,
-                    user_id=request.user_id,
-                    session_id=f"{request.request_id}/session",
-                )
-                # Mirror the unbatched walk's preference order: the
-                # utility profile (when any) ranks the levels, and a
-                # control-plane entry offset shifts the starting point
-                # within that order.
-                entry_offset = self.admission.entry_offset_for(request.priority)
-                order = self.admission.level_order(
-                    request.composition,
-                    priority=request.priority,
-                    profile=request.utility_profile,
-                )
-                items.append(
-                    _BatchItem(
-                        queued=entry,
-                        request=request,
-                        wait_s=wait_s,
-                        result=AdmissionResult(
-                            session=session,
-                            admitted_level=None,
-                            entry_offset=entry_offset,
-                            profile=request.utility_profile,
-                        ),
-                        order=order,
-                        retries_left=self.admission.max_conflict_retries,
-                    )
-                )
-            self._admit_batch(items)
-
-            by_queued = {id(item.queued): item for item in items}
-            finals: List[RequestOutcome] = []
-            for index, entry in enumerate(outcomes_in_order):
-                if index in shed:
-                    finals.append(shed[index])
-                else:
-                    outcome = by_queued[id(entry)].outcome
-                    assert outcome is not None
-                    finals.append(outcome)
-            span.set("served", len(finals))
-            span.set(
-                "admitted",
-                sum(1 for o in finals if o.admitted),
-            )
-            return finals
-
-    # -- the grouped ladder walk -----------------------------------------------------
-
-    def _admit_batch(self, items: List[_BatchItem]) -> None:
-        """Walk every item down the ladder in grouped plan/prepare/commit rounds."""
-        ladder = self.admission.ladder
-        levels = ladder.levels if ladder is not None else (None,)
-        active = list(items)
-        while active:
-            next_round: List[_BatchItem] = []
-            planned_pairs = []
-            for item in active:
-                planned = self._plan_item(item, levels, next_round)
-                if planned is not None:
-                    planned_pairs.append((item, planned))
-            if planned_pairs:
-                self._commit_round(planned_pairs, levels, next_round)
-            active = next_round
-
-    def _plan_item(self, item: _BatchItem, levels, next_round):
-        """Plan one item at its current level; handle plan-time failure."""
-        session = item.result.session
-        if session.state is SessionState.FAILED:
-            session.state = SessionState.NEW
-        level = levels[item.order[item.level_index]]
-        if level is not None:
-            session.request = dataclasses.replace(
-                session.request, user_qos=level.user_qos
-            )
-            label = f"admit@{level.label}"
-            scale = level.demand_scale
-        else:
-            label = "admit"
-            scale = 1.0
-        planned, failure = self.configurator.plan(
-            session,
-            session.request,
-            label,
-            graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
-        )
-        if failure is None:
-            return planned
-        session.absorb_record(failure)
-        item.result.attempts.append(failure)
-        self._descend_or_finish(item, levels, next_round)
-        return None
-
-    def _commit_round(self, planned_pairs, levels, next_round) -> None:
-        """One grouped prepare/commit round over this round's plans."""
-        txns = [
-            self.ledger.begin(owner=item.result.session.session_id)
-            for item, _ in planned_pairs
-        ]
-        prepare_results = self.ledger.prepare_many(
-            [
-                (txn, planned.graph, planned.assignment)
-                for txn, (_item, planned) in zip(txns, planned_pairs)
-            ]
-        )
-        to_commit = []
-        for (item, planned), txn, error in zip(
-            planned_pairs, txns, prepare_results
-        ):
-            if error is None:
-                to_commit.append((item, planned, txn))
-            else:
-                self.ledger.abort(txn)
-                self._conflicted(item, planned, levels, next_round)
-        if not to_commit:
-            return
-        commit_results = self.ledger.commit_many(
-            [txn for _item, _planned, txn in to_commit]
-        )
-        for (item, planned, txn), tokens in zip(to_commit, commit_results):
-            if isinstance(tokens, LedgerConflictError):
-                # commit_many already aborted the transaction.
-                self._conflicted(item, planned, levels, next_round)
-                continue
-            record = self.configurator.deploy_planned(
-                item.result.session,
-                planned,
-                tokens,
-                txn,
-                skip_downloads=self.admission.skip_downloads,
-            )
-            item.result.session.absorb_record(record)
-            item.result.attempts.append(record)
-            if record.success:
-                item.result.admitted_level = record.label
-                self._finalize(item)
-            else:
-                # Deployment error (non-conflict): descend like the
-                # single-request walk would after a capacity failure.
-                self._descend_or_finish(item, levels, next_round)
-
-    def _conflicted(self, item: _BatchItem, planned, levels, next_round) -> None:
-        """A batch mate (or a concurrent batch) took this plan's capacity."""
-        session = item.result.session
-        record = self.configurator.fail_planned(session, planned, conflict=True)
-        session.absorb_record(record)
-        item.result.attempts.append(record)
-        if item.retries_left > 0:
-            item.retries_left -= 1
-            item.result.conflict_retries += 1
-            next_round.append(item)
-            return
-        self._descend_or_finish(item, levels, next_round)
-
-    def _descend_or_finish(self, item: _BatchItem, levels, next_round) -> None:
-        """Advance an item through its walk order, or finalize it as FAILED."""
-        if item.level_index + 1 < len(item.order):
-            item.level_index += 1
-            item.retries_left = self.admission.max_conflict_retries
-            next_round.append(item)
-            return
-        self._finalize(item)
-
-    def _finalize(self, item: _BatchItem) -> None:
-        """Record the item's final disposition (span, counters, outcome)."""
-        with get_tracer().span(
-            "server.serve", request_id=item.request.request_id, batched=True
-        ) as span:
-            outcome = self._outcome_from(item.request, item.wait_s, item.result)
-            span.set("status", outcome.status.value)
-            item.outcome = self._finish(outcome)
-
-
-# -- batch-aware drivers -------------------------------------------------------------
-
-
-class BatchingSimulatedDriver(SimulatedServerDriver):
-    """Deterministic batched trace replay through the sim kernel.
-
-    Flush triggers are pure functions of logical time and queue state: a
-    worker flushes immediately when a full batch is queued (or lingering
-    is disabled), otherwise an under-full batch waits ``max_linger_s`` of
-    logical time for company. The same seed therefore yields byte-identical
-    metrics JSON and span NDJSON on every run, exactly like the unbatched
-    driver — only the grouping differs.
-    """
-
-    def __init__(
-        self,
-        service: BatchingDomainService,
-        simulator: Simulator,
-        workers: int = 2,
-        min_service_s: float = 1e-3,
-    ) -> None:
-        if not isinstance(service, BatchingDomainService):
-            raise TypeError("BatchingSimulatedDriver needs a BatchingDomainService")
-        super().__init__(
-            service, simulator, workers=workers, min_service_s=min_service_s
-        )
-        self._flush_scheduled = False
-
-    # -- event handlers ------------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        policy: BatchPolicy = self.service.batch  # type: ignore[attr-defined]
-        while self._busy < self.workers:
-            depth = self.service.queue.depth
-            if depth == 0:
-                return
-            if depth >= policy.max_batch_size or policy.max_linger_s <= 0:
-                self._flush()
-                continue
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                self.sim.schedule(policy.max_linger_s, self._linger_flush)
-            return
-
-    def _linger_flush(self) -> None:
-        self._flush_scheduled = False
-        if self._busy < self.workers and self.service.queue.depth > 0:
-            self._flush()
-        self._dispatch()
-
-    def _flush(self) -> None:
-        outcomes = self.service.process_batch()  # type: ignore[attr-defined]
-        if not outcomes:
-            return
-        self._busy += 1
-        busy_s = max(
-            self.min_service_s,
-            sum(outcome.service_time_s for outcome in outcomes),
-        )
-        self.sim.schedule(busy_s, lambda batch=outcomes: self._complete_batch(batch))
-
-    def _complete_batch(self, batch: List[RequestOutcome]) -> None:
-        self._busy -= 1
-        for outcome in batch:
-            self.outcomes.append(outcome)
-            if outcome.admitted and outcome.duration_s is not None:
-                self.sim.schedule(
-                    outcome.duration_s,
-                    lambda o=outcome: self.service.stop_session(o),
-                )
-        self._dispatch()
-
-
-class BatchingThreadPoolDriver(ThreadPoolDriver):
-    """Worker threads that drain chunks instead of single requests.
-
-    Each wakeup blocks for one request, lingers briefly for company when
-    the chunk is under-full, tops the chunk up with one ``pop_many`` lock
-    round trip, and serves the whole chunk through the grouped admission
-    core.
-    """
-
-    def __init__(
-        self, service: BatchingDomainService, workers: int = 8
-    ) -> None:
-        if not isinstance(service, BatchingDomainService):
-            raise TypeError("BatchingThreadPoolDriver needs a BatchingDomainService")
-        super().__init__(service, workers=workers)
-
-    def _worker(self) -> None:
-        import time
-
-        service: BatchingDomainService = self.service  # type: ignore[assignment]
-        policy = service.batch
-        while not self._stop.is_set():
-            first = service.queue.get(timeout=0.02)
-            if first is None:
-                continue
-            batch = [first]
-            batch.extend(service.queue.pop_many(policy.max_batch_size - 1))
-            if len(batch) < policy.max_batch_size and policy.max_linger_s > 0:
-                time.sleep(policy.max_linger_s)
-                batch.extend(
-                    service.queue.pop_many(policy.max_batch_size - len(batch))
-                )
-            with self._lock:
-                self._busy += 1
-            try:
-                outcomes = service._serve_batch(batch)
-            finally:
-                with self._lock:
-                    self._busy -= 1
-            with self._lock:
-                self.outcomes.extend(outcomes)
+        """Record the chunk's size, then serve it like any service."""
+        self._batch_sizes.record(float(len(queued)))
+        return super().serve_chunk(queued)

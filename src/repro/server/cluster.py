@@ -43,8 +43,11 @@ from repro.observability.metrics import (
     summarize_samples,
 )
 from repro.observability.tracing import get_tracer
+from repro.server.batching import BatchingDomainService
 from repro.server.metrics import COUNTER_NAMES, STAGE_NAMES, ServerMetrics
 from repro.server.service import (
+    UNBATCHED,
+    BatchPolicy,
     DomainConfigurationService,
     RequestOutcome,
     RequestStatus,
@@ -221,10 +224,13 @@ class DomainCluster:
         #: turns it into a live, ticking QoSController.
         self.control_policy = controller
         self.controller: Optional[object] = None
-        #: Rebalance wake-up seam: the sim driver registers a callback so
-        #: a shard that receives adopted work mid-run gets dispatched
-        #: (thread drivers wake via the queue condition instead).
-        self.on_requeue: Optional[Callable[[int], None]] = None
+        #: Rebalance wake-up seam: the sim driver registers a callback
+        #: (see :meth:`drain_order`) so a shard that receives adopted work
+        #: mid-run gets dispatched (thread drivers wake via the queue
+        #: condition instead).
+        self.on_requeue: Optional[
+            Callable[[DomainConfigurationService], None]
+        ] = None
         self._lock = threading.Lock()
         self._placement: Dict[str, int] = {}
         self._submitted = self.registry.counter("cluster.submitted")
@@ -244,7 +250,7 @@ class DomainCluster:
         router: Optional[ShardRouter] = None,
         registry: Optional[MetricsRegistry] = None,
         batched: bool = False,
-        batch: Optional[object] = None,
+        batch: Optional[BatchPolicy] = None,
         controller: Optional[object] = None,
         **service_kwargs: object,
     ) -> "DomainCluster":
@@ -252,26 +258,21 @@ class DomainCluster:
 
         Each shard's :class:`ServerMetrics` registers its instruments
         under ``cluster.shard<i>`` in the shared registry, so one
-        registry snapshot covers the whole cluster. With ``batched=True``
-        every shard is a
-        :class:`~repro.server.batching.BatchingDomainService` (``batch``
-        passes a :class:`~repro.server.batching.BatchPolicy` through), and
-        the cluster drivers pick the batch-aware driver per shard.
+        registry snapshot covers the whole cluster. Every shard is a
+        :class:`~repro.server.batching.BatchingDomainService`;
+        ``batched`` only chooses its chunk policy — ``batch`` (default
+        :class:`BatchPolicy()`) when true, one request per flush when
+        false.
         """
         registry = registry if registry is not None else MetricsRegistry()
-        service_cls = DomainConfigurationService
-        if batched:
-            from repro.server.batching import BatchingDomainService
-
-            service_cls = BatchingDomainService
-            if batch is not None:
-                service_kwargs["batch"] = batch
+        policy = (batch or BatchPolicy()) if batched else UNBATCHED
         shards = [
-            service_cls(
+            BatchingDomainService(
                 configurator,  # type: ignore[arg-type]
                 metrics=ServerMetrics(
                     registry=registry, namespace=f"cluster.shard{index}"
                 ),
+                batch=policy,
                 **service_kwargs,  # type: ignore[arg-type]
             )
             for index, configurator in enumerate(configurators)
@@ -338,8 +339,28 @@ class DomainCluster:
                 # the origin must take it back unconditionally.
                 origin.queue.adopt(item, enforce_capacity=False)
         if moved and self.on_requeue is not None:
-            self.on_requeue(to_shard)
+            self.on_requeue(target)
         return moved
+
+    # -- the drain target ----------------------------------------------------------
+
+    def drain_order(
+        self,
+        on_requeue: Optional[Callable[[DomainConfigurationService], None]] = None,
+    ) -> List[DomainConfigurationService]:
+        """The shards, in index order; ``on_requeue`` wakes rebalanced ones."""
+        if on_requeue is not None:
+            self.on_requeue = on_requeue
+        return list(self.shards)
+
+    def place(
+        self, request: ServerRequest
+    ) -> Tuple[RequestOutcome, Optional[DomainConfigurationService]]:
+        """Submit; report the outcome and the shard that queued it."""
+        placed = self.submit(request)
+        if placed.outcome.status is RequestStatus.QUEUED:
+            return placed.outcome, self.shards[placed.shard]
+        return placed.outcome, None
 
     # -- the front door ------------------------------------------------------------
 
@@ -531,128 +552,3 @@ class ClusterMetrics:
         if extra:
             payload = {**payload, **extra}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-# -- cluster drivers ---------------------------------------------------------------
-
-
-class ClusterSimulatedDriver:
-    """Deterministic cluster replay: one sim driver per shard, one kernel.
-
-    Every shard's :class:`~repro.server.drivers.SimulatedServerDriver`
-    shares the same :class:`~repro.sim.kernel.Simulator`, and arrivals go
-    through :meth:`DomainCluster.submit`, so routing, overflow, queueing
-    and session departures are all logical-time events — the same seed
-    yields byte-identical cluster metrics JSON on every run.
-    """
-
-    def __init__(
-        self,
-        cluster: DomainCluster,
-        simulator: "Simulator",
-        workers: int = 1,
-        min_service_s: float = 1e-3,
-    ) -> None:
-        from repro.server.batching import (
-            BatchingDomainService,
-            BatchingSimulatedDriver,
-        )
-        from repro.server.drivers import SimulatedServerDriver
-
-        self.cluster = cluster
-        self.sim = simulator
-        self.drivers = [
-            (
-                BatchingSimulatedDriver
-                if isinstance(shard, BatchingDomainService)
-                else SimulatedServerDriver
-            )(shard, simulator, workers=workers, min_service_s=min_service_s)
-            for shard in cluster.shards
-        ]
-        self.placements: List[ClusterOutcome] = []
-        # Control-plane rebalances insert work into an idle shard's queue
-        # without a submit event; wake that shard's dispatch loop.
-        cluster.on_requeue = lambda index: self.drivers[index]._dispatch()
-
-    def schedule_trace(
-        self,
-        trace: "ArrivalTrace",
-        request_factory: Callable[["ArrivalEvent"], ServerRequest],
-    ) -> None:
-        """Schedule one cluster-submit event per arrival in the trace."""
-        for event in trace:
-            self.sim.schedule_at(
-                event.arrival_s,
-                lambda e=event: self._arrive(request_factory(e)),
-            )
-
-    def run(self, until: Optional[float] = None) -> List[RequestOutcome]:
-        """Run to completion (or ``until``); return all served outcomes."""
-        if until is None:
-            self.sim.run()
-        else:
-            self.sim.run_until(until)
-        return self.outcomes()
-
-    def outcomes(self) -> List[RequestOutcome]:
-        """Submit-time sheds plus every shard driver's served outcomes."""
-        outcomes = [
-            placed.outcome
-            for placed in self.placements
-            if placed.outcome.status is RequestStatus.SHED
-        ]
-        for driver in self.drivers:
-            outcomes.extend(driver.outcomes)
-        return outcomes
-
-    def _arrive(self, request: ServerRequest) -> None:
-        placed = self.cluster.submit(request)
-        self.placements.append(placed)
-        if placed.outcome.status is RequestStatus.QUEUED:
-            self.drivers[placed.shard]._dispatch()
-
-
-class ClusterThreadPoolDriver:
-    """One real worker pool per shard (genuine cross-shard interleaving)."""
-
-    def __init__(self, cluster: DomainCluster, workers_per_shard: int = 4) -> None:
-        from repro.server.batching import (
-            BatchingDomainService,
-            BatchingThreadPoolDriver,
-        )
-        from repro.server.drivers import ThreadPoolDriver
-
-        self.cluster = cluster
-        self.drivers = [
-            (
-                BatchingThreadPoolDriver
-                if isinstance(shard, BatchingDomainService)
-                else ThreadPoolDriver
-            )(shard, workers=workers_per_shard)
-            for shard in cluster.shards
-        ]
-
-    def start(self) -> None:
-        for driver in self.drivers:
-            driver.start()
-
-    def stop(self) -> None:
-        for driver in self.drivers:
-            driver.stop()
-
-    def wait_idle(self, timeout: float = 30.0) -> bool:
-        """Block until every shard's queue is empty and workers are idle."""
-        import time
-
-        deadline = time.monotonic() + timeout
-        for driver in self.drivers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not driver.wait_idle(timeout=remaining):
-                return False
-        return True
-
-    def outcomes(self) -> List[RequestOutcome]:
-        outcomes: List[RequestOutcome] = []
-        for driver in self.drivers:
-            outcomes.extend(driver.outcomes)
-        return outcomes

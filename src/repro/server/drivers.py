@@ -1,20 +1,31 @@
-"""Two ways to drive the domain configuration service.
+"""Two ways to drive a serving target.
 
-:class:`ThreadPoolDriver` runs real worker threads against one service —
-the configuration used by the stress tests to prove the ledger's
+A target is anything that implements :class:`ServingTarget`: one
+:class:`~repro.server.service.DomainConfigurationService`, a
+:class:`~repro.server.cluster.DomainCluster` of shards, or a
+:class:`~repro.federation.tier.FederationTier` of clusters. The drivers
+see only the services the target asks them to drain and a submit that
+says which service queued a request. Each service is drained in chunks
+sized by its own :class:`~repro.server.service.BatchPolicy`; a plain
+service's policy is a chunk of one.
+
+:class:`ThreadPoolDriver` runs real worker threads per service — the
+configuration used by the stress tests to prove the ledger's
 no-over-booking invariant under genuine interleaving.
 
 :class:`SimulatedServerDriver` replays an arrival trace through the sim
-kernel: arrivals, worker busy periods (sized by each request's analytic
-configuration overhead) and session departures are all logical-time
-events, so the same seed yields byte-identical metrics JSON on every run —
-Figure-5-style traces become reproducible server experiments.
+kernel: arrivals, linger timers, worker busy periods (sized by each
+chunk's analytic configuration overhead) and session departures are all
+logical-time events, so the same seed yields byte-identical metrics JSON
+on every run.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional
+import time
+from collections import deque
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.server.service import (
     DomainConfigurationService,
@@ -25,20 +36,45 @@ from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import ArrivalEvent, ArrivalTrace
 
 
-class ThreadPoolDriver:
-    """N worker threads pulling from the service's queue."""
+class ServingTarget(Protocol):
+    """What a driver needs from the thing it drives."""
 
-    def __init__(
-        self, service: DomainConfigurationService, workers: int = 8
-    ) -> None:
+    def drain_order(
+        self,
+        on_requeue: Optional[Callable[[DomainConfigurationService], None]] = None,
+    ) -> Sequence[DomainConfigurationService]:
+        """The services to drain, in a fixed order.
+
+        ``on_requeue(service)`` is called when work reaches a service's
+        queue without a submit (control-plane rebalancing).
+        """
+
+    def place(
+        self, request
+    ) -> Tuple[RequestOutcome, Optional[DomainConfigurationService]]:
+        """Submit; return the submit-time outcome and the service that
+        queued the request (None when it was shed)."""
+
+
+class ThreadPoolDriver:
+    """``workers`` threads per drained service, pulling chunks from its queue.
+
+    Each wakeup blocks for one request, lingers briefly for company when
+    the chunk is under-full, tops the chunk up with one ``pop_many`` lock
+    round trip, and serves the whole chunk.
+    """
+
+    def __init__(self, target: ServingTarget, workers: int = 8) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
-        self.service = service
         self.workers = workers
+        self.services = list(target.drain_order())
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self._idle = threading.Event()
-        self._busy = 0
+        #: One entry per request a worker has popped and not yet finished.
+        #: Deque appends and pops are atomic, so a worker can claim inside
+        #: the queue lock without taking a second lock there.
+        self._claims: deque = deque()
         self._lock = threading.Lock()
         self.outcomes: List[RequestOutcome] = []
 
@@ -46,12 +82,16 @@ class ThreadPoolDriver:
         if self._threads:
             raise RuntimeError("driver already started")
         self._stop.clear()
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker, name=f"config-worker-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+        for lane, service in enumerate(self.services):
+            for index in range(self.workers):
+                thread = threading.Thread(
+                    target=self._worker,
+                    args=(service,),
+                    name=f"config-worker-{lane}.{index}",
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
 
     def stop(self) -> None:
         """Signal workers to exit and join them."""
@@ -61,66 +101,99 @@ class ThreadPoolDriver:
         self._threads.clear()
 
     def wait_idle(self, timeout: float = 10.0, poll_s: float = 0.005) -> bool:
-        """Block until the queue is empty and no worker is mid-request."""
-        import time
+        """Block until every queue is empty and no worker holds a request.
 
+        Queue depths are read before the claims: a worker claims a
+        request under the queue lock as it pops it and drops the claim
+        only after recording its outcome, so an unfinished request is
+        always visible in one of the two.
+        """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            with self._lock:
-                busy = self._busy
-            if self.service.queue.depth == 0 and busy == 0:
+            if (
+                all(service.queue.depth == 0 for service in self.services)
+                and not self._claims
+            ):
                 return True
             time.sleep(poll_s)
         return False
 
-    def _worker(self) -> None:
+    def _claim(self) -> None:
+        self._claims.append(None)
+
+    def _worker(self, service: DomainConfigurationService) -> None:
+        queue = service.queue
+        policy = service.batch
         while not self._stop.is_set():
-            queued = self.service.queue.get(timeout=0.02)
-            if queued is None:
+            first = queue.get(timeout=0.02, on_pop=self._claim)
+            if first is None:
                 continue
-            with self._lock:
-                self._busy += 1
+            outcomes: List[RequestOutcome] = []
             try:
-                outcome = self.service._serve(queued)
+                chunk = [first]
+                chunk.extend(queue.pop_many(policy.max_batch_size - 1))
+                if len(chunk) < policy.max_batch_size and policy.max_linger_s > 0:
+                    time.sleep(policy.max_linger_s)
+                    chunk.extend(
+                        queue.pop_many(policy.max_batch_size - len(chunk))
+                    )
+                outcomes = service.serve_chunk(chunk)
             finally:
                 with self._lock:
-                    self._busy -= 1
-            with self._lock:
-                self.outcomes.append(outcome)
+                    self.outcomes.extend(outcomes)
+                self._claims.pop()
+
+
+class _Lane:
+    """One drained service's worker state under the sim driver."""
+
+    __slots__ = ("service", "busy", "flush_scheduled")
+
+    def __init__(self, service: DomainConfigurationService) -> None:
+        self.service = service
+        self.busy = 0
+        self.flush_scheduled = False
 
 
 class SimulatedServerDriver:
     """Deterministic trace replay through the simulation kernel.
 
-    The service must have been constructed with ``clock=simulator_clock``
-    (use :meth:`clock` before building the service) so queue-wait and
-    deadline accounting read logical time. ``workers`` bounds how many
-    requests are configured concurrently; each occupies its worker for the
-    request's analytic configuration overhead
+    The target's services must have been constructed with
+    ``clock=simulator_clock`` (use :meth:`clock` before building them) so
+    queue-wait and deadline accounting read logical time. ``workers``
+    bounds how many chunks each service serves concurrently. A service
+    flushes as soon as a full chunk is queued (or its policy does not
+    linger); otherwise an under-full chunk waits ``max_linger_s`` of
+    logical time for company. A chunk occupies its worker for the summed
+    analytic configuration overhead of its requests
     (:meth:`~repro.server.admission.AdmissionResult.service_time_s`).
-    Admitted sessions stop (releasing their reservations) at arrival +
-    ``duration_s``.
+    Admitted sessions stop (releasing their reservations) ``duration_s``
+    after their chunk completes.
     """
 
     def __init__(
         self,
-        service: DomainConfigurationService,
+        target: ServingTarget,
         simulator: Simulator,
         workers: int = 2,
         min_service_s: float = 1e-3,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
-        self.service = service
+        self.target = target
         self.sim = simulator
         self.workers = workers
         self.min_service_s = min_service_s
-        self._busy = 0
+        self._lanes: Dict[DomainConfigurationService, _Lane] = {
+            service: _Lane(service)
+            for service in target.drain_order(on_requeue=self._dispatch)
+        }
+        #: Submit-time sheds and served outcomes, in logical-time order.
         self.outcomes: List[RequestOutcome] = []
 
     @staticmethod
     def clock(simulator: Simulator) -> Callable[[], float]:
-        """The logical clock to pass as the service's ``clock``."""
+        """The logical clock to pass as the services' ``clock``."""
         return lambda: simulator.now
 
     def schedule_trace(
@@ -132,7 +205,7 @@ class SimulatedServerDriver:
         for event in trace:
             self.sim.schedule_at(
                 event.arrival_s,
-                lambda e=event: self._arrive(request_factory(e)),
+                lambda e=event: self.arrive(request_factory(e)),
             )
 
     def run(self, until: Optional[float] = None) -> List[RequestOutcome]:
@@ -143,30 +216,58 @@ class SimulatedServerDriver:
             self.sim.run_until(until)
         return self.outcomes
 
+    def arrive(self, request) -> None:
+        """Submit one request now and wake the service that queued it."""
+        outcome, service = self.target.place(request)
+        if service is None:
+            self.outcomes.append(outcome)
+        else:
+            self._dispatch(service)
+
     # -- event handlers ------------------------------------------------------------
 
-    def _arrive(self, request: ServerRequest) -> None:
-        outcome = self.service.submit(request)
-        if outcome.status.value == "queued":
-            self._dispatch()
-        else:
-            self.outcomes.append(outcome)
-
-    def _dispatch(self) -> None:
-        while self._busy < self.workers:
-            outcome = self.service.process_next()
-            if outcome is None:
+    def _dispatch(self, service: DomainConfigurationService) -> None:
+        lane = self._lanes[service]
+        policy = service.batch
+        while lane.busy < self.workers:
+            depth = service.queue.depth
+            if depth == 0:
                 return
-            self._busy += 1
-            busy_s = max(self.min_service_s, outcome.service_time_s)
-            self.sim.schedule(busy_s, lambda o=outcome: self._complete(o))
+            if depth >= policy.max_batch_size or policy.max_linger_s <= 0:
+                self._flush(lane)
+                continue
+            if not lane.flush_scheduled:
+                lane.flush_scheduled = True
+                self.sim.schedule(
+                    policy.max_linger_s, lambda: self._linger_flush(lane)
+                )
+            return
 
-    def _complete(self, outcome: RequestOutcome) -> None:
-        self._busy -= 1
-        self.outcomes.append(outcome)
-        if outcome.admitted and outcome.duration_s is not None:
-            self.sim.schedule(
-                outcome.duration_s,
-                lambda o=outcome: self.service.stop_session(o),
-            )
-        self._dispatch()
+    def _linger_flush(self, lane: _Lane) -> None:
+        lane.flush_scheduled = False
+        if lane.busy < self.workers and lane.service.queue.depth > 0:
+            self._flush(lane)
+        self._dispatch(lane.service)
+
+    def _flush(self, lane: _Lane) -> None:
+        service = lane.service
+        outcomes = service.serve_chunk(
+            service.queue.pop_many(service.batch.max_batch_size)
+        )
+        lane.busy += 1
+        busy_s = max(
+            self.min_service_s,
+            sum(outcome.service_time_s for outcome in outcomes),
+        )
+        self.sim.schedule(busy_s, lambda: self._complete(lane, outcomes))
+
+    def _complete(self, lane: _Lane, outcomes: List[RequestOutcome]) -> None:
+        lane.busy -= 1
+        for outcome in outcomes:
+            self.outcomes.append(outcome)
+            if outcome.admitted and outcome.duration_s is not None:
+                self.sim.schedule(
+                    outcome.duration_s,
+                    lambda o=outcome: lane.service.stop_session(o),
+                )
+        self._dispatch(lane.service)

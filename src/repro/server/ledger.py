@@ -229,8 +229,9 @@ class ReservationLedger:
                         results.append(None)
                     except LedgerConflictError as exc:
                         results.append(exc)
-            span.set("prepared", sum(1 for r in results if r is None))
-            span.set("conflicts", sum(1 for r in results if r is not None))
+            conflicts = sum(1 for r in results if r is not None)
+            span.set("prepared", len(results) - conflicts)
+            span.set("conflicts", conflicts)
             return results
 
     def _prepare(
@@ -336,14 +337,11 @@ class ReservationLedger:
                         results.append(self._commit_locked(txn))
                     except LedgerConflictError as exc:
                         results.append(exc)
-            span.set(
-                "committed",
-                sum(1 for r in results if not isinstance(r, LedgerConflictError)),
+            conflicts = sum(
+                1 for r in results if isinstance(r, LedgerConflictError)
             )
-            span.set(
-                "conflicts",
-                sum(1 for r in results if isinstance(r, LedgerConflictError)),
-            )
+            span.set("committed", len(results) - conflicts)
+            span.set("conflicts", conflicts)
             return results
 
     def _commit(

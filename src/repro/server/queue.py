@@ -219,13 +219,19 @@ class BoundedRequestQueue:
             self._not_empty.notify()
             return adopted
 
-    def get(self, timeout: Optional[float] = None) -> Optional[QueuedRequest]:
+    def get(
+        self,
+        timeout: Optional[float] = None,
+        on_pop: Optional[Callable[[], None]] = None,
+    ) -> Optional[QueuedRequest]:
         """Blocking dequeue for thread drivers; None on timeout.
 
         Waits in a loop: a woken waiter whose item was already popped by a
         faster consumer (a stolen wakeup) re-waits for whatever remains of
         its timeout — recomputed from the injected clock — instead of
-        reporting a premature timeout while time remains.
+        reporting a premature timeout while time remains. ``on_pop`` runs
+        under the queue lock as the item leaves, so a consumer can count
+        itself busy before anyone can see the queue without the item.
         """
         deadline = None if timeout is None else self._clock() + timeout
         with self._not_empty:
@@ -238,6 +244,8 @@ class BoundedRequestQueue:
                     return None
                 self._not_empty.wait(remaining)
             self._version += 1
+            if on_pop is not None:
+                on_pop()
             return heapq.heappop(self._heap)[1]
 
     def _key(self, item: QueuedRequest) -> Tuple[float, int]:

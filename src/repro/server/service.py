@@ -2,11 +2,14 @@
 
 ``submit`` is the domain server's public door: it either queues the
 request, or sheds it immediately (queue full, or deep queue over a
-saturated ledger) with a retry-after hint. ``process_next`` is the worker
-side: dequeue per policy, drop expired requests as deadline sheds, then
-run the admission controller (degradation ladder + conflict retries)
-against the reservation ledger. Every disposition and every stage latency
-lands in :class:`~repro.server.metrics.ServerMetrics`.
+saturated ledger) with a retry-after hint. The worker side drains the
+queue in chunks sized by the service's :class:`BatchPolicy` and serves
+each chunk with :meth:`DomainConfigurationService.serve_chunk`: expired
+requests become deadline sheds, the rest walk the degradation ladder
+together through :meth:`~repro.server.admission.AdmissionController.walk`
+against the reservation ledger. ``process_next`` is a chunk of one.
+Every disposition and every stage latency lands in
+:class:`~repro.server.metrics.ServerMetrics`.
 
 The service is clock-agnostic: pass a monotonic wall clock for the
 thread-pool driver or the simulator's logical clock for deterministic
@@ -16,10 +19,11 @@ trace replay — see :mod:`repro.server.drivers`.
 from __future__ import annotations
 
 import enum
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.composition.composer import CompositionRequest
 from repro.events.types import Topics
@@ -41,6 +45,32 @@ from repro.store import (
     SessionRecord,
     SessionStatus,
 )
+
+
+@dataclass(frozen=True)
+class BatchPolicy:
+    """How the drivers drain a service: chunk size and linger.
+
+    ``max_batch_size`` caps the chunk drained per flush; ``max_linger_s``
+    is how long an under-full chunk may wait for company before it is
+    served anyway (0 disables lingering: every flush takes whatever is
+    queued right now). Both are read by the drivers — the service itself
+    serves whatever chunk it is handed.
+    """
+
+    max_batch_size: int = 8
+    max_linger_s: float = 0.02
+
+    def __post_init__(self) -> None:
+        if self.max_batch_size < 1:
+            raise ValueError("max_batch_size must be at least 1")
+        if self.max_linger_s < 0:
+            raise ValueError("max_linger_s cannot be negative")
+
+
+#: One request per flush, no lingering: the policy of a plain service and
+#: of every ``batched=False`` build.
+UNBATCHED = BatchPolicy(max_batch_size=1, max_linger_s=0.0)
 
 
 @dataclass(frozen=True)
@@ -93,6 +123,9 @@ class RequestOutcome:
 
 class DomainConfigurationService:
     """Queue + admission + ledger + metrics, in front of one domain."""
+
+    #: The chunk policy the drivers drain this service with.
+    batch: BatchPolicy = UNBATCHED
 
     def __init__(
         self,
@@ -190,6 +223,24 @@ class DomainConfigurationService:
         """
         return self.queue.depth / self.queue.capacity + self.ledger.utilization()
 
+    # -- the drain target ---------------------------------------------------------
+
+    def drain_order(
+        self,
+        on_requeue: Optional[
+            Callable[["DomainConfigurationService"], None]
+        ] = None,
+    ) -> List["DomainConfigurationService"]:
+        """The services a driver drains for this target: just this one."""
+        return [self]
+
+    def place(
+        self, request: ServerRequest
+    ) -> Tuple[RequestOutcome, Optional["DomainConfigurationService"]]:
+        """Submit; report the submit-time outcome and who queued it."""
+        outcome = self.submit(request)
+        return outcome, self if outcome.status is RequestStatus.QUEUED else None
+
     # -- the worker side -----------------------------------------------------------
 
     def process_next(
@@ -201,17 +252,71 @@ class DomainConfigurationService:
         )
         if queued is None:
             return None
-        return self._serve(queued)
+        return self.serve_chunk([queued])[0]
 
     def drain(self, max_requests: Optional[int] = None) -> List[RequestOutcome]:
-        """Serve queued requests until empty (single-threaded helper)."""
+        """Serve queued requests in policy-sized chunks until empty."""
         outcomes: List[RequestOutcome] = []
         while max_requests is None or len(outcomes) < max_requests:
-            outcome = self.process_next()
-            if outcome is None:
+            room = self.batch.max_batch_size
+            if max_requests is not None:
+                room = min(room, max_requests - len(outcomes))
+            chunk = self.queue.pop_many(room)
+            if not chunk:
                 break
-            outcomes.append(outcome)
+            outcomes.extend(self.serve_chunk(chunk))
         return outcomes
+
+    def serve_chunk(
+        self, queued: Sequence[QueuedRequest]
+    ) -> List[RequestOutcome]:
+        """Serve an already-drained chunk: deadline sheds, then one walk.
+
+        Returns the final outcomes in drain order. A request's disposition
+        (metrics, durable record, outcome table) is recorded the moment its
+        own walk finishes, so a chunk of one and a chunk of many account
+        identically.
+        """
+        with get_tracer().span("server.batch", size=len(queued)) as span:
+            now = self._clock()
+            finals: List[Optional[RequestOutcome]] = [None] * len(queued)
+            walks = []
+            for index, entry in enumerate(queued):
+                request: ServerRequest = entry.request  # type: ignore[assignment]
+                wait_s = max(0.0, now - entry.enqueued_at)
+                self.metrics.record("queue_wait_ms", wait_s * 1000.0)
+                if entry.expired(now):
+                    self.metrics.incr("shed_deadline")
+                    finals[index] = self._finish(
+                        RequestOutcome(
+                            request_id=request.request_id,
+                            status=RequestStatus.SHED,
+                            shed_reason="deadline",
+                            queue_wait_s=wait_s,
+                            duration_s=request.duration_s,
+                        )
+                    )
+                    continue
+                session = self.configurator.create_session(
+                    request.composition,
+                    user_id=request.user_id,
+                    session_id=f"{request.request_id}/session",
+                )
+                walks.append(
+                    self.admission.open_walk(
+                        session,
+                        priority=request.priority,
+                        utility_profile=request.utility_profile,
+                        on_done=functools.partial(
+                            self._walked, finals, index, request, wait_s
+                        ),
+                    )
+                )
+            if walks:
+                self.admission.walk(walks)
+            span.set("served", len(finals))
+            span.set("admitted", sum(1 for o in finals if o.admitted))
+            return finals  # type: ignore[return-value]
 
     # -- results -------------------------------------------------------------------
 
@@ -232,36 +337,21 @@ class DomainConfigurationService:
 
     # -- internals -----------------------------------------------------------------
 
-    def _serve(self, queued: QueuedRequest) -> RequestOutcome:
-        request: ServerRequest = queued.request  # type: ignore[assignment]
+    def _walked(
+        self,
+        finals: List[Optional[RequestOutcome]],
+        index: int,
+        request: ServerRequest,
+        wait_s: float,
+        result: AdmissionResult,
+    ) -> None:
+        """Record one request's final disposition as its walk finishes."""
         with get_tracer().span(
             "server.serve", request_id=request.request_id
         ) as span:
-            now = self._clock()
-            wait_s = max(0.0, now - queued.enqueued_at)
-            self.metrics.record("queue_wait_ms", wait_s * 1000.0)
-            if queued.expired(now):
-                self.metrics.incr("shed_deadline")
-                span.set("status", RequestStatus.SHED.value)
-                return self._finish(
-                    RequestOutcome(
-                        request_id=request.request_id,
-                        status=RequestStatus.SHED,
-                        shed_reason="deadline",
-                        queue_wait_s=wait_s,
-                        duration_s=request.duration_s,
-                    )
-                )
-            result = self.admission.admit(
-                request.composition,
-                user_id=request.user_id,
-                session_id=f"{request.request_id}/session",
-                priority=request.priority,
-                utility_profile=request.utility_profile,
-            )
             outcome = self._outcome_from(request, wait_s, result)
             span.set("status", outcome.status.value)
-            return self._finish(outcome)
+            finals[index] = self._finish(outcome)
 
     def _outcome_from(
         self,

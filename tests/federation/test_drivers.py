@@ -1,8 +1,9 @@
-"""Federation drivers: deterministic sim replay and real thread pools."""
+"""Driving a federation tier: deterministic sim replay, scheduled roams,
+and real thread pools."""
 
 from repro.experiments.federation_sweep import build_federation
-from repro.federation import FederationSimulatedDriver, FederationThreadDriver
-from repro.server.drivers import SimulatedServerDriver
+from repro.federation import MigrationSchedule
+from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import arrival_trace
 from tests.federation.conftest import federated_request
@@ -15,10 +16,11 @@ def sim_setup(queue_capacity=16):
         queue_capacity=queue_capacity,
         clock=SimulatedServerDriver.clock(simulator),
     )
-    driver = FederationSimulatedDriver(
+    driver = SimulatedServerDriver(
         tier, simulator, workers=1, min_service_s=1.0
     )
-    return simulator, tier, testbeds, driver
+    roams = MigrationSchedule(tier, simulator)
+    return simulator, tier, testbeds, driver, roams
 
 
 def to_request(testbeds, event):
@@ -33,7 +35,7 @@ def to_request(testbeds, event):
 
 class TestSimulatedDriver:
     def test_every_arrival_gets_one_outcome(self):
-        _sim, tier, testbeds, driver = sim_setup()
+        _sim, tier, testbeds, driver, roams = sim_setup()
         trace = arrival_trace(
             seed=3, rate_per_s=0.3, horizon_s=60.0, mean_duration_s=10.0
         )
@@ -44,13 +46,13 @@ class TestSimulatedDriver:
 
     def test_replay_is_deterministic(self):
         def one_run():
-            _sim, tier, testbeds, driver = sim_setup()
+            _sim, tier, testbeds, driver, roams = sim_setup()
             trace = arrival_trace(
                 seed=3, rate_per_s=0.4, horizon_s=90.0, mean_duration_s=15.0
             )
             driver.schedule_trace(trace, lambda e: to_request(testbeds, e))
             events = list(trace)
-            driver.schedule_migration(
+            roams.schedule(
                 events[0].arrival_s + 1.0, "req-0", "cluster0", "desktop1"
             )
             driver.run()
@@ -59,7 +61,7 @@ class TestSimulatedDriver:
         assert one_run() == one_run()
 
     def test_migration_fires_for_running_session(self):
-        _sim, tier, testbeds, driver = sim_setup()
+        _sim, tier, testbeds, driver, roams = sim_setup()
         trace = arrival_trace(
             seed=5,
             rate_per_s=0.1,
@@ -72,21 +74,21 @@ class TestSimulatedDriver:
         first = events[0]
         home = "cluster0" if first.request_id % 3 else "cluster1"
         destination = "cluster1" if home == "cluster0" else "cluster0"
-        driver.schedule_migration(
+        roams.schedule(
             first.arrival_s + 5.0,
             f"req-{first.request_id}",
             destination,
             "desktop1",
         )
         driver.run()
-        assert len(driver.migrations) == 1
-        assert driver.migrations[0].success
+        assert len(roams.migrations) == 1
+        assert roams.migrations[0].success
         assert tier.audit() == []
 
     def test_stale_roam_hint_is_dropped(self):
-        _sim, tier, testbeds, driver = sim_setup()
+        _sim, tier, testbeds, driver, roams = sim_setup()
         # Nothing was ever submitted under this id.
-        driver.schedule_migration(1.0, "req-ghost", "cluster1", "desktop1")
+        roams.schedule(1.0, "req-ghost", "cluster1", "desktop1")
         # Same-cluster hint is also a no-op.
         trace = arrival_trace(
             seed=5, rate_per_s=0.1, horizon_s=20.0, mean_duration_s=30.0
@@ -95,14 +97,14 @@ class TestSimulatedDriver:
         events = list(trace)
         first = events[0]
         home = "cluster0" if first.request_id % 3 else "cluster1"
-        driver.schedule_migration(
+        roams.schedule(
             first.arrival_s + 2.0, f"req-{first.request_id}", home, "desktop1"
         )
         driver.run()
-        assert driver.migrations == []
+        assert roams.migrations == []
 
     def test_roam_hint_after_session_end_is_dropped(self):
-        _sim, tier, testbeds, driver = sim_setup()
+        _sim, tier, testbeds, driver, roams = sim_setup()
         trace = arrival_trace(
             seed=5,
             rate_per_s=0.1,
@@ -115,20 +117,20 @@ class TestSimulatedDriver:
         first = events[0]
         home = "cluster0" if first.request_id % 3 else "cluster1"
         destination = "cluster1" if home == "cluster0" else "cluster0"
-        driver.schedule_migration(
+        roams.schedule(
             first.arrival_s + 500.0,
             f"req-{first.request_id}",
             destination,
             "desktop1",
         )
         driver.run()
-        assert driver.migrations == []
+        assert roams.migrations == []
 
 
 class TestThreadDriver:
     def test_burst_drains_and_stays_balanced(self):
         tier, testbeds = build_federation(2, queue_capacity=16)
-        driver = FederationThreadDriver(tier, workers_per_shard=2)
+        driver = ThreadPoolDriver(tier, workers=2)
         driver.start()
         try:
             for index in range(24):

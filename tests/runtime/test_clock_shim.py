@@ -1,10 +1,7 @@
-"""The scheduler protocol lives in repro.runtime.clock; old path warns."""
+"""The scheduler protocol lives in repro.runtime.clock."""
 
 import warnings
 
-import pytest
-
-import repro.faults.scheduling as old_module
 from repro.runtime import clock
 
 
@@ -25,32 +22,11 @@ class TestCanonicalLocation:
         assert repro.SimScheduler is clock.SimScheduler
         assert repro.Scheduler is clock.Scheduler
 
-
-class TestDeprecatedShim:
-    @pytest.mark.parametrize(
-        "name", ["Scheduler", "SimScheduler", "WallClockScheduler"]
-    )
-    def test_old_path_warns_and_aliases(self, name):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolved = getattr(old_module, name)
-        assert resolved is getattr(clock, name)
-        assert any(
-            issubclass(entry.category, DeprecationWarning) for entry in caught
-        )
-        message = str(caught[0].message)
-        assert "repro.runtime.clock" in message
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            old_module.NoSuchScheduler
-
     def test_faults_package_reexport_does_not_warn(self):
-        # repro.faults re-exports from the new home, so the supported
-        # import path stays silent.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            from repro.faults import SimScheduler  # noqa: F401
+            from repro.faults import SimScheduler
+        assert SimScheduler is clock.SimScheduler
         assert not [
             entry
             for entry in caught

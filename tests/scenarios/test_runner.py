@@ -54,6 +54,38 @@ class TestDrivers:
         assert result.batched
         assert result.submitted > 0
 
+    @pytest.mark.parametrize("driver", ["sim", "thread"])
+    def test_batched_single_domain_serves_through_chunks(
+        self, driver, monkeypatch
+    ):
+        """``batched=True`` on a one-shard document must reach the batch
+        core: every chunk the service serves lands in its batch-size
+        histogram."""
+        from repro.server.batching import BatchingDomainService
+
+        built = []
+        original_init = BatchingDomainService.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(BatchingDomainService, "__init__", recording_init)
+        spec = load_catalog_scenario("conference_mesh")
+        assert spec.cluster.shards == 1
+        result = run_scenario(spec, driver=driver, batched=True)
+        assert result.batched and result.submitted > 0
+        [service] = built
+        assert service.batch.max_batch_size > 1
+        sizes = service.metrics.registry.histogram(
+            service.metrics.namespace + ".batch_size"
+        )
+        assert sizes.count > 0
+        assert sum(sizes.samples()) == result.submitted - (
+            service.metrics.count("shed_queue_full")
+            + service.metrics.count("shed_overload")
+        )
+
     def test_controlled_follows_spec_knob(self):
         spec = load_catalog_scenario("smart_home_evening")
         assert run_scenario(spec).controlled

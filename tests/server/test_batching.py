@@ -1,10 +1,11 @@
-"""Tests for the batched admission serving core.
+"""Tests for chunked serving through the grouped ladder walk.
 
-Covers the four claims the batching layer makes: grouped rounds decide
-each request exactly like the single-request ladder walk would; a batch's
-admissions can never over-book (batch mates see each other's holds);
-batched sim replay stays byte-deterministic per seed; and real-thread
-batched serving preserves every ledger invariant under contention.
+Covers the claims the batching layer makes: a chunk of many decides each
+request exactly like chunks of one would; a chunk's admissions can never
+over-book (walk mates see each other's holds); batched sim replay stays
+byte-deterministic per seed; batched single-domain scenarios really
+serve through chunks; and real-thread batched serving preserves every
+ledger invariant under contention.
 """
 
 import threading
@@ -13,11 +14,8 @@ import pytest
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.resources.vectors import ResourceVector
-from repro.server.batching import (
-    BatchingDomainService,
-    BatchingThreadPoolDriver,
-    BatchPolicy,
-)
+from repro.server.batching import BatchingDomainService, BatchPolicy
+from repro.server.drivers import ThreadPoolDriver
 from repro.server.service import (
     DomainConfigurationService,
     RequestStatus,
@@ -60,7 +58,7 @@ class TestBatchPolicy:
 
 class TestBatchedAdmission:
     def test_batch_admits_like_the_single_request_walk(self):
-        """Same stream, same dispositions: batched vs unbatched."""
+        """Same stream, same dispositions: one chunk of six vs six of one."""
         batched_testbed = build_audio_testbed()
         unbatched_testbed = build_audio_testbed()
         batched = make_batching_service(batched_testbed)
@@ -201,7 +199,7 @@ class TestBatchedThreadStress:
             queue_capacity=64,
             batch=BatchPolicy(max_batch_size=4, max_linger_s=0.002),
         )
-        driver = BatchingThreadPoolDriver(service, workers=8)
+        driver = ThreadPoolDriver(service, workers=8)
 
         audit_problems = []
         stop_sampling = threading.Event()

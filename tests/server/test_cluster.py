@@ -7,12 +7,12 @@ import pytest
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.observability.metrics import MetricsRegistry
 from repro.server.cluster import (
-    ClusterThreadPoolDriver,
     ConsistentHashRouter,
     DomainCluster,
     LeastLoadedRouter,
     shard_load,
 )
+from repro.server.drivers import ThreadPoolDriver
 from repro.server.metrics import ServerMetrics
 from repro.server.service import (
     DomainConfigurationService,
@@ -292,7 +292,7 @@ class TestClusterThreadStress:
         rates = {}
         for shard_count in (1, 4):
             cluster, testbeds = make_cluster(shard_count, queue_capacity=8)
-            driver = ClusterThreadPoolDriver(cluster, workers_per_shard=2)
+            driver = ThreadPoolDriver(cluster, workers=2)
             audit_problems = []
             stop_sampling = threading.Event()
 

@@ -54,7 +54,7 @@ class TestDeterminism:
         for index, at in enumerate((1.0, 1.5)):
             simulator.schedule_at(
                 at,
-                lambda i=index: driver._arrive(
+                lambda i=index: driver.arrive(
                     ServerRequest(
                         request_id=f"r{i}",
                         composition=audio_request(testbed, "desktop1"),

@@ -202,13 +202,6 @@ class TestSharedSweepOptions:
         )
         assert args.batch_linger == 0.5
 
-    def test_linger_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="--batch-linger"):
-            args = build_parser().parse_args(
-                ["cluster-sweep", "--batched", "--linger", "0.5"]
-            )
-        assert args.batch_linger == 0.5
-
     def test_sweeps_share_defaults(self):
         for command in (
             "server-sweep",
