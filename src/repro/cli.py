@@ -58,7 +58,6 @@ from repro.experiments.bench_serving import (
 )
 from repro.experiments.chaos_sweep import run_chaos_sweep
 from repro.experiments.cluster_sweep import (
-    ROUTERS,
     run_cluster_sweep,
     run_cluster_thread_once,
 )
@@ -86,6 +85,7 @@ from repro.experiments.server_sweep import run_server_sweep
 from repro.experiments.table1 import run_table1
 from repro.observability.report import TraceReport
 from repro.reporting import render_overhead_bars, render_success_series
+from repro.server.cluster import ROUTERS
 from repro.workloads.generator import Table1Workload
 from repro.workloads.requests import figure5_trace
 

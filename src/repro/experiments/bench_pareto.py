@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.distribution.pareto import profile_names
+from repro.server.drivers import audit_or_raise
 from repro.server.service import DomainConfigurationService, ServerRequest
 
 #: Reporting order of the throughput modes.
@@ -203,11 +204,7 @@ def _run_mode(
             else:
                 failed += 1
     elapsed = time.perf_counter() - start
-    problems = service.ledger.audit()
-    if problems:
-        raise AssertionError(
-            "pareto bench ledger invariant violated: " + "; ".join(problems)
-        )
+    audit_or_raise(service, "pareto bench")
     cache = service.admission.front_cache
     return ParetoBenchCell(
         mode="cached" if front_cache else "uncached",

@@ -37,6 +37,7 @@ from repro.experiments.cluster_sweep import CLIENT_CYCLE, build_cluster
 from repro.graph.generators import RandomGraphConfig, random_service_graph
 from repro.observability.metrics import summarize_samples
 from repro.server.batching import BatchPolicy
+from repro.server.drivers import audit_or_raise
 from repro.server.service import ServerRequest
 
 #: The shard counts every serving bench run covers.
@@ -195,11 +196,7 @@ def _run_serving_cell(
                 ):
                     shard.stop_session(outcome)
     elapsed = time.perf_counter() - start
-    problems = cluster.audit()
-    if problems:
-        raise AssertionError(
-            "bench cluster ledger invariant violated: " + "; ".join(problems)
-        )
+    audit_or_raise(cluster, "serving bench")
     snapshot = cluster.metrics.snapshot()["cluster"]
     totals: List[float] = []
     for shard in cluster.shards:

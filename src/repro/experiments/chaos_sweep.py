@@ -31,15 +31,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
-from repro.control.controller import ControlPolicy, QoSController
+from repro.control.controller import ControlPolicy
 from repro.experiments.server_sweep import audio_degradation_ladder
-from repro.faults.detector import FailureDetector
-from repro.faults.injector import FaultInjector
-from repro.faults.metrics import RecoveryMetrics
 from repro.faults.model import FaultSchedule, FaultSpec, random_fault_schedule
-from repro.faults.recovery import RecoveryManager, RecoveryPolicy
+from repro.faults.recovery import RecoveryPolicy
+from repro.faults.stack import RecoveryStack
 from repro.observability.tracing import Tracer, activated
 from repro.runtime.clock import SimScheduler, WallClockScheduler
+from repro.server.drivers import audit_or_raise
 from repro.server.ledger import ReservationLedger
 from repro.sim.kernel import Simulator
 
@@ -284,43 +283,30 @@ def run_chaos_once(
         ledger = ReservationLedger(testbed.server)
         testbed.configurator.ledger = ledger
 
-        metrics = RecoveryMetrics()
         policy = policy or RecoveryPolicy(
             max_attempts=4,
             backoff_base_s=1.0 * scale,
             backoff_factor=2.0,
             max_backoff_s=8.0 * scale,
         )
-        injector = FaultInjector(testbed.server, scheduler, metrics=metrics)
-        detector = FailureDetector(
-            testbed.server,
+        if controlled and control_policy is None:
+            # Match the run's compressed timescale so thread-driver
+            # storms see the same tick/heartbeat ratio as sim ones.
+            control_policy = ControlPolicy(
+                tick_interval_s=1.0 * scale, window_s=30.0 * scale
+            )
+        recovery = RecoveryStack(
+            testbed,
             scheduler,
             heartbeat_interval_s=heartbeat_interval_s * scale,
             suspicion_threshold=suspicion_threshold,
-            metrics=metrics,
-        )
-        manager = RecoveryManager(
-            testbed.configurator,
-            scheduler,
-            ladder=audio_degradation_ladder(),
             policy=policy,
-            metrics=metrics,
+            ladder=audio_degradation_ladder(),
+            faults=_scaled(
+                chaos_fault_schedule(seed, horizon_s, fault_multiplier), scale
+            ),
+            control_policy=control_policy if controlled else None,
         )
-        controller: Optional[QoSController] = None
-        if controlled:
-            if control_policy is None:
-                # Match the run's compressed timescale so thread-driver
-                # storms see the same tick/heartbeat ratio as sim ones.
-                control_policy = ControlPolicy(
-                    tick_interval_s=1.0 * scale, window_s=30.0 * scale
-                )
-            controller = QoSController(
-                scheduler,
-                policy=control_policy,
-                detector=detector,
-                configurator=testbed.configurator,
-                registry=metrics.registry,
-            )
 
         sessions = []
         for client in SESSION_CLIENTS:
@@ -334,39 +320,20 @@ def run_chaos_once(
                 )
             sessions.append(session)
 
-        # Leave room after the horizon for late detections and backed-off
-        # recovery attempts to finish before the run is evaluated.
-        drain_s = (
-            (suspicion_threshold + 3.0) * heartbeat_interval_s * scale
-            + policy.max_backoff_s * policy.max_attempts
-        )
-        detector.start(horizon_s=horizon_s * scale + drain_s)
-        if controller is not None:
-            controller.start(horizon_s=horizon_s * scale + drain_s)
-        injector.arm(
-            _scaled(chaos_fault_schedule(seed, horizon_s, fault_multiplier), scale)
-        )
-
+        recovery.start(horizon_s * scale)
         if simulator is not None:
-            simulator.run_until(horizon_s * scale + drain_s + 1.0)
+            simulator.run_until(horizon_s * scale + recovery.drain_s + 1.0)
         else:
-            time.sleep(horizon_s * scale + drain_s + 0.2)
+            time.sleep(horizon_s * scale + recovery.drain_s + 0.2)
 
-        detector.stop()
-        if controller is not None:
-            controller.stop()
-        manager.close()
-        injector.disarm()
+        recovery.stop()
         if isinstance(scheduler, WallClockScheduler):
             scheduler.close()
         for session in sessions:
             session.stop()
-        problems = ledger.audit()
-        if problems:
-            raise AssertionError(
-                "ledger invariant violated during chaos run: "
-                + "; ".join(problems)
-            )
+        audit_or_raise(ledger, "chaos run")
+
+    metrics = recovery.metrics
 
     def _mean(stage: str) -> float:
         summary = metrics.stage(stage).summary()
@@ -403,7 +370,7 @@ def run_chaos_once(
         mean_detection_ms=_mean("detection_ms"),
         mean_mttr_ms=_mean("mttr_ms"),
         mean_interruption_ms=_mean("interruption_ms"),
-        reports=tuple(report.to_dict() for report in manager.reports),
+        reports=tuple(report.to_dict() for report in recovery.manager.reports),
         metrics_json=metrics_json,
         trace_ndjson=tracer.export_ndjson() if tracer is not None else "",
         controlled=controlled,

@@ -20,8 +20,8 @@ cross-shard interleaving.
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
@@ -32,30 +32,17 @@ from repro.experiments.server_sweep import (
     audio_degradation_ladder,
 )
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer, activated
 from repro.runtime.clock import SimScheduler
 from repro.runtime.degradation import DegradationLadder
-from repro.server.cluster import (
-    ConsistentHashRouter,
-    DomainCluster,
-    LeastLoadedRouter,
-    ShardRouter,
+from repro.server.cluster import DomainCluster, make_router
+from repro.server.drivers import (
+    SimulatedServerDriver,
+    sim_replay,
+    thread_burst,
 )
-from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
 from repro.server.service import BatchPolicy, ServerRequest
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import arrival_trace
-
-#: Router registry for the CLI's ``--router`` flag.
-ROUTERS = ("hash", "least-loaded")
-
-
-def make_router(name: str, shard_count: int) -> ShardRouter:
-    if name == "hash":
-        return ConsistentHashRouter(shard_count)
-    if name == "least-loaded":
-        return LeastLoadedRouter()
-    raise ValueError(f"unknown router {name!r} (choose from {ROUTERS})")
 
 
 @dataclass(frozen=True)
@@ -279,32 +266,24 @@ def run_cluster_once(
             user_id=f"user-{event.request_id % 97}",
         )
 
-    tracer: Optional[Tracer] = (
-        Tracer(SimulatedServerDriver.clock(simulator)) if trace else None
+    root_span = (
+        "run.cluster_sweep",
+        dict(
+            shards=shard_count,
+            multiplier=multiplier,
+            seed=seed,
+            horizon_s=horizon_s,
+        ),
     )
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(activated(tracer))
-            stack.enter_context(
-                tracer.span(
-                    "run.cluster_sweep",
-                    shards=shard_count,
-                    multiplier=multiplier,
-                    seed=seed,
-                    horizon_s=horizon_s,
-                )
-            )
-        if controller is not None:
-            controller.start(horizon_s=horizon_s)
-        driver.schedule_trace(arrivals, to_request)
-        driver.run()
-        if controller is not None:
-            controller.stop()
-        problems = cluster.audit()
-        if problems:
-            raise AssertionError(
-                "cluster ledger invariant violated: " + "; ".join(problems)
-            )
+    trace_ndjson = sim_replay(
+        driver,
+        arrivals,
+        to_request,
+        "cluster sweep",
+        root_span=root_span if trace else None,
+        setup=controller and partial(controller.start, horizon_s=horizon_s),
+        teardown=controller and controller.stop,
+    )
 
     snapshot = cluster.metrics.snapshot()
     whole = snapshot["cluster"]
@@ -338,7 +317,7 @@ def run_cluster_once(
         p50_total_ms=whole["latency"]["total_ms"].get("p50", 0.0),
         p99_total_ms=whole["latency"]["total_ms"].get("p99", 0.0),
         metrics_json=metrics_json,
-        trace_ndjson=tracer.export_ndjson() if tracer is not None else "",
+        trace_ndjson=trace_ndjson,
         controlled=controlled,
         control_forecasts=registry.counter("control.forecasts").value,
         control_actuations=registry.counter("control.actuations").value,
@@ -359,12 +338,12 @@ def run_cluster_thread_once(
 ) -> Dict[str, object]:
     """Burst-submit ``request_count`` requests at a real thread cluster.
 
-    Submits as fast as the caller can (time-compressed open loop), waits
-    for the pools to drain, audits every shard's ledger, and returns the
-    merged snapshot plus the audit result. Dispositions are timing-
-    dependent — only the invariants (no over-booking, every request gets
-    exactly one final disposition) and the relative shed-rate ordering
-    across shard counts are meaningful.
+    Runs :func:`~repro.server.drivers.thread_burst`, which raises when the
+    pools do not drain within ``timeout_s`` or a ledger audits dirty, and
+    returns the merged snapshot (``drained`` is always true). Dispositions
+    are timing-dependent — only the invariants (no over-booking, every
+    request gets exactly one final disposition) and the relative
+    shed-rate ordering across shard counts are meaningful.
     """
     cluster, testbeds = build_cluster(
         shard_count,
@@ -373,24 +352,22 @@ def run_cluster_thread_once(
         batched=batched,
         batch=batch,
     )
-    driver = ThreadPoolDriver(cluster, workers=workers_per_shard)
-    driver.start()
-    try:
-        for index in range(request_count):
-            client = CLIENT_CYCLE[index % len(CLIENT_CYCLE)]
-            cluster.submit(
-                ServerRequest(
-                    request_id=f"req-{index}",
-                    composition=audio_request(testbeds[0], client),
-                    user_id=f"user-{index % 31}",
-                )
-            )
-        drained = driver.wait_idle(timeout=timeout_s)
-    finally:
-        driver.stop()
+    requests = (
+        ServerRequest(
+            request_id=f"req-{index}",
+            composition=audio_request(
+                testbeds[0], CLIENT_CYCLE[index % len(CLIENT_CYCLE)]
+            ),
+            user_id=f"user-{index % 31}",
+        )
+        for index in range(request_count)
+    )
+    thread_burst(
+        cluster, requests, workers_per_shard, timeout_s, "cluster thread burst"
+    )
     snapshot = cluster.metrics.snapshot()
     return {
-        "drained": drained,
+        "drained": True,
         "audit": cluster.audit(),
         "snapshot": snapshot,
         "shed_rate": snapshot["cluster"]["derived"]["shed_rate"],

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,8 +34,11 @@ from repro.federation.tier import (
     FederationTier,
 )
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer, activated
-from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
+from repro.server.drivers import (
+    SimulatedServerDriver,
+    sim_replay,
+    thread_burst,
+)
 from repro.server.service import ServerRequest
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import ArrivalEvent, arrival_trace
@@ -292,53 +294,43 @@ def run_federation_once(
             request_id=f"req-{event.request_id}", home=home, make_request=make
         )
 
-    tracer: Optional[Tracer] = (
-        Tracer(SimulatedServerDriver.clock(simulator)) if trace else None
+    if roam_rate > 0.0 and cluster_count > 1:
+        for event in arrivals:
+            rng = random.Random(f"{seed}:roam:{event.request_id}")
+            if rng.random() >= roam_rate:
+                continue
+            home = _home_for(event, seed, cluster_count)
+            siblings = [
+                f"cluster{i}" for i in range(cluster_count) if f"cluster{i}" != home
+            ]
+            destination = siblings[rng.randrange(len(siblings))]
+            device = CLIENT_CYCLE[(event.request_id + 1) % len(CLIENT_CYCLE)]
+            # Mid-stream: late enough to be admitted, early enough that
+            # long sessions are still running; sessions already gone by
+            # then drop the roam hint (a stale prediction).
+            roams.schedule(
+                event.arrival_s + 0.5 * event.duration_s,
+                f"req-{event.request_id}",
+                destination,
+                device,
+            )
+    root_span = (
+        "run.federation_sweep",
+        dict(
+            clusters=cluster_count,
+            multiplier=multiplier,
+            roam_rate=roam_rate,
+            seed=seed,
+            horizon_s=horizon_s,
+        ),
     )
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(activated(tracer))
-            stack.enter_context(
-                tracer.span(
-                    "run.federation_sweep",
-                    clusters=cluster_count,
-                    multiplier=multiplier,
-                    roam_rate=roam_rate,
-                    seed=seed,
-                    horizon_s=horizon_s,
-                )
-            )
-        driver.schedule_trace(arrivals, to_request)
-        if roam_rate > 0.0 and cluster_count > 1:
-            for event in arrivals:
-                rng = random.Random(f"{seed}:roam:{event.request_id}")
-                if rng.random() >= roam_rate:
-                    continue
-                home = _home_for(event, seed, cluster_count)
-                siblings = [
-                    f"cluster{i}"
-                    for i in range(cluster_count)
-                    if f"cluster{i}" != home
-                ]
-                destination = siblings[rng.randrange(len(siblings))]
-                device = CLIENT_CYCLE[
-                    (event.request_id + 1) % len(CLIENT_CYCLE)
-                ]
-                # Mid-stream: late enough to be admitted, early enough
-                # that long sessions are still running; sessions already
-                # gone by then drop the roam hint (a stale prediction).
-                roams.schedule(
-                    event.arrival_s + 0.5 * event.duration_s,
-                    f"req-{event.request_id}",
-                    destination,
-                    device,
-                )
-        driver.run()
-        problems = tier.audit()
-        if problems:
-            raise AssertionError(
-                "federation ledger invariant violated: " + "; ".join(problems)
-            )
+    trace_ndjson = sim_replay(
+        driver,
+        arrivals,
+        to_request,
+        "federation sweep",
+        root_span=root_span if trace else None,
+    )
 
     snapshot = tier.metrics.snapshot()
     whole = snapshot["federation"]
@@ -376,7 +368,7 @@ def run_federation_once(
         migration_p95_ms=handoff.percentile(95) if handoff.count else 0.0,
         shed_rate=whole["derived"]["shed_rate"],
         metrics_json=metrics_json,
-        trace_ndjson=tracer.export_ndjson() if tracer is not None else "",
+        trace_ndjson=trace_ndjson,
     )
 
 
@@ -390,8 +382,9 @@ def run_federation_thread_once(
 ) -> Dict[str, object]:
     """Burst-submit ``request_count`` requests at a real thread federation.
 
-    Submits as fast as the caller can, waits for every member's pools to
-    drain, audits every ledger, and returns the federation snapshot.
+    Runs :func:`~repro.server.drivers.thread_burst`, which raises when the
+    pools do not drain within ``timeout_s`` or a ledger audits dirty, and
+    returns the federation snapshot (``drained`` is always true).
     Dispositions are timing-dependent — only the invariants matter here.
     """
     tier, testbeds = build_federation(
@@ -399,37 +392,36 @@ def run_federation_thread_once(
         shards_per_cluster=shards_per_cluster,
         queue_capacity=queue_capacity,
     )
-    driver = ThreadPoolDriver(tier, workers=workers_per_shard)
-    driver.start()
-    try:
-        for index in range(request_count):
-            client = CLIENT_CYCLE[index % len(CLIENT_CYCLE)]
-            home = (
-                "cluster0"
-                if cluster_count == 1 or index % 5 < 3
-                else f"cluster{1 + index % (cluster_count - 1)}"
+
+    def federated(index: int) -> FederatedRequest:
+        client = CLIENT_CYCLE[index % len(CLIENT_CYCLE)]
+        home = (
+            "cluster0"
+            if cluster_count == 1 or index % 5 < 3
+            else f"cluster{1 + index % (cluster_count - 1)}"
+        )
+
+        def make(member: FederationMember) -> ServerRequest:
+            return ServerRequest(
+                request_id=f"req-{index}",
+                composition=audio_request(testbeds[member.name][0], client),
+                user_id=f"user-{index % 31}",
             )
 
-            def make(member, client=client, index=index):
-                return ServerRequest(
-                    request_id=f"req-{index}",
-                    composition=audio_request(
-                        testbeds[member.name][0], client
-                    ),
-                    user_id=f"user-{index % 31}",
-                )
+        return FederatedRequest(
+            request_id=f"req-{index}", home=home, make_request=make
+        )
 
-            tier.submit(
-                FederatedRequest(
-                    request_id=f"req-{index}", home=home, make_request=make
-                )
-            )
-        drained = driver.wait_idle(timeout=timeout_s)
-    finally:
-        driver.stop()
+    thread_burst(
+        tier,
+        (federated(index) for index in range(request_count)),
+        workers_per_shard,
+        timeout_s,
+        "federation thread burst",
+    )
     snapshot = tier.metrics.snapshot()
     return {
-        "drained": drained,
+        "drained": True,
         "audit": tier.audit(),
         "snapshot": snapshot,
         "shed_rate": snapshot["federation"]["derived"]["shed_rate"],

@@ -17,15 +17,13 @@ byte-deterministic for a fixed seed (the benchmark artifact relies on it).
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
-from repro.observability.tracing import Tracer, activated
 from repro.qos.vectors import QoSVector
 from repro.runtime.degradation import DegradationLadder, QoSLevel
-from repro.server.drivers import SimulatedServerDriver
+from repro.server.drivers import SimulatedServerDriver, sim_replay
 from repro.server.service import DomainConfigurationService, ServerRequest
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import arrival_trace
@@ -203,27 +201,17 @@ def run_server_once(
             user_id=f"user-{event.request_id}",
         )
 
-    tracer: Optional[Tracer] = (
-        Tracer(SimulatedServerDriver.clock(simulator)) if trace else None
+    root_span = (
+        "run.server_sweep",
+        dict(multiplier=multiplier, seed=seed, horizon_s=horizon_s),
     )
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(activated(tracer))
-            stack.enter_context(
-                tracer.span(
-                    "run.server_sweep",
-                    multiplier=multiplier,
-                    seed=seed,
-                    horizon_s=horizon_s,
-                )
-            )
-        driver.schedule_trace(arrivals, to_request)
-        driver.run()
-        problems = service.ledger.audit()
-        if problems:
-            raise AssertionError(
-                "ledger invariant violated during sweep: " + "; ".join(problems)
-            )
+    trace_ndjson = sim_replay(
+        driver,
+        arrivals,
+        to_request,
+        "server sweep",
+        root_span=root_span if trace else None,
+    )
 
     metrics = service.metrics
     submitted = metrics.count("submitted")
@@ -251,7 +239,7 @@ def run_server_once(
         p50_total_ms=metrics.stage("total_ms").percentile(50),
         p99_total_ms=metrics.stage("total_ms").percentile(99),
         metrics_json=metrics_json,
-        trace_ndjson=tracer.export_ndjson() if tracer is not None else "",
+        trace_ndjson=trace_ndjson,
     )
 
 

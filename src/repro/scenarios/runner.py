@@ -1,12 +1,18 @@
 """Running compiled scenarios end to end.
 
 :func:`run_scenario` is the one execution path behind ``python -m repro
-scenario``: it lowers the spec (testbed, ladder, trace, faults), picks
-the driver (deterministic sim replay or a real thread pool), optionally
-layers the chaos stack, the predictive controller, batched admission, or
-a sharded cluster on top, audits every ledger, and returns a
-:class:`ScenarioRunResult` whose ``to_json`` is byte-identical across
-runs of the same document + seed under the sim driver.
+scenario``. It lowers the spec (testbed, ladder, trace, faults) and
+builds one target: a single service when ``cluster.shards == 1``, a
+:class:`~repro.server.cluster.DomainCluster` otherwise. That target goes
+through the serving harness in :mod:`repro.server.drivers` — a
+deterministic :func:`~repro.server.drivers.sim_replay` or a real
+:func:`~repro.server.drivers.thread_burst` — optionally with the
+recovery stack (:mod:`repro.faults.stack`) or the cluster's predictive
+controller alongside, and batched admission on either. Both drivers end
+in the shared ledger audit. One result builder reads the service's or
+the cluster's metrics into a :class:`ScenarioRunResult` whose
+``to_json`` is byte-identical across runs of the same document + seed
+under the sim driver.
 
 :func:`run_crash_restart` is the durability counterpart: phase one runs
 the scenario against a shared (sqlite) record store and stops abruptly
@@ -20,25 +26,21 @@ ledgers balanced.
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Dict, Optional, Tuple, Union
 
-from repro.control.controller import ControlPolicy, QoSController
-from repro.faults.detector import FailureDetector
-from repro.faults.injector import FaultInjector
-from repro.faults.metrics import RecoveryMetrics
-from repro.faults.recovery import RecoveryManager, RecoveryPolicy
+from repro.control.controller import ControlPolicy
+from repro.faults.stack import RecoveryStack
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer, activated
 from repro.runtime.clock import SimScheduler
 from repro.server.batching import BatchingDomainService
-from repro.server.cluster import (
-    ConsistentHashRouter,
-    DomainCluster,
-    LeastLoadedRouter,
+from repro.server.cluster import DomainCluster, make_router
+from repro.server.drivers import (
+    SimulatedServerDriver,
+    sim_replay,
+    thread_burst,
 )
-from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
 from repro.server.service import UNBATCHED, BatchPolicy
 from repro.sim.kernel import Simulator
 from repro.store import (
@@ -47,7 +49,11 @@ from repro.store import (
     SqliteRecordStore,
     readopt_sessions,
 )
-from repro.scenarios.compile import CompiledScenario, compile_scenario
+from repro.scenarios.compile import (
+    CompiledScenario,
+    ScenarioTestbed,
+    compile_scenario,
+)
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -157,10 +163,19 @@ def run_scenario(
 ) -> ScenarioRunResult:
     """Run one scenario end to end and audit every ledger.
 
-    ``controlled=None`` follows the spec's ``control.enabled`` knob; an
-    explicit boolean overrides it. ``store`` plugs a durable record store
-    into the (single-shard) service; the default in-memory store keeps
-    the run's behaviour byte-identical to a storeless one.
+    The target is one service when ``cluster.shards == 1`` and a
+    :class:`~repro.server.cluster.DomainCluster` otherwise; both go
+    through the same sim replay or thread burst. ``controlled=None``
+    follows the spec's ``control.enabled`` knob; an explicit boolean
+    overrides it (the thread driver never controls: the control plane
+    needs a logical clock). ``store`` plugs a durable record store into
+    the (single-shard) service; the default in-memory store keeps the
+    run's behaviour byte-identical to a storeless one.
+
+    The thread driver is a time-compressed open loop: arrival times are
+    ignored and every request is submitted at once, so dispositions are
+    timing-dependent and only the invariants are checked. It raises
+    ``TimeoutError`` when the pool does not drain in ``thread_timeout_s``.
     """
     compiled = _as_compiled(scenario)
     spec = compiled.spec
@@ -170,19 +185,135 @@ def run_scenario(
         raise ValueError("load multiplier must be positive")
     if controlled is None:
         controlled = spec.control.enabled
+    controlled = controlled and driver == "sim"
     if spec.faults is not None and driver != "sim":
         raise ValueError("fault schedules require the sim driver")
-    if spec.cluster.shards > 1:
-        if store is not None:
-            raise ValueError("durable stores attach to single-shard runs")
-        return _run_cluster(
-            compiled, driver, multiplier, trace, controlled, batched,
+    if spec.cluster.shards > 1 and store is not None:
+        raise ValueError("durable stores attach to single-shard runs")
+
+    simulator = Simulator() if driver == "sim" else None
+    clock = SimulatedServerDriver.clock(simulator) if simulator else None
+    target, testbed = _build_target(compiled, clock, controlled, batched, store)
+    arrivals = compiled.arrival_trace(multiplier=multiplier)
+    to_request = compiled.request_factory(testbed)
+    recovery: Optional[RecoveryStack] = None
+    trace_ndjson = ""
+    if simulator is None:
+        thread_burst(
+            target,
+            (to_request(event) for event in arrivals),
+            max(2, spec.server.workers),
             thread_timeout_s,
+            "scenario run",
         )
-    return _run_single(
-        compiled, driver, multiplier, trace, controlled, batched, store,
-        thread_timeout_s,
+    else:
+        replay = _sim_driver(compiled, target, simulator)
+        control_policy = (
+            ControlPolicy(
+                tick_interval_s=spec.control.tick_interval_s,
+                window_s=spec.control.window_s,
+            )
+            if controlled
+            else None
+        )
+        setup = teardown = None
+        if isinstance(target, DomainCluster):
+            if control_policy is not None:
+                controller = target.attach_controller(
+                    SimScheduler(simulator), policy=control_policy
+                )
+                setup = partial(
+                    controller.start, horizon_s=spec.arrivals.horizon_s
+                )
+                teardown = controller.stop
+            attributes = dict(
+                scenario=spec.name, seed=spec.seed, shards=target.shard_count
+            )
+        else:
+            faults = spec.faults
+            if faults is not None or controlled:
+                recovery = RecoveryStack(
+                    testbed,
+                    SimScheduler(simulator),
+                    heartbeat_interval_s=(
+                        faults.heartbeat_interval_s if faults else 2.0
+                    ),
+                    suspicion_threshold=(
+                        faults.suspicion_threshold if faults else 3.0
+                    ),
+                    ladder=compiled.ladder(),
+                    faults=compiled.fault_schedule(),
+                    control_policy=control_policy,
+                )
+                recovery.start(spec.arrivals.horizon_s)
+                teardown = recovery.stop
+            attributes = dict(
+                scenario=spec.name, seed=spec.seed, multiplier=multiplier
+            )
+        trace_ndjson = sim_replay(
+            replay,
+            arrivals,
+            to_request,
+            "scenario run",
+            root_span=("run.scenario", attributes) if trace else None,
+            setup=setup,
+            teardown=teardown,
+        )
+    return _result(
+        compiled,
+        target,
+        arrivals.horizon_s,
+        driver=driver + ("-batched" if batched else ""),
+        multiplier=multiplier,
+        controlled=controlled,
+        batched=batched,
+        recovery=recovery,
+        trace_ndjson=trace_ndjson,
     )
+
+
+def _build_service(
+    compiled: CompiledScenario,
+    clock,
+    batched: bool,
+    store: Optional[RecordStore],
+) -> Tuple[BatchingDomainService, ScenarioTestbed]:
+    """One testbed and the service over it, with the spec's server knobs."""
+    testbed = compiled.build_testbed(clock=clock)
+    service = BatchingDomainService(
+        testbed.configurator,
+        store=store,
+        batch=BatchPolicy() if batched else UNBATCHED,
+        **_service_kwargs(compiled, clock),
+    )
+    return service, testbed
+
+
+def _build_target(
+    compiled: CompiledScenario,
+    clock,
+    controlled: bool,
+    batched: bool,
+    store: Optional[RecordStore],
+) -> Tuple[Union[BatchingDomainService, DomainCluster], ScenarioTestbed]:
+    """The run's target and the testbed its requests are composed against.
+
+    Shards share devices and registries, so shard 0's testbed composes
+    every request; the serving shard's own configurator deploys it.
+    """
+    spec = compiled.spec
+    shard_count = spec.cluster.shards
+    if shard_count == 1:
+        return _build_service(compiled, clock, batched, store)
+    testbeds = [compiled.build_testbed(clock=clock) for _ in range(shard_count)]
+    cluster = DomainCluster.build(
+        [testbed.configurator for testbed in testbeds],
+        router=make_router(spec.cluster.router, shard_count),
+        registry=MetricsRegistry(clock=clock if controlled else None),
+        batched=batched,
+        **_service_kwargs(compiled, clock),
+    )
+    return cluster, testbeds[0]
 
 
 def _service_kwargs(compiled: CompiledScenario, clock) -> Dict[str, object]:
@@ -198,390 +329,91 @@ def _service_kwargs(compiled: CompiledScenario, clock) -> Dict[str, object]:
     )
 
 
-def _make_service(
-    compiled: CompiledScenario,
-    testbed,
-    clock,
-    batched: bool,
-    store: Optional[RecordStore],
-) -> BatchingDomainService:
-    return BatchingDomainService(
-        testbed.configurator,
-        store=store,
-        batch=BatchPolicy() if batched else UNBATCHED,
-        **_service_kwargs(compiled, clock),
-    )
-
-
-def _run_single(
-    compiled: CompiledScenario,
-    driver: str,
-    multiplier: float,
-    trace: bool,
-    controlled: bool,
-    batched: bool,
-    store: Optional[RecordStore],
-    thread_timeout_s: float,
-) -> ScenarioRunResult:
-    spec = compiled.spec
-    faulted = spec.faults is not None
-
-    if driver == "thread":
-        return _run_single_thread(
-            compiled, multiplier, controlled, batched, store, thread_timeout_s
-        )
-
-    simulator = Simulator()
-    scheduler = SimScheduler(simulator)
-    sim_clock = SimulatedServerDriver.clock(simulator)
-    testbed = compiled.build_testbed(clock=sim_clock)
-    service = _make_service(compiled, testbed, sim_clock, batched, store)
-    sim_driver = SimulatedServerDriver(
-        service,
+def _sim_driver(
+    compiled: CompiledScenario, target, simulator: Simulator
+) -> SimulatedServerDriver:
+    server = compiled.spec.server
+    return SimulatedServerDriver(
+        target,
         simulator,
-        workers=spec.server.workers,
-        min_service_s=spec.server.min_service_s,
-    )
-    arrivals = compiled.arrival_trace(multiplier=multiplier)
-
-    recovery_metrics: Optional[RecoveryMetrics] = None
-    detector = injector = manager = controller = None
-    if faulted or controlled:
-        recovery_metrics = RecoveryMetrics()
-        faults = spec.faults
-        heartbeat_s = faults.heartbeat_interval_s if faults else 2.0
-        suspicion = faults.suspicion_threshold if faults else 3.0
-        detector = FailureDetector(
-            testbed.server,
-            scheduler,
-            heartbeat_interval_s=heartbeat_s,
-            suspicion_threshold=suspicion,
-            metrics=recovery_metrics,
-        )
-        policy = RecoveryPolicy()
-        if faulted:
-            injector = FaultInjector(
-                testbed.server, scheduler, metrics=recovery_metrics
-            )
-            manager = RecoveryManager(
-                testbed.configurator,
-                scheduler,
-                ladder=compiled.ladder(),
-                policy=policy,
-                metrics=recovery_metrics,
-            )
-        if controlled:
-            controller = QoSController(
-                scheduler,
-                policy=ControlPolicy(
-                    tick_interval_s=spec.control.tick_interval_s,
-                    window_s=spec.control.window_s,
-                ),
-                detector=detector,
-                configurator=testbed.configurator,
-                registry=recovery_metrics.registry,
-            )
-        # Room after the horizon for late detections and backed-off
-        # recovery attempts (the chaos sweep's drain formula).
-        drain_s = (
-            (suspicion + 3.0) * heartbeat_s
-            + policy.max_backoff_s * policy.max_attempts
-        )
-        detector.start(horizon_s=spec.arrivals.horizon_s + drain_s)
-        if controller is not None:
-            controller.start(horizon_s=spec.arrivals.horizon_s + drain_s)
-        if injector is not None:
-            schedule = compiled.fault_schedule()
-            assert schedule is not None
-            injector.arm(schedule)
-
-    tracer: Optional[Tracer] = Tracer(sim_clock) if trace else None
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(activated(tracer))
-            stack.enter_context(
-                tracer.span(
-                    "run.scenario",
-                    scenario=spec.name,
-                    seed=spec.seed,
-                    multiplier=multiplier,
-                )
-            )
-        sim_driver.schedule_trace(arrivals, compiled.request_factory(testbed))
-        sim_driver.run()
-        if detector is not None:
-            detector.stop()
-        if controller is not None:
-            controller.stop()
-        if manager is not None:
-            manager.close()
-        if injector is not None:
-            injector.disarm()
-        problems = service.ledger.audit()
-        if problems:
-            raise AssertionError(
-                "ledger invariant violated during scenario run: "
-                + "; ".join(problems)
-            )
-
-    return _single_result(
-        compiled,
-        service,
-        arrivals.horizon_s,
-        driver="sim" + ("-batched" if batched else ""),
-        multiplier=multiplier,
-        controlled=controlled,
-        batched=batched,
-        faulted=faulted,
-        recovery_metrics=recovery_metrics,
-        trace_ndjson=tracer.export_ndjson() if tracer is not None else "",
+        workers=server.workers,
+        min_service_s=server.min_service_s,
     )
 
 
-def _run_single_thread(
+def _result(
     compiled: CompiledScenario,
-    multiplier: float,
-    controlled: bool,
-    batched: bool,
-    store: Optional[RecordStore],
-    thread_timeout_s: float,
-) -> ScenarioRunResult:
-    """Burst-replay the trace through a real worker pool.
-
-    Time-compressed open loop: arrival times are ignored, every request
-    is submitted immediately. Dispositions are timing-dependent; only the
-    invariants (ledger audits clean, one disposition per request) are
-    asserted. ``controlled`` is ignored — the control plane needs a
-    logical clock to be meaningful in a compressed replay.
-    """
-    spec = compiled.spec
-    testbed = compiled.build_testbed()
-    service = _make_service(compiled, testbed, None, batched, store)
-    pool = ThreadPoolDriver(service, workers=max(2, spec.server.workers))
-    arrivals = compiled.arrival_trace(multiplier=multiplier)
-    to_request = compiled.request_factory(testbed)
-    pool.start()
-    try:
-        for event in arrivals:
-            service.submit(to_request(event))
-        pool.wait_idle(timeout=thread_timeout_s)
-    finally:
-        pool.stop()
-    for outcome in service.outcomes():
-        service.stop_session(outcome)
-    problems = service.ledger.audit()
-    if problems:
-        raise AssertionError(
-            "ledger invariant violated during scenario run: "
-            + "; ".join(problems)
-        )
-    return _single_result(
-        compiled,
-        service,
-        arrivals.horizon_s,
-        driver="thread" + ("-batched" if batched else ""),
-        multiplier=multiplier,
-        controlled=False,
-        batched=batched,
-        faulted=False,
-        recovery_metrics=None,
-        trace_ndjson="",
-    )
-
-
-def _single_result(
-    compiled: CompiledScenario,
-    service,
+    target,
     horizon_s: float,
     driver: str,
     multiplier: float,
     controlled: bool,
     batched: bool,
-    faulted: bool,
-    recovery_metrics: Optional[RecoveryMetrics],
+    recovery: Optional[RecoveryStack],
     trace_ndjson: str,
 ) -> ScenarioRunResult:
+    """The run's aggregate result, read from a service's or a cluster's
+    metrics."""
     spec = compiled.spec
-    metrics = service.metrics
-    submitted = metrics.count("submitted")
-    admitted = metrics.count("admitted")
-    metrics_json = metrics.to_json(
-        extra={
-            "scenario": spec.name,
-            "seed": spec.seed,
-            "multiplier": multiplier,
-            "horizon_s": horizon_s,
-        }
-    )
+    extra: Dict[str, object] = {
+        "scenario": spec.name,
+        "seed": spec.seed,
+        "multiplier": multiplier,
+        "horizon_s": horizon_s,
+    }
+    if isinstance(target, DomainCluster):
+        extra["shard_count"] = target.shard_count
+        whole = target.metrics.snapshot()["cluster"]
+        latency = whole["latency"]["total_ms"]
+        counts = dict(
+            shards=target.shard_count,
+            submitted=whole["submitted"],
+            admitted=whole["admitted"],
+            degraded=whole["degraded"],
+            shed=whole["shed_final"],
+            failed=whole["failed"],
+            conflict_retries=0,
+            shed_rate=whole["derived"]["shed_rate"],
+            p50_total_ms=latency.get("p50", 0.0),
+            p99_total_ms=latency.get("p99", 0.0),
+        )
+    else:
+        metrics = target.metrics
+        submitted = metrics.count("submitted")
+        counts = dict(
+            shards=1,
+            submitted=submitted,
+            admitted=metrics.count("admitted"),
+            degraded=metrics.count("admitted_degraded"),
+            shed=metrics.shed_total,
+            failed=metrics.count("failed"),
+            conflict_retries=metrics.count("conflict_retries"),
+            shed_rate=metrics.shed_total / submitted if submitted else 0.0,
+            p50_total_ms=metrics.stage("total_ms").percentile(50),
+            p99_total_ms=metrics.stage("total_ms").percentile(99),
+        )
+    recovered = recovery.metrics if recovery is not None else None
     return ScenarioRunResult(
         scenario=spec.name,
         seed=spec.seed,
         driver=driver,
         multiplier=multiplier,
         horizon_s=horizon_s,
-        shards=1,
         router=spec.cluster.router,
         controlled=controlled,
         batched=batched,
-        faulted=faulted,
-        submitted=submitted,
-        admitted=admitted,
-        degraded=metrics.count("admitted_degraded"),
-        shed=metrics.shed_total,
-        failed=metrics.count("failed"),
-        conflict_retries=metrics.count("conflict_retries"),
-        throughput_per_min=60.0 * admitted / horizon_s if horizon_s else 0.0,
-        shed_rate=metrics.shed_total / submitted if submitted else 0.0,
-        p50_total_ms=metrics.stage("total_ms").percentile(50),
-        p99_total_ms=metrics.stage("total_ms").percentile(99),
-        faults_injected=(
-            recovery_metrics.count("faults_injected") if recovery_metrics else 0
+        faulted=recovery is not None and recovery.injector is not None,
+        throughput_per_min=(
+            60.0 * counts["admitted"] / horizon_s if horizon_s else 0.0
         ),
-        recoveries=(
-            recovery_metrics.count("recoveries") if recovery_metrics else 0
-        ),
+        faults_injected=recovered.count("faults_injected") if recovered else 0,
+        recoveries=recovered.count("recoveries") if recovered else 0,
         recovery_failures=(
-            recovery_metrics.count("recovery_failures")
-            if recovery_metrics
-            else 0
+            recovered.count("recovery_failures") if recovered else 0
         ),
-        metrics_json=metrics_json,
+        metrics_json=target.metrics.to_json(extra=extra),
         trace_ndjson=trace_ndjson,
-    )
-
-
-def _make_router(name: str, shard_count: int):
-    if name == "hash":
-        return ConsistentHashRouter(shard_count)
-    if name == "least-loaded":
-        return LeastLoadedRouter()
-    raise ValueError(f"unknown router {name!r}")
-
-
-def _run_cluster(
-    compiled: CompiledScenario,
-    driver: str,
-    multiplier: float,
-    trace: bool,
-    controlled: bool,
-    batched: bool,
-    thread_timeout_s: float,
-) -> ScenarioRunResult:
-    spec = compiled.spec
-    shard_count = spec.cluster.shards
-    simulator = Simulator() if driver == "sim" else None
-    sim_clock = (
-        SimulatedServerDriver.clock(simulator) if simulator is not None else None
-    )
-    registry = MetricsRegistry(
-        clock=sim_clock if (controlled and sim_clock is not None) else None
-    )
-    testbeds = [
-        compiled.build_testbed(clock=sim_clock) for _ in range(shard_count)
-    ]
-    cluster = DomainCluster.build(
-        [testbed.configurator for testbed in testbeds],
-        router=_make_router(spec.cluster.router, shard_count),
-        registry=registry,
-        batched=batched,
-        **_service_kwargs(compiled, sim_clock),
-    )
-    arrivals = compiled.arrival_trace(multiplier=multiplier)
-    to_request = compiled.request_factory(testbeds[0])
-
-    tracer: Optional[Tracer] = None
-    if driver == "sim":
-        assert simulator is not None
-        controller = None
-        if controlled:
-            controller = cluster.attach_controller(
-                SimScheduler(simulator),
-                policy=ControlPolicy(
-                    tick_interval_s=spec.control.tick_interval_s,
-                    window_s=spec.control.window_s,
-                ),
-            )
-        cluster_driver = SimulatedServerDriver(
-            cluster,
-            simulator,
-            workers=spec.server.workers,
-            min_service_s=spec.server.min_service_s,
-        )
-        tracer = Tracer(sim_clock) if trace else None
-        with ExitStack() as stack:
-            if tracer is not None:
-                stack.enter_context(activated(tracer))
-                stack.enter_context(
-                    tracer.span(
-                        "run.scenario",
-                        scenario=spec.name,
-                        seed=spec.seed,
-                        shards=shard_count,
-                    )
-                )
-            if controller is not None:
-                controller.start(horizon_s=spec.arrivals.horizon_s)
-            cluster_driver.schedule_trace(arrivals, to_request)
-            cluster_driver.run()
-            if controller is not None:
-                controller.stop()
-            problems = cluster.audit()
-            if problems:
-                raise AssertionError(
-                    "cluster ledger invariant violated: " + "; ".join(problems)
-                )
-    else:
-        pool = ThreadPoolDriver(cluster, workers=max(2, spec.server.workers))
-        pool.start()
-        try:
-            for event in arrivals:
-                cluster.submit(to_request(event))
-            pool.wait_idle(timeout=thread_timeout_s)
-        finally:
-            pool.stop()
-        problems = cluster.audit()
-        if problems:
-            raise AssertionError(
-                "cluster ledger invariant violated: " + "; ".join(problems)
-            )
-
-    snapshot = cluster.metrics.snapshot()
-    whole = snapshot["cluster"]
-    submitted = whole["submitted"]
-    admitted = whole["admitted"]
-    horizon_s = arrivals.horizon_s
-    metrics_json = cluster.metrics.to_json(
-        extra={
-            "scenario": spec.name,
-            "seed": spec.seed,
-            "multiplier": multiplier,
-            "horizon_s": horizon_s,
-            "shard_count": shard_count,
-        }
-    )
-    return ScenarioRunResult(
-        scenario=spec.name,
-        seed=spec.seed,
-        driver=driver + ("-batched" if batched else ""),
-        multiplier=multiplier,
-        horizon_s=horizon_s,
-        shards=shard_count,
-        router=spec.cluster.router,
-        controlled=controlled and driver == "sim",
-        batched=batched,
-        faulted=False,
-        submitted=submitted,
-        admitted=admitted,
-        degraded=whole["degraded"],
-        shed=whole["shed_final"],
-        failed=whole["failed"],
-        conflict_retries=0,
-        throughput_per_min=60.0 * admitted / horizon_s if horizon_s else 0.0,
-        shed_rate=whole["derived"]["shed_rate"],
-        p50_total_ms=whole["latency"]["total_ms"].get("p50", 0.0),
-        p99_total_ms=whole["latency"]["total_ms"].get("p99", 0.0),
-        metrics_json=metrics_json,
-        trace_ndjson=tracer.export_ndjson() if tracer is not None else "",
+        **counts,
     )
 
 
@@ -654,16 +486,11 @@ def run_crash_restart(
 
     # -- phase one: run to the crash point, then vanish ----------------
     sim1 = Simulator()
-    clock1 = SimulatedServerDriver.clock(sim1)
-    testbed1 = compiled.build_testbed(clock=clock1)
-    service1 = _make_service(compiled, testbed1, clock1, False, store)
-    crashed_epoch = service1.epoch
-    driver1 = SimulatedServerDriver(
-        service1,
-        sim1,
-        workers=spec.server.workers,
-        min_service_s=spec.server.min_service_s,
+    service1, testbed1 = _build_service(
+        compiled, SimulatedServerDriver.clock(sim1), False, store
     )
+    crashed_epoch = service1.epoch
+    driver1 = _sim_driver(compiled, service1, sim1)
     driver1.schedule_trace(arrivals, compiled.request_factory(testbed1))
     driver1.run(until=crash_at_s)
     pre_crash_admitted = service1.metrics.count("admitted")
@@ -672,34 +499,25 @@ def run_crash_restart(
 
     # -- phase two: fresh boot on the same store -----------------------
     sim2 = Simulator()
-    clock2 = SimulatedServerDriver.clock(sim2)
-    testbed2 = compiled.build_testbed(clock=clock2)
-    service2 = _make_service(compiled, testbed2, clock2, False, store)
+    service2, testbed2 = _build_service(
+        compiled, SimulatedServerDriver.clock(sim2), False, store
+    )
     report = readopt_sessions(
         service2, compiled.recovery_request_factory(testbed2)
     )
-    driver2 = SimulatedServerDriver(
-        service2,
-        sim2,
-        workers=spec.server.workers,
-        min_service_s=spec.server.min_service_s,
+    # The rest of the trace, shifted to the new service's time origin.
+    remainder = [
+        replace(event, arrival_s=event.arrival_s - crash_at_s)
+        for event in arrivals
+        if event.arrival_s >= crash_at_s
+    ]
+    sim_replay(
+        _sim_driver(compiled, service2, sim2),
+        remainder,
+        compiled.request_factory(testbed2),
+        "re-adoption",
     )
-    remainder = [e for e in arrivals if e.arrival_s >= crash_at_s]
-    to_request = compiled.request_factory(testbed2)
-    for event in remainder:
-        sim2.schedule_at(
-            event.arrival_s - crash_at_s,
-            lambda e=event: driver2.arrive(to_request(e)),
-        )
-    driver2.run()
-    problems = service2.ledger.audit()
-    if problems:
-        raise AssertionError(
-            "successor ledger invariant violated after re-adoption: "
-            + "; ".join(problems)
-        )
-
-    resumed = _single_result(
+    resumed = _result(
         compiled,
         service2,
         spec.arrivals.horizon_s - crash_at_s,
@@ -707,8 +525,7 @@ def run_crash_restart(
         multiplier=multiplier,
         controlled=False,
         batched=False,
-        faulted=False,
-        recovery_metrics=None,
+        recovery=None,
         trace_ndjson="",
     )
     return CrashRestartResult(

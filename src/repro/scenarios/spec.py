@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Union
 from repro.domain.device import DeviceClass
 from repro.faults.model import FaultKind
 from repro.network.links import LinkClass
+from repro.server.cluster import ROUTERS
 
 DEVICE_CLASSES = (
     DeviceClass.PC,
@@ -45,7 +46,6 @@ DEVICE_CLASSES = (
 )
 LINK_CLASSES = {cls.label: cls for cls in LinkClass}
 FAULT_KINDS = {kind.value: kind for kind in FaultKind}
-ROUTERS = ("hash", "least-loaded")
 ARRIVAL_PROCESSES = ("poisson", "pareto")
 DURATION_PROCESSES = ("exponential", "pareto")
 

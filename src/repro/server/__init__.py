@@ -20,11 +20,13 @@ package is the serving layer in front of
   served in chunks sized by a :class:`BatchPolicy`;
 - :mod:`repro.server.drivers` — a thread-pool driver (real concurrency)
   and a sim-kernel driver (deterministic trace replay), each driving a
-  service, a cluster or a federation tier;
+  service, a cluster or a federation tier, plus the one replay and one
+  burst harness every sweep and scenario run goes through;
 - :mod:`repro.server.batching` — a service drained in multi-request
   chunks;
 - :mod:`repro.server.cluster` — the sharded multi-domain cluster: a
-  pluggable shard router (consistent hashing / power-of-two-choices),
+  pluggable shard router (consistent hashing / power-of-two-choices,
+  named in one registry),
   cross-shard overflow, and merged cluster metrics.
 """
 

@@ -184,6 +184,19 @@ class LeastLoadedRouter(ShardRouter):
         )
 
 
+#: Router names, as scenario documents and the CLI spell them.
+ROUTERS = ("hash", "least-loaded")
+
+
+def make_router(name: str, shard_count: int) -> ShardRouter:
+    """The router registered under ``name`` for ``shard_count`` shards."""
+    if name == "hash":
+        return ConsistentHashRouter(shard_count)
+    if name == "least-loaded":
+        return LeastLoadedRouter()
+    raise ValueError(f"unknown router {name!r} (choose from {ROUTERS})")
+
+
 @dataclass
 class ClusterOutcome:
     """Where a request landed and what the serving shard decided.
@@ -454,7 +467,7 @@ class DomainCluster:
         problems: List[str] = []
         for index, shard in enumerate(self.shards):
             problems.extend(
-                f"shard{index}: {problem}" for problem in shard.ledger.audit()
+                f"shard{index}: {problem}" for problem in shard.audit()
             )
         return problems
 

@@ -1,4 +1,4 @@
-"""Two ways to drive a serving target.
+"""Two ways to drive a serving target, and the one harness around a run.
 
 A target is anything that implements :class:`ServingTarget`: one
 :class:`~repro.server.service.DomainConfigurationService`, a
@@ -18,6 +18,12 @@ kernel: arrivals, linger timers, worker busy periods (sized by each
 chunk's analytic configuration overhead) and session departures are all
 logical-time events, so the same seed yields byte-identical metrics JSON
 on every run.
+
+Every sweep and scenario run goes through one of two functions:
+:func:`sim_replay` (optional sim-clocked root span, the whole trace, the
+audit) and :func:`thread_burst` (a real pool fed the whole trace at once,
+drained, released and audited). Both end in :func:`audit_or_raise`, the
+one place a broken ledger invariant becomes an error.
 """
 
 from __future__ import annotations
@@ -25,15 +31,28 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from contextlib import ExitStack
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.observability.tracing import Tracer, activated
+from repro.server.ledger import ReservationLedger
 from repro.server.service import (
     DomainConfigurationService,
     RequestOutcome,
     ServerRequest,
 )
 from repro.sim.kernel import Simulator
-from repro.workloads.arrivals import ArrivalEvent, ArrivalTrace
+from repro.workloads.arrivals import ArrivalEvent
 
 
 class ServingTarget(Protocol):
@@ -54,6 +73,20 @@ class ServingTarget(Protocol):
     ) -> Tuple[RequestOutcome, Optional[DomainConfigurationService]]:
         """Submit; return the submit-time outcome and the service that
         queued the request (None when it was shed)."""
+
+    def audit(self) -> List[str]:
+        """Every ledger's invariant problems (empty when balanced)."""
+
+
+def audit_or_raise(
+    target: Union[ServingTarget, ReservationLedger], context: str
+) -> None:
+    """Raise ``AssertionError`` naming ``context`` if ``target`` audits dirty."""
+    problems = target.audit()
+    if problems:
+        raise AssertionError(
+            f"ledger invariant violated during {context}: " + "; ".join(problems)
+        )
 
 
 class ThreadPoolDriver:
@@ -198,7 +231,7 @@ class SimulatedServerDriver:
 
     def schedule_trace(
         self,
-        trace: ArrivalTrace,
+        trace: Iterable[ArrivalEvent],
         request_factory: Callable[[ArrivalEvent], ServerRequest],
     ) -> None:
         """Schedule one submit event per arrival in the trace."""
@@ -271,3 +304,69 @@ class SimulatedServerDriver:
                     lambda o=outcome: lane.service.stop_session(o),
                 )
         self._dispatch(lane.service)
+
+
+def sim_replay(
+    driver: SimulatedServerDriver,
+    arrivals: Iterable[ArrivalEvent],
+    request_factory: Callable[[ArrivalEvent], object],
+    context: str,
+    root_span: Optional[Tuple[str, Dict[str, object]]] = None,
+    setup: Optional[Callable[[], None]] = None,
+    teardown: Optional[Callable[[], None]] = None,
+) -> str:
+    """Replay ``arrivals`` through ``driver`` to completion and audit its target.
+
+    With ``root_span=(name, attributes)`` the replay runs under a tracer on
+    the driver's logical clock, inside that root span, and the span NDJSON
+    is returned ("" untraced). ``setup`` runs inside the root span before
+    the first arrival is scheduled; ``teardown`` runs after the simulation
+    drains, before the audit. ``context`` names the run in the audit error.
+    """
+    tracer = Tracer(driver.clock(driver.sim)) if root_span is not None else None
+    with ExitStack() as stack:
+        if tracer is not None:
+            name, attributes = root_span
+            stack.enter_context(activated(tracer))
+            stack.enter_context(tracer.span(name, **attributes))
+        if setup is not None:
+            setup()
+        driver.schedule_trace(arrivals, request_factory)
+        driver.run()
+        if teardown is not None:
+            teardown()
+        audit_or_raise(driver.target, context)
+    return tracer.export_ndjson() if tracer is not None else ""
+
+
+def thread_burst(
+    target: ServingTarget,
+    requests: Iterable[object],
+    workers: int,
+    timeout_s: float,
+    context: str,
+) -> None:
+    """Submit every request at a real worker pool, drain it, and audit.
+
+    Time-compressed open loop: all requests go in as fast as the caller
+    can build them while ``workers`` threads per service serve. Raises
+    ``TimeoutError`` when the pool does not drain within ``timeout_s``.
+    Admitted sessions are then stopped, so the audit also proves the
+    release path balances every ledger.
+    """
+    pool = ThreadPoolDriver(target, workers=workers)
+    pool.start()
+    try:
+        for request in requests:
+            target.place(request)
+        drained = pool.wait_idle(timeout=timeout_s)
+    finally:
+        pool.stop()
+    if not drained:
+        raise TimeoutError(
+            f"worker pool did not drain within {timeout_s:g}s during {context}"
+        )
+    for service in pool.services:
+        for outcome in service.outcomes():
+            service.stop_session(outcome)
+    audit_or_raise(target, context)

@@ -335,6 +335,10 @@ class DomainConfigurationService:
         if outcome.session is not None and outcome.session.running:
             outcome.session.stop()
 
+    def audit(self) -> List[str]:
+        """The ledger's invariant problems (empty when balanced)."""
+        return self.ledger.audit()
+
     # -- internals -----------------------------------------------------------------
 
     def _walked(

@@ -5,11 +5,9 @@ import json
 import pytest
 
 from repro.experiments.cluster_sweep import (
-    make_router,
     run_cluster_once,
     run_cluster_sweep,
 )
-from repro.server.cluster import ConsistentHashRouter, LeastLoadedRouter
 
 HORIZON_S = 120.0
 
@@ -104,12 +102,6 @@ class TestPlumbing:
             2, 6.0, seed=11, horizon_s=HORIZON_S, router="least-loaded"
         )
         assert first.metrics_json == second.metrics_json
-
-    def test_make_router(self):
-        assert isinstance(make_router("hash", 2), ConsistentHashRouter)
-        assert isinstance(make_router("least-loaded", 2), LeastLoadedRouter)
-        with pytest.raises(ValueError):
-            make_router("random", 2)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):

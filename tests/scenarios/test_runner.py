@@ -6,6 +6,7 @@ import pytest
 
 from repro.scenarios import (
     catalog_scenarios,
+    compile_scenario,
     load_catalog_scenario,
     run_scenario,
 )
@@ -47,6 +48,33 @@ class TestDrivers:
         assert result.driver == "thread"
         assert result.submitted > 0
         assert result.admitted + result.failed + result.shed == result.submitted
+
+    def test_cluster_thread_driver_audits_clean(self):
+        spec = load_catalog_scenario("stadium_surge")
+        assert spec.cluster.shards > 1
+        result = run_scenario(spec, driver="thread")
+        assert result.driver == "thread"
+        assert result.shards == spec.cluster.shards
+        # run_scenario raises on any ledger audit problem.
+        assert (
+            result.admitted + result.failed + result.shed
+            == result.submitted
+            == len(compile_scenario(spec).arrival_trace())
+        )
+
+    @pytest.mark.parametrize("name", [None, "stadium_surge"])
+    def test_undrained_thread_run_raises(self, spec, name, monkeypatch):
+        """A pool that misses ``thread_timeout_s`` must not report counts
+        in which requests are still in flight."""
+        from repro.server.drivers import ThreadPoolDriver
+
+        monkeypatch.setattr(
+            ThreadPoolDriver, "wait_idle", lambda self, timeout, **_: False
+        )
+        if name is not None:
+            spec = load_catalog_scenario(name)
+        with pytest.raises(TimeoutError, match="did not drain"):
+            run_scenario(spec, driver="thread", thread_timeout_s=0.1)
 
     def test_batched_sim(self, spec):
         result = run_scenario(spec, driver="sim", batched=True)

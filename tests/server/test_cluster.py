@@ -10,6 +10,7 @@ from repro.server.cluster import (
     ConsistentHashRouter,
     DomainCluster,
     LeastLoadedRouter,
+    make_router,
     shard_load,
 )
 from repro.server.drivers import ThreadPoolDriver
@@ -110,6 +111,14 @@ class TestLeastLoadedRouter:
         ]
         assert routed.count(1) > routed.count(0)
         assert shard_load(cluster.shards[0]) > shard_load(cluster.shards[1])
+
+
+class TestRouterRegistry:
+    def test_make_router(self):
+        assert isinstance(make_router("hash", 2), ConsistentHashRouter)
+        assert isinstance(make_router("least-loaded", 2), LeastLoadedRouter)
+        with pytest.raises(ValueError):
+            make_router("random", 2)
 
 
 class TestOverflow:
@@ -284,10 +293,12 @@ class TestClusterThreadStress:
     def test_four_shards_shed_strictly_less_than_one_at_same_load(self):
         """The acceptance bar: more shards, same offered load, fewer sheds.
 
-        Burst-submits the same request count at a 1-shard and a 4-shard
-        cluster through real worker pools, then checks every ledger audit
-        stays clean (zero over-capacity states) and the 4-shard cluster's
-        final shed rate is strictly lower.
+        Lands the same 96-request burst on a 1-shard and a 4-shard cluster
+        before their worker pools start, so queue capacity and not thread
+        scheduling decides the sheds; the pools then drain it while a
+        sampler audits every ledger concurrently. Every audit stays clean
+        (zero over-capacity states) and the 4-shard cluster's final shed
+        rate is strictly lower.
         """
         rates = {}
         for shard_count in (1, 4):
@@ -305,7 +316,6 @@ class TestClusterThreadStress:
 
             sampler_thread = threading.Thread(target=sampler, daemon=True)
             sampler_thread.start()
-            driver.start()
             try:
                 for index in range(96):
                     cluster.submit(
@@ -315,6 +325,7 @@ class TestClusterThreadStress:
                             user_id=f"user-{index % 13}",
                         )
                     )
+                driver.start()
                 assert driver.wait_idle(timeout=60.0)
             finally:
                 driver.stop()
