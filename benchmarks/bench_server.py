@@ -1,6 +1,7 @@
 """Bench + regeneration of the server throughput sweep (serving layer).
 
-Writes both the human-readable table (``results/server_sweep.txt``) and
+Runs the ``audio_lab`` catalog scenario at five load multipliers on one
+shard and writes both the human-readable table (``results/server_sweep.txt``) and
 the deterministic JSON metrics artifact (``results/server_sweep.json``)
 that CI uploads, and asserts the graceful-overload shape: admitted
 throughput saturates while surplus load is degraded or shed — never an
@@ -12,13 +13,16 @@ from __future__ import annotations
 import json
 
 from benchmarks.conftest import RESULTS_DIR, write_result
-from repro.experiments.server_sweep import run_server_sweep
+from repro.scenarios import load_catalog_scenario, run_sweep
 
 
 def test_server_sweep_saturates_gracefully(benchmark):
     sweep = benchmark.pedantic(
-        lambda: run_server_sweep(
-            multipliers=(0.5, 1.0, 2.0, 3.0, 5.0), seed=42, horizon_s=300.0
+        lambda: run_sweep(
+            load_catalog_scenario("audio_lab"),
+            (0.5, 1.0, 2.0, 3.0, 5.0),
+            shards=(1,),
+            horizon_s=300.0,
         ),
         rounds=1,
         iterations=1,

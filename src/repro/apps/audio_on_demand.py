@@ -10,13 +10,16 @@ dynamic downloading happens.
 :func:`build_audio_testbed` assembles the whole environment: devices with
 the paper's (normalised) availability vectors, the wired/wireless
 topology, the service registry with the audio server and the two player
-variants, and the integrated configurator.
+variants, and the integrated configurator. :func:`build_audio_cluster`
+puts one such testbed behind each shard of a serving cluster, with
+:func:`audio_degradation_ladder` as every shard's ladder. The same lab
+under load is the ``audio_lab`` catalog scenario.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.composition.composer import CompositionRequest, ServiceComposer
 from repro.composition.corrections import CorrectionPolicy
@@ -34,13 +37,25 @@ from repro.graph.abstract import (
 )
 from repro.graph.service_graph import ServiceComponent
 from repro.network.links import LinkClass
+from repro.observability.metrics import MetricsRegistry
 from repro.qos.translation import default_catalog
 from repro.qos.vectors import QoSVector
 from repro.resources.vectors import ResourceVector
 from repro.runtime.configurator import ServiceConfigurator
+from repro.runtime.degradation import DegradationLadder, QoSLevel
+from repro.server.cluster import DomainCluster, make_router
+from repro.server.service import BatchPolicy
 
 AUDIO_RATE_FPS = 40.0
 STREAM_MBPS = 1.4
+
+#: Arrival rate (requests/s) that roughly saturates the testbed at load
+#: multiplier 1.0 (the ``audio_lab`` scenario's ``arrivals.rate_per_s``).
+BASE_RATE_PER_S = 0.2
+
+#: Clients that load tests cycle through (the PDA is excluded: its
+#: sessions exercise transcoder insertion, which figure3 already covers).
+CLIENT_CYCLE = ("desktop1", "desktop2", "desktop3")
 
 
 @dataclass
@@ -210,3 +225,50 @@ def build_audio_testbed(
     return AudioTestbed(
         space=space, server=server, configurator=configurator, devices=devices
     )
+
+
+def audio_degradation_ladder() -> DegradationLadder:
+    """Three demand levels over the composable QoS range.
+
+    Every level keeps the user QoS the composer can satisfy and only
+    scales resource demand, modelling rate-proportional admission at
+    reduced quality.
+    """
+    qos = QoSVector(frame_rate=(20.0, 48.0))
+    return DegradationLadder.of(
+        QoSLevel(label="full", user_qos=qos, demand_scale=1.0),
+        QoSLevel(label="reduced", user_qos=qos, demand_scale=0.7),
+        QoSLevel(label="economy", user_qos=qos, demand_scale=0.45),
+    )
+
+
+def build_audio_cluster(
+    shard_count: int,
+    router: str = "hash",
+    queue_capacity: int = 16,
+    clock: Optional[Callable[[], float]] = None,
+    registry: Optional[MetricsRegistry] = None,
+    batched: bool = False,
+    batch: Optional[BatchPolicy] = None,
+) -> Tuple[DomainCluster, List[AudioTestbed]]:
+    """One audio testbed + service per shard behind a shared registry.
+
+    Returns ``(cluster, testbeds)``. Shards share device names and
+    registries, so ``testbeds[0]`` composes every request; the serving
+    shard's own configurator deploys it. ``batched`` chooses the shards'
+    chunk policy (``batch``, default :class:`BatchPolicy()`, or one
+    request per flush).
+    """
+    testbeds = [build_audio_testbed() for _ in range(shard_count)]
+    cluster = DomainCluster.build(
+        [testbed.configurator for testbed in testbeds],
+        router=make_router(router, shard_count),
+        registry=registry,
+        batched=batched,
+        batch=batch,
+        ladder=audio_degradation_ladder(),
+        queue_capacity=queue_capacity,
+        clock=clock,
+        skip_downloads=True,
+    )
+    return cluster, testbeds

@@ -7,12 +7,10 @@ Usage::
     python -m repro figure4
     python -m repro figure5  [--requests N] [--horizon H]
     python -m repro ablations [--cases N]
-    python -m repro server-sweep [--multipliers M ...] [--json PATH] [--trace PATH]
-    python -m repro cluster-sweep [--shards N ...] [--multipliers M ...] [--router hash|least-loaded] [--driver sim|thread] [--batched] [--batch-size B] [--batch-linger S] [--controlled] [--json PATH] [--trace PATH]
     python -m repro chaos-sweep  [--multipliers M ...] [--driver sim|thread] [--controlled] [--json PATH] [--trace PATH]
     python -m repro federation-sweep [--clusters N ...] [--multipliers M ...] [--roam-rates R ...] [--driver sim|thread] [--json PATH] [--trace PATH]
     python -m repro control-sweep [--quick] [--json PATH]
-    python -m repro scenario [NAME|PATH] [--list] [--driver sim|thread] [--multiplier M] [--seed S] [--controlled] [--batched] [--store PATH] [--crash-restart] [--json PATH] [--trace PATH]
+    python -m repro scenario [NAME|PATH] [--list] [--driver sim|thread] [--multiplier M ...] [--shards N ...] [--horizon S] [--seed S] [--controlled] [--batched] [--store PATH] [--crash-restart] [--json PATH] [--trace PATH]
     python -m repro bench [--quick] [--baseline PATH] [--tolerance F]
     python -m repro trace-report PATH
     python -m repro all
@@ -24,7 +22,8 @@ NDJSON (byte-identical per seed under the sim driver), which
 ``trace-report`` renders as a per-phase latency breakdown with
 critical-path summaries. ``scenario`` runs one declarative document from
 the built-in catalog (or any YAML/JSON spec path) through the unified
-spec → compile → run pipeline.
+spec → compile → run pipeline, at every ``--shards`` × ``--multiplier``
+point; ``scenario audio_lab`` is the paper's own testbed under load.
 
 The sweep flags above are declared once in
 :mod:`repro.experiments.runner`.
@@ -57,10 +56,6 @@ from repro.experiments.bench_serving import (
     run_serving_bench,
 )
 from repro.experiments.chaos_sweep import run_chaos_sweep
-from repro.experiments.cluster_sweep import (
-    run_cluster_sweep,
-    run_cluster_thread_once,
-)
 from repro.experiments.bench_federation import run_federation_bench
 from repro.experiments.federation_sweep import (
     run_federation_sweep,
@@ -72,20 +67,16 @@ from repro.experiments.figure5 import run_figure5
 from repro.experiments.load_sweep import run_load_sweep
 from repro.experiments.runner import (
     add_artifact_options,
-    add_batching_options,
     add_controlled_option,
     add_driver_option,
     add_horizon_option,
     add_multipliers_option,
     add_seed_option,
-    batch_policy_from,
     write_artifacts,
 )
-from repro.experiments.server_sweep import run_server_sweep
 from repro.experiments.table1 import run_table1
 from repro.observability.report import TraceReport
 from repro.reporting import render_overhead_bars, render_success_series
-from repro.server.cluster import ROUTERS
 from repro.workloads.generator import Table1Workload
 from repro.workloads.requests import figure5_trace
 
@@ -134,53 +125,6 @@ def _cmd_load_sweep(args: argparse.Namespace) -> None:
         base_requests=args.requests, horizon_h=args.horizon
     )
     print(result.format_table())
-
-
-def _cmd_server_sweep(args: argparse.Namespace) -> None:
-    result = run_server_sweep(
-        multipliers=tuple(args.multipliers),
-        seed=args.seed,
-        horizon_s=args.horizon,
-        trace=args.trace is not None,
-    )
-    print(result.format_table())
-    write_artifacts(args, result, json_label="metrics")
-
-
-def _cmd_cluster_sweep(args: argparse.Namespace) -> None:
-    batch = batch_policy_from(args)
-    if args.driver == "thread":
-        for shard_count in args.shards:
-            report = run_cluster_thread_once(
-                shard_count,
-                request_count=args.requests,
-                router=args.router,
-                batched=args.batched,
-                batch=batch,
-            )
-            cluster = report["snapshot"]["cluster"]
-            print(
-                f"{shard_count} shard(s): submitted {cluster['submitted']}, "
-                f"admitted {cluster['admitted']}, "
-                f"shed {cluster['shed_final']} "
-                f"({100.0 * report['shed_rate']:.1f}%), "
-                f"drained={report['drained']}, "
-                f"audit={'clean' if not report['audit'] else report['audit']}"
-            )
-        return
-    result = run_cluster_sweep(
-        shard_counts=tuple(args.shards),
-        multipliers=tuple(args.multipliers),
-        seed=args.seed,
-        horizon_s=args.horizon,
-        router=args.router,
-        trace=args.trace is not None,
-        batched=args.batched,
-        batch=batch,
-        controlled=args.controlled,
-    )
-    print(result.format_table())
-    write_artifacts(args, result, json_label="cluster metrics")
 
 
 def _cmd_chaos_sweep(args: argparse.Namespace) -> None:
@@ -251,7 +195,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         load_catalog_scenario,
         load_scenario,
         run_crash_restart,
-        run_scenario,
+        run_sweep,
         scenario_path,
     )
     from repro.store import SqliteRecordStore
@@ -274,11 +218,16 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         spec = dataclasses.replace(spec, seed=args.seed)
 
     if args.crash_restart:
+        if len(args.multiplier) > 1 or args.shards or args.horizon:
+            raise SystemExit(
+                "--crash-restart runs one point: one --multiplier, "
+                "no --shards or --horizon"
+            )
         result = run_crash_restart(
             spec,
             store_path=args.store,
             crash_at_fraction=args.crash_at,
-            multiplier=args.multiplier,
+            multiplier=args.multiplier[0],
         )
         report = result.report
         print(
@@ -300,15 +249,19 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
             raise SystemExit(1)
     else:
         store = SqliteRecordStore(args.store) if args.store else None
-        result = run_scenario(
+        sweep = run_sweep(
             spec,
+            args.multiplier,
+            shards=args.shards,
+            horizon_s=args.horizon,
             driver=args.driver,
-            multiplier=args.multiplier,
             trace=args.trace is not None,
             controlled=True if args.controlled else None,
             batched=args.batched,
             store=store,
         )
+        # One point writes the single-run JSON and table.
+        result = sweep.points[0] if len(sweep.points) == 1 else sweep
         print(result.format_table())
     write_artifacts(args, result, json_label="scenario")
 
@@ -452,57 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_sweep.add_argument("--horizon", type=float, default=120.0)
     load_sweep.set_defaults(handler=_cmd_load_sweep)
 
-    server_sweep = subparsers.add_parser(
-        "server-sweep",
-        help="concurrent admission under load multipliers (extension)",
-    )
-    add_multipliers_option(server_sweep, default=[0.5, 1.0, 2.0, 3.0, 5.0])
-    add_seed_option(server_sweep)
-    add_horizon_option(server_sweep)
-    add_artifact_options(
-        server_sweep, json_help="also write deterministic metrics JSON"
-    )
-    server_sweep.set_defaults(handler=_cmd_server_sweep)
-
-    cluster_sweep = subparsers.add_parser(
-        "cluster-sweep",
-        help="sharded-cluster throughput scaling (extension)",
-    )
-    cluster_sweep.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2, 4]
-    )
-    add_multipliers_option(cluster_sweep, default=[1.0, 2.0, 4.0])
-    add_seed_option(cluster_sweep)
-    add_horizon_option(cluster_sweep)
-    cluster_sweep.add_argument(
-        "--router",
-        choices=ROUTERS,
-        default="hash",
-        help="hash: consistent hashing (session affinity); "
-        "least-loaded: power-of-two-choices on queue depth + utilization",
-    )
-    add_driver_option(
-        cluster_sweep,
-        thread_help="one real worker pool per shard, burst-submitted",
-    )
-    cluster_sweep.add_argument(
-        "--requests",
-        type=int,
-        default=120,
-        help="burst size per shard count (thread driver only)",
-    )
-    add_artifact_options(
-        cluster_sweep,
-        json_help="also write deterministic cluster metrics JSON",
-    )
-    add_batching_options(cluster_sweep)
-    add_controlled_option(
-        cluster_sweep,
-        "attach the predictive QoS controller (proactive degradation, "
-        "router steering, queue rebalancing) to every run",
-    )
-    cluster_sweep.set_defaults(handler=_cmd_cluster_sweep)
-
     chaos_sweep = subparsers.add_parser(
         "chaos-sweep",
         help="recovery success rate and MTTR vs fault rate (extension)",
@@ -602,9 +504,19 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--multiplier",
         type=float,
-        default=1.0,
-        help="offered-load multiplier on the spec's arrival rate",
+        nargs="+",
+        default=[1.0],
+        help="offered-load multipliers on the spec's arrival rate "
+        "(one run per value)",
     )
+    scenario.add_argument(
+        "--shards",
+        type=int,
+        nargs="+",
+        default=None,
+        help="shard counts to sweep (default: the spec's cluster.shards)",
+    )
+    add_horizon_option(scenario, default=None)
     scenario.add_argument(
         "--seed",
         type=int,

@@ -5,8 +5,8 @@ actually help? The bench replays the same seeded workloads twice — once
 purely reactive, once with the :mod:`repro.control` plane attached — and
 commits the deltas:
 
-- **cluster leg** — the cluster sweep's overload regime (2 shards,
-  least-loaded router, serial service floor) at saturating load
+- **cluster leg** — the ``audio_lab`` scenario's overload regime (2
+  shards, least-loaded router, serial service floor) at saturating load
   multipliers. Controlled runs must *never regress* the shed rate at
   any multiplier and must *reduce* it at one or more: proactive
   ladder-entry degradation admits work at reduced fidelity before the
@@ -28,11 +28,11 @@ and compares, then :func:`verify_payload` gates the committed claims.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.chaos_sweep import run_chaos_once
-from repro.experiments.cluster_sweep import run_cluster_once
+from repro.scenarios import load_catalog_scenario, run_sweep
 
 #: The cluster leg's fixed shape: the measured worker-bound overload
 #: regime where proactive degradation genuinely reduces sheds (serial
@@ -197,28 +197,31 @@ def run_control_bench(
     multipliers = CLUSTER_MULTIPLIERS_QUICK if quick else CLUSTER_MULTIPLIERS
     chaos_multipliers = CHAOS_MULTIPLIERS_QUICK if quick else CHAOS_MULTIPLIERS
     result = ControlBenchResult(seed=seed, horizon_s=horizon_s, quick=quick)
-    for multiplier in multipliers:
-        cells = {}
-        for controlled in (False, True):
-            cells[controlled] = run_cluster_once(
-                CLUSTER_SHARDS,
-                multiplier,
-                seed=seed,
-                horizon_s=horizon_s,
-                router=CLUSTER_ROUTER,
-                controlled=controlled,
-            )
-        reactive, controlled_point = cells[False], cells[True]
+    lab = load_catalog_scenario("audio_lab")
+    lab = replace(
+        lab,
+        seed=seed,
+        cluster=replace(
+            lab.cluster, shards=CLUSTER_SHARDS, router=CLUSTER_ROUTER
+        ),
+    )
+    reactive_sweep, controlled_sweep = (
+        run_sweep(lab, multipliers, horizon_s=horizon_s, controlled=controlled)
+        for controlled in (False, True)
+    )
+    for reactive, controlled_point in zip(
+        reactive_sweep.points, controlled_sweep.points
+    ):
         result.cluster_cells.append(
             ControlClusterCell(
-                multiplier=multiplier,
+                multiplier=reactive.multiplier,
                 reactive_shed_rate=reactive.shed_rate,
                 controlled_shed_rate=controlled_point.shed_rate,
                 reactive_admitted=reactive.admitted,
                 controlled_admitted=controlled_point.admitted,
-                reactive_denied=reactive.shed_final + reactive.failed,
+                reactive_denied=reactive.shed + reactive.failed,
                 controlled_denied=(
-                    controlled_point.shed_final + controlled_point.failed
+                    controlled_point.shed + controlled_point.failed
                 ),
                 control_forecasts=controlled_point.control_forecasts,
                 control_actuations=controlled_point.control_actuations,

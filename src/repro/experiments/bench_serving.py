@@ -30,10 +30,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.audio_on_demand import audio_request
+from repro.apps.audio_on_demand import (
+    CLIENT_CYCLE,
+    audio_request,
+    build_audio_cluster,
+)
 from repro.distribution.cost import CostWeights
 from repro.distribution.heuristic import HeuristicDistributor
-from repro.experiments.cluster_sweep import CLIENT_CYCLE, build_cluster
 from repro.graph.generators import RandomGraphConfig, random_service_graph
 from repro.observability.metrics import summarize_samples
 from repro.server.batching import BatchPolicy
@@ -165,7 +168,7 @@ def _run_serving_cell(
     waves so the ledger keeps turning over and every wave exercises real
     admissions rather than saturated-ladder failures.
     """
-    cluster, testbeds = build_cluster(
+    cluster, testbeds = build_audio_cluster(
         shards,
         router="least-loaded",
         queue_capacity=256,

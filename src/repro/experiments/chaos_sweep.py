@@ -30,9 +30,12 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.audio_on_demand import audio_request, build_audio_testbed
+from repro.apps.audio_on_demand import (
+    audio_degradation_ladder,
+    audio_request,
+    build_audio_testbed,
+)
 from repro.control.controller import ControlPolicy
-from repro.experiments.server_sweep import audio_degradation_ladder
 from repro.faults.model import FaultSchedule, FaultSpec, random_fault_schedule
 from repro.faults.recovery import RecoveryPolicy
 from repro.faults.stack import RecoveryStack

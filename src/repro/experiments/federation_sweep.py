@@ -1,7 +1,7 @@
 """Federated multi-cluster serving under hot-spot load (federation tier).
 
-The cluster sweep measures one smart space's shard pool; this sweep
-measures what digest-routed escalation buys *across* spaces. Each member
+The ``audio_lab`` scenario swept over shard counts measures one smart
+space's shard pool; this sweep measures what digest-routed escalation buys *across* spaces. Each member
 cluster is a full :class:`~repro.server.cluster.DomainCluster` (its own
 testbeds, registries, ledgers and metrics namespace); arrivals follow a
 hot-spot mix — a configurable fraction of all traffic homes on
@@ -24,9 +24,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.audio_on_demand import AudioTestbed, audio_request
-from repro.experiments.cluster_sweep import build_cluster
-from repro.experiments.server_sweep import BASE_RATE_PER_S, CLIENT_CYCLE
+from repro.apps.audio_on_demand import (
+    BASE_RATE_PER_S,
+    CLIENT_CYCLE,
+    AudioTestbed,
+    audio_request,
+    build_audio_cluster,
+)
 from repro.federation.migration import MigrationSchedule
 from repro.federation.tier import (
     FederatedRequest,
@@ -75,7 +79,7 @@ def build_federation(
     members: List[FederationMember] = []
     testbeds_by_member: Dict[str, List[AudioTestbed]] = {}
     for index in range(cluster_count):
-        cluster, testbeds = build_cluster(
+        cluster, testbeds = build_audio_cluster(
             shards_per_cluster,
             queue_capacity=queue_capacity,
             clock=clock,

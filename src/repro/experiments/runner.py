@@ -2,7 +2,7 @@
 
 Every sweep exposes the same knobs — ``--seed``, ``--horizon``,
 ``--multipliers``, a ``--driver`` choice, ``--json``/``--trace``
-artifact sinks, the ``--controlled`` toggle and the batching trio — and
+artifact sinks and the ``--controlled`` toggle — and
 until now each subparser declared them independently, with drifting
 help strings and (in one case) a misnamed flag. This module is the one
 place those options are defined; :mod:`repro.cli` composes them per
@@ -30,13 +30,15 @@ def add_seed_option(
 
 
 def add_horizon_option(
-    parser: argparse.ArgumentParser, default: float = DEFAULT_HORIZON_S
+    parser: argparse.ArgumentParser,
+    default: Optional[float] = DEFAULT_HORIZON_S,
 ) -> None:
     parser.add_argument(
         "--horizon",
         type=float,
         default=default,
-        help="arrival horizon in (logical) seconds",
+        help="arrival horizon in (logical) seconds"
+        + (" (default: the spec's)" if default is None else ""),
     )
 
 
@@ -83,40 +85,6 @@ def add_controlled_option(
     parser.add_argument("--controlled", action="store_true", help=help_text)
 
 
-def add_batching_options(parser: argparse.ArgumentParser) -> None:
-    """``--batched``, ``--batch-size`` and ``--batch-linger``."""
-    parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="drain services in multi-request chunks "
-        "(grouped ledger prepare/commit rounds per chunk)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        help="max requests drained per batch (with --batched)",
-    )
-    parser.add_argument(
-        "--batch-linger",
-        type=float,
-        default=0.02,
-        help="seconds an under-full batch waits for company "
-        "(with --batched)",
-    )
-
-
-def batch_policy_from(args: argparse.Namespace):
-    """The :class:`BatchPolicy` the parsed flags ask for (or ``None``)."""
-    if not getattr(args, "batched", False):
-        return None
-    from repro.server.service import BatchPolicy
-
-    return BatchPolicy(
-        max_batch_size=args.batch_size, max_linger_s=args.batch_linger
-    )
-
-
 def write_artifacts(
     args: argparse.Namespace, result, json_label: str = "metrics"
 ) -> None:
@@ -141,12 +109,10 @@ __all__ = [
     "DEFAULT_HORIZON_S",
     "DEFAULT_SEED",
     "add_artifact_options",
-    "add_batching_options",
     "add_controlled_option",
     "add_driver_option",
     "add_horizon_option",
     "add_multipliers_option",
     "add_seed_option",
-    "batch_policy_from",
     "write_artifacts",
 ]

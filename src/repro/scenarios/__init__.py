@@ -8,8 +8,9 @@ control knobs, one seed — and this package turns it into a run:
 - :mod:`repro.scenarios.compile` — lowering into testbeds, ladders,
   seeded traces, fault schedules, and request factories;
 - :mod:`repro.scenarios.runner` — end-to-end execution (sim or thread
-  driver, cluster, chaos, control, batching, durable stores) plus the
-  crash-restart recovery harness;
+  driver, cluster, chaos, control, batching, durable stores), sweeps
+  over load multipliers and shard counts, and the crash-restart
+  recovery harness;
 - ``catalog/`` — the built-in scenarios behind ``python -m repro
   scenario <name>``.
 """
@@ -26,8 +27,10 @@ from repro.scenarios.compile import (
 from repro.scenarios.runner import (
     CrashRestartResult,
     ScenarioRunResult,
+    ScenarioSweep,
     run_crash_restart,
     run_scenario,
+    run_sweep,
 )
 from repro.scenarios.spec import (
     ScenarioSpec,
@@ -69,6 +72,7 @@ __all__ = [
     "CrashRestartResult",
     "ScenarioRunResult",
     "ScenarioSpec",
+    "ScenarioSweep",
     "ScenarioTestbed",
     "ScenarioValidationError",
     "catalog_scenarios",
@@ -79,5 +83,6 @@ __all__ = [
     "loads_scenario_text",
     "run_crash_restart",
     "run_scenario",
+    "run_sweep",
     "scenario_path",
 ]

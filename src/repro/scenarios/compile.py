@@ -9,10 +9,11 @@ and per-arrival request factories.
 
 Determinism contract: one scenario-level ``seed`` drives everything.
 :func:`derive_seed` hashes ``(seed, label)`` into independent streams —
-``arrivals`` for the trace, ``faults`` for the random storm, and
-``shard<i>/arrivals`` for per-shard traces — so enabling faults can never
-perturb the arrival trace (and vice versa), and the same document always
-replays byte-identically.
+``arrivals`` for the trace and ``faults`` for the random storm — so
+enabling faults can never perturb the arrival trace (and vice versa), and
+the same document always replays byte-identically. A document with
+``arrivals.derive_seed: false`` seeds its trace with the scenario seed
+itself; its faults still draw from the derived stream.
 
 The compiled object is cheap and immutable-ish; :meth:`build_testbed`
 constructs a *fresh* environment on every call (two runs never share
@@ -68,8 +69,8 @@ def derive_seed(seed: int, label: str) -> int:
     sha256 over ``"<seed>:<label>"`` folded to 63 bits: stable across
     processes and Python versions (unlike ``hash()``), and collisions
     between the handful of labels a scenario uses are effectively
-    impossible. This is what lets one ``seed:`` key drive arrivals,
-    faults, and per-shard traces without coupling their streams.
+    impossible. This is what lets one ``seed:`` key drive arrivals and
+    faults without coupling their streams.
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -275,17 +276,15 @@ class CompiledScenario:
             )
         )
 
-    def arrival_trace(
-        self, multiplier: float = 1.0, label: str = "arrivals"
-    ) -> ArrivalTrace:
-        """The scenario's offered load, scaled by a rate multiplier.
-
-        Distinct ``label`` values (e.g. ``"shard2/arrivals"``) produce
-        independent substreams from the same scenario seed.
-        """
+    def arrival_trace(self, multiplier: float = 1.0) -> ArrivalTrace:
+        """The scenario's offered load, scaled by a rate multiplier."""
         arrivals = self.spec.arrivals
         return arrival_trace(
-            seed=derive_seed(self.spec.seed, label),
+            seed=(
+                derive_seed(self.spec.seed, "arrivals")
+                if arrivals.derive_seed
+                else self.spec.seed
+            ),
             rate_per_s=arrivals.rate_per_s * multiplier,
             horizon_s=arrivals.horizon_s,
             arrival_process=arrivals.arrival_process,
@@ -400,15 +399,19 @@ class CompiledScenario:
     def request_factory(self, testbed: ScenarioTestbed):
         """``ArrivalEvent -> ServerRequest``, for the serving drivers.
 
-        Workload and client rotate deterministically on the event's
-        request id, so the mapping is a pure function of the trace.
+        Workload, client and (with ``arrivals.users``) user rotate
+        deterministically on the event's request id, so the mapping is a
+        pure function of the trace.
         """
         from repro.server.service import ServerRequest
+
+        users = self.spec.arrivals.users
 
         def to_request(event: ArrivalEvent) -> "ServerRequest":
             workload_name = self.workload_for(event)
             client = self.client_for(workload_name, event)
             workload = self.spec.workloads[workload_name]
+            user = event.request_id % users if users else event.request_id
             return ServerRequest(
                 request_id=f"req-{event.request_id}",
                 composition=self.composition_request(
@@ -417,7 +420,7 @@ class CompiledScenario:
                 priority=max(event.priority, workload.priority),
                 deadline_s=self.spec.arrivals.deadline_s,
                 duration_s=event.duration_s,
-                user_id=f"user-{event.request_id}",
+                user_id=f"user-{user}",
                 workload=workload_name,
                 utility_profile=workload.utility_profile,
             )

@@ -12,7 +12,8 @@ controller alongside, and batched admission on either. Both drivers end
 in the shared ledger audit. One result builder reads the service's or
 the cluster's metrics into a :class:`ScenarioRunResult` whose
 ``to_json`` is byte-identical across runs of the same document + seed
-under the sim driver.
+under the sim driver. :func:`run_sweep` runs one document at every
+shard count × load multiplier, one :func:`run_scenario` per point.
 
 :func:`run_crash_restart` is the durability counterpart: phase one runs
 the scenario against a shared (sqlite) record store and stops abruptly
@@ -26,9 +27,9 @@ ledgers balanced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.control.controller import ControlPolicy
 from repro.faults.stack import RecoveryStack
@@ -84,6 +85,10 @@ class ScenarioRunResult:
     faults_injected: int = 0
     recoveries: int = 0
     recovery_failures: int = 0
+    control_forecasts: int = 0
+    control_actuations: int = 0
+    control_reverts: int = 0
+    control_rebalanced: int = 0
     metrics_json: str = "{}"
     #: NDJSON span export when traced ("" otherwise); excluded from
     #: ``as_dict`` so the JSON artifact is trace-independent.
@@ -114,6 +119,10 @@ class ScenarioRunResult:
             "faults_injected": self.faults_injected,
             "recoveries": self.recoveries,
             "recovery_failures": self.recovery_failures,
+            "control_forecasts": self.control_forecasts,
+            "control_actuations": self.control_actuations,
+            "control_reverts": self.control_reverts,
+            "control_rebalanced": self.control_rebalanced,
             "metrics": json.loads(self.metrics_json),
         }
 
@@ -272,6 +281,92 @@ def run_scenario(
     )
 
 
+@dataclass
+class ScenarioSweep:
+    """One scenario run at every shard count × load multiplier."""
+
+    points: List[ScenarioRunResult] = field(default_factory=list)
+
+    def point(
+        self, multiplier: float, shards: Optional[int] = None
+    ) -> ScenarioRunResult:
+        for point in self.points:
+            if point.multiplier == multiplier and shards in (
+                None,
+                point.shards,
+            ):
+                return point
+        raise KeyError(f"no point for {shards} shards at x{multiplier}")
+
+    def to_json(self) -> str:
+        """Deterministic JSON of every point (sorted keys, no whitespace)."""
+        return json.dumps(
+            {"points": [point.as_dict() for point in self.points]},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+
+    def format_table(self) -> str:
+        first = self.points[0]
+        lines = [
+            f"Scenario {first.scenario!r} "
+            f"(seed {first.seed}, driver {first.driver}, "
+            f"horizon {first.horizon_s:g}s, router {first.router})",
+            "",
+            f"{'shards':>7}{'load x':>8}{'submitted':>11}{'admitted':>10}"
+            f"{'degraded':>10}{'shed':>7}{'failed':>8}{'thr/min':>9}"
+            f"{'shed%':>8}",
+        ]
+        for p in self.points:
+            lines.append(
+                f"{p.shards:>7d}{p.multiplier:>8.2f}{p.submitted:>11d}"
+                f"{p.admitted:>10d}{p.degraded:>10d}{p.shed:>7d}"
+                f"{p.failed:>8d}{p.throughput_per_min:>9.2f}"
+                f"{100.0 * p.shed_rate:>7.1f}%"
+            )
+        return "\n".join(lines)
+
+    def trace_ndjson(self) -> str:
+        """Concatenated span NDJSON across points ("" when untraced)."""
+        return "".join(point.trace_ndjson for point in self.points)
+
+
+def run_sweep(
+    scenario: Union[ScenarioSpec, CompiledScenario],
+    multipliers: Sequence[float],
+    shards: Optional[Sequence[int]] = None,
+    horizon_s: Optional[float] = None,
+    **run_kwargs,
+) -> ScenarioSweep:
+    """Run one scenario at every shard count × load multiplier.
+
+    ``shards`` overrides ``cluster.shards`` (default: the spec's own
+    count) and ``horizon_s`` the arrival horizon; every point is a fresh
+    :func:`run_scenario` with ``run_kwargs``, shard counts in the outer
+    loop. The same arrival trace (per multiplier) meets every shard
+    count.
+    """
+    spec = _as_compiled(scenario).spec
+    if horizon_s is not None:
+        spec = replace(
+            spec, arrivals=replace(spec.arrivals, horizon_s=horizon_s)
+        )
+    sweep = ScenarioSweep()
+    for shard_count in shards or (spec.cluster.shards,):
+        if shard_count < 1:
+            raise ValueError("need at least one shard")
+        point_spec = replace(
+            spec, cluster=replace(spec.cluster, shards=shard_count)
+        )
+        point_spec.validate()
+        compiled = compile_scenario(point_spec)
+        for multiplier in multipliers:
+            sweep.points.append(
+                run_scenario(compiled, multiplier=multiplier, **run_kwargs)
+            )
+    return sweep
+
+
 def _build_service(
     compiled: CompiledScenario,
     clock,
@@ -372,7 +467,7 @@ def _result(
             degraded=whole["degraded"],
             shed=whole["shed_final"],
             failed=whole["failed"],
-            conflict_retries=0,
+            conflict_retries=whole["conflict_retries"],
             shed_rate=whole["derived"]["shed_rate"],
             p50_total_ms=latency.get("p50", 0.0),
             p99_total_ms=latency.get("p99", 0.0),
@@ -393,6 +488,16 @@ def _result(
             p99_total_ms=metrics.stage("total_ms").percentile(99),
         )
     recovered = recovery.metrics if recovery is not None else None
+    metrics_json = target.metrics.to_json(extra=extra)
+    # Read after the export: reading a counter registers it.
+    if isinstance(target, DomainCluster):
+        control = target.registry
+    else:
+        control = recovered.registry if recovered else None
+    for name in ("forecasts", "actuations", "reverts", "rebalanced"):
+        counts[f"control_{name}"] = (
+            control.counter(f"control.{name}").value if control else 0
+        )
     return ScenarioRunResult(
         scenario=spec.name,
         seed=spec.seed,
@@ -411,7 +516,7 @@ def _result(
         recovery_failures=(
             recovered.count("recovery_failures") if recovered else 0
         ),
-        metrics_json=target.metrics.to_json(extra=extra),
+        metrics_json=metrics_json,
         trace_ndjson=trace_ndjson,
         **counts,
     )
@@ -544,6 +649,8 @@ def run_crash_restart(
 __all__ = [
     "CrashRestartResult",
     "ScenarioRunResult",
+    "ScenarioSweep",
     "run_crash_restart",
     "run_scenario",
+    "run_sweep",
 ]

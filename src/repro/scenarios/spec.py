@@ -519,6 +519,12 @@ class ArrivalSpec:
     deadline_s: Optional[float] = 20.0
     #: workload name → integer weight; empty = every workload, weight 1.
     mix: Dict[str, int] = field(default_factory=dict)
+    #: Users the requests recycle (``user-{request_id % users}``); None
+    #: gives every request its own user.
+    users: Optional[int] = None
+    #: False seeds the trace with the scenario seed itself instead of the
+    #: derived ``arrivals`` stream (faults keep their derived stream).
+    derive_seed: bool = True
 
     @classmethod
     def from_dict(cls, data: object, path: str) -> "ArrivalSpec":
@@ -535,6 +541,8 @@ class ArrivalSpec:
                 "pareto_alpha": 1.8,
                 "deadline_s": 20.0,
                 "mix": {},
+                "users": None,
+                "derive_seed": True,
             },
         )
         if raw["arrival_process"] not in ARRIVAL_PROCESSES:
@@ -565,6 +573,18 @@ class ArrivalSpec:
                     f"{path}.mix.{workload}",
                     f"weights are positive integers, got {weight!r}",
                 )
+        users = raw["users"]
+        if users is not None and (
+            not isinstance(users, int) or isinstance(users, bool) or users < 1
+        ):
+            raise ScenarioValidationError(
+                f"{path}.users", f"must be a positive integer, got {users!r}"
+            )
+        if not isinstance(raw["derive_seed"], bool):
+            raise ScenarioValidationError(
+                f"{path}.derive_seed",
+                f"must be true or false, got {raw['derive_seed']!r}",
+            )
         return cls(
             rate_per_s=float(_required(raw["rate_per_s"], f"{path}.rate_per_s")),
             horizon_s=float(_required(raw["horizon_s"], f"{path}.horizon_s")),
@@ -577,6 +597,8 @@ class ArrivalSpec:
                 float(raw["deadline_s"]) if raw["deadline_s"] is not None else None
             ),
             mix={str(k): int(v) for k, v in mix.items()},
+            users=users,
+            derive_seed=raw["derive_seed"],
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -590,6 +612,8 @@ class ArrivalSpec:
             "pareto_alpha": self.pareto_alpha,
             "deadline_s": self.deadline_s,
             "mix": dict(self.mix),
+            "users": self.users,
+            "derive_seed": self.derive_seed,
         }
 
 
@@ -932,8 +956,8 @@ class ScenarioSpec:
     """One validated scenario document.
 
     A single ``seed`` reproduces the whole run: the compile pass derives
-    per-subsystem seeds from it (arrivals, faults, per-shard traces), so
-    two loads of the same document replay byte-identically.
+    per-subsystem seeds from it (arrivals, faults), so two loads of the
+    same document replay byte-identically.
     """
 
     name: str

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,28 @@ from repro.distribution.fit import CandidateDevice, DistributionEnvironment
 from repro.graph.service_graph import ServiceComponent, ServiceEdge, ServiceGraph
 from repro.qos.vectors import QoSVector
 from repro.resources.vectors import ResourceVector
+from repro.scenarios import load_catalog_scenario, run_sweep
+
+
+def audio_lab_sweep(
+    multipliers,
+    shards=(1,),
+    seed: int = 42,
+    horizon_s: float = 300.0,
+    router: str = "hash",
+    **run_kwargs,
+):
+    """The ``audio_lab`` scenario at every shard count × load multiplier."""
+    lab = load_catalog_scenario("audio_lab")
+    lab = replace(lab, seed=seed, cluster=replace(lab.cluster, router=router))
+    return run_sweep(
+        lab, multipliers, shards=shards, horizon_s=horizon_s, **run_kwargs
+    )
+
+
+def audio_lab_point(shards: int, multiplier: float, **kwargs):
+    """One ``audio_lab`` scenario run at a shard count and load multiplier."""
+    return audio_lab_sweep((multiplier,), shards=(shards,), **kwargs).points[0]
 
 
 @pytest.fixture

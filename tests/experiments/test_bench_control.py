@@ -10,7 +10,7 @@ from repro.experiments.bench_control import (
     verify_payload,
 )
 from repro.experiments.chaos_sweep import run_chaos_once
-from repro.experiments.cluster_sweep import run_cluster_once
+from tests.conftest import audio_lab_point
 
 HORIZON_S = 120.0
 
@@ -137,7 +137,7 @@ class TestControlledReplayDeterminism:
 
     @pytest.fixture(scope="class")
     def controlled_point(self):
-        return run_cluster_once(
+        return audio_lab_point(
             2,
             10.0,
             seed=42,
@@ -150,7 +150,7 @@ class TestControlledReplayDeterminism:
     def test_controlled_cluster_replay_is_byte_identical(
         self, controlled_point
     ):
-        replay = run_cluster_once(
+        replay = audio_lab_point(
             2,
             10.0,
             seed=42,

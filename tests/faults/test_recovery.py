@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.apps.audio_on_demand import audio_request, build_audio_testbed
+from repro.apps.audio_on_demand import (
+    audio_degradation_ladder,
+    audio_request,
+    build_audio_testbed,
+)
 from repro.events.types import Topics
-from repro.experiments.server_sweep import audio_degradation_ladder
 from repro.faults.detector import FailureDetector
 from repro.faults.injector import FaultInjector
 from repro.faults.metrics import RecoveryMetrics

@@ -9,8 +9,11 @@ import time
 
 import pytest
 
-from repro.apps.audio_on_demand import audio_request, build_audio_testbed
-from repro.experiments.server_sweep import audio_degradation_ladder
+from repro.apps.audio_on_demand import (
+    audio_degradation_ladder,
+    audio_request,
+    build_audio_testbed,
+)
 from repro.faults.detector import FailureDetector
 from repro.faults.injector import FaultInjector
 from repro.faults.metrics import RecoveryMetrics

@@ -4,10 +4,10 @@ import json
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.experiments.chaos_sweep import run_chaos_once
-from repro.experiments.server_sweep import run_server_once
 from repro.observability.report import TraceReport
 from repro.observability.tracing import Tracer, activated
 from repro.server.ledger import ReservationLedger
+from tests.conftest import audio_lab_point
 
 
 def configure_trace() -> str:
@@ -112,11 +112,11 @@ class TestSimTraceDeterminism:
 
     def test_server_sweep_trace_roots_and_determinism(self):
         kwargs = dict(seed=42, horizon_s=60.0, trace=True)
-        first = run_server_once(1.0, **kwargs)
-        second = run_server_once(1.0, **kwargs)
+        first = audio_lab_point(1, 1.0, **kwargs)
+        second = audio_lab_point(1, 1.0, **kwargs)
         assert first.trace_ndjson == second.trace_ndjson
         report = TraceReport.from_ndjson(first.trace_ndjson)
-        assert [root.name for root in report.roots] == ["run.server_sweep"]
+        assert [root.name for root in report.roots] == ["run.scenario"]
         names = {span.name for span in report.spans}
         assert "server.batch" in names
         assert "admission.walk" in names

@@ -1,5 +1,7 @@
 """Lowering: seeds, testbeds, traces, fault schedules, factories."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scenarios import (
@@ -8,6 +10,11 @@ from repro.scenarios import (
     derive_seed,
     load_catalog_scenario,
 )
+from repro.workloads.arrivals import arrival_trace
+
+
+def with_arrivals(spec, **changes):
+    return replace(spec, arrivals=replace(spec.arrivals, **changes))
 
 
 class TestDeriveSeed:
@@ -56,6 +63,43 @@ class TestCompileMinimal:
         assert request.request_id == f"req-{events[0].request_id}"
         assert request.workload == "watch"
         assert request.composition.client_device_id == "kiosk"
+
+    def test_users_rotate_user_ids(self, spec):
+        compiled = compile_scenario(with_arrivals(spec, users=3))
+        to_request = compiled.request_factory(compiled.build_testbed())
+        events = list(compiled.arrival_trace(multiplier=4.0))
+        assert len(events) > 3
+        assert [to_request(e).user_id for e in events] == [
+            f"user-{e.request_id % 3}" for e in events
+        ]
+
+    def test_without_users_each_request_is_its_own_user(self, spec):
+        compiled = compile_scenario(spec)
+        to_request = compiled.request_factory(compiled.build_testbed())
+        for event in compiled.arrival_trace(multiplier=4.0):
+            assert to_request(event).user_id == f"user-{event.request_id}"
+
+    def test_direct_seeding_uses_the_scenario_seed(self, spec):
+        direct = with_arrivals(spec, derive_seed=False)
+        trace = compile_scenario(direct).arrival_trace()
+        expected = arrival_trace(
+            seed=spec.seed,
+            rate_per_s=spec.arrivals.rate_per_s,
+            horizon_s=spec.arrivals.horizon_s,
+            mean_duration_s=spec.arrivals.mean_duration_s,
+            duration_bounds_s=tuple(spec.arrivals.duration_bounds_s),
+        )
+        assert [e.arrival_s for e in trace] == [e.arrival_s for e in expected]
+        derived = compile_scenario(spec).arrival_trace()
+        assert [e.arrival_s for e in trace] != [e.arrival_s for e in derived]
+
+    def test_seed_override_changes_a_directly_seeded_trace(self, spec):
+        direct = with_arrivals(spec, derive_seed=False)
+        first = compile_scenario(direct).arrival_trace(multiplier=4.0)
+        second = compile_scenario(replace(direct, seed=99)).arrival_trace(
+            multiplier=4.0
+        )
+        assert [e.arrival_s for e in first] != [e.arrival_s for e in second]
 
     def test_no_faults_means_no_schedule(self, spec):
         assert compile_scenario(spec).fault_schedule() is None

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.scenarios import (
+    ScenarioValidationError,
     catalog_scenarios,
     compile_scenario,
     load_catalog_scenario,
     run_scenario,
+    run_sweep,
 )
 from repro.store import InMemoryRecordStore, SqliteRecordStore
 
@@ -126,10 +128,63 @@ class TestDrivers:
         assert result.router == "least-loaded"
         assert result.submitted > 0
 
+    def test_cluster_reports_its_conflict_retries(self):
+        spec = load_catalog_scenario("stadium_surge")
+        result = run_scenario(spec, batched=True, multiplier=4.0)
+        whole = json.loads(result.metrics_json)["cluster"]
+        assert result.conflict_retries == whole["conflict_retries"] > 0
+
     def test_faulted_scenario_injects(self):
         result = run_scenario(load_catalog_scenario("vehicular_corridor"))
         assert result.faulted
         assert result.faults_injected > 0
+
+
+class TestSweep:
+    def test_points_cover_shards_by_multipliers(self, spec):
+        sweep = run_sweep(spec, (1.0, 2.0), shards=(1, 2))
+        assert [(p.shards, p.multiplier) for p in sweep.points] == [
+            (1, 1.0),
+            (1, 2.0),
+            (2, 1.0),
+            (2, 2.0),
+        ]
+        assert sweep.point(2.0, 2) is sweep.points[3]
+        with pytest.raises(KeyError):
+            sweep.point(3.0)
+        payload = json.loads(sweep.to_json())
+        assert [p["shards"] for p in payload["points"]] == [1, 1, 2, 2]
+        assert "shards" in sweep.format_table()
+
+    def test_one_point_is_one_scenario_run(self, spec):
+        (point,) = run_sweep(spec, (1.0,)).points
+        assert point.to_json() == run_scenario(spec).to_json()
+
+    def test_horizon_override(self, spec):
+        (point,) = run_sweep(spec, (1.0,), horizon_s=30.0).points
+        assert point.horizon_s == 30.0
+        assert point.submitted < run_scenario(spec).submitted
+
+    def test_same_trace_meets_every_shard_count(self):
+        spec = load_catalog_scenario("audio_lab")
+        one, two = run_sweep(spec, (6.0,), shards=(1, 2), horizon_s=60.0).points
+        assert one.submitted == two.submitted
+
+    def test_trace_concatenates_points(self, spec):
+        sweep = run_sweep(spec, (1.0, 2.0), trace=True)
+        assert sweep.trace_ndjson() == "".join(
+            p.trace_ndjson for p in sweep.points
+        )
+        assert sweep.trace_ndjson().count('"name":"run.scenario"') == 2
+
+    def test_faulted_scenario_rejects_shards(self):
+        spec = load_catalog_scenario("vehicular_corridor")
+        with pytest.raises(ScenarioValidationError, match="single-shard"):
+            run_sweep(spec, (1.0,), shards=(2,))
+
+    def test_zero_shards_rejected(self, spec):
+        with pytest.raises(ValueError, match="at least one shard"):
+            run_sweep(spec, (1.0,), shards=(0,))
 
 
 class TestErrors:

@@ -142,6 +142,37 @@ class TestValidation:
             ScenarioSpec.from_dict(spec_dict)
 
 
+class TestArrivalUsersAndSeeding:
+    def test_defaults(self, spec):
+        assert spec.arrivals.users is None
+        assert spec.arrivals.derive_seed is True
+
+    def test_round_trip(self, spec_dict):
+        spec_dict["arrivals"].update(users=7, derive_seed=False)
+        spec = ScenarioSpec.from_dict(spec_dict)
+        assert spec.arrivals.users == 7
+        assert spec.arrivals.derive_seed is False
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("users", [0, -3, 2.5, "many", True])
+    def test_users_must_be_a_positive_integer(self, spec_dict, users):
+        spec_dict["arrivals"]["users"] = users
+        with pytest.raises(
+            ScenarioValidationError, match="positive integer"
+        ) as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "arrivals.users"
+
+    @pytest.mark.parametrize("flag", ["no", 0, None])
+    def test_derive_seed_must_be_a_boolean(self, spec_dict, flag):
+        spec_dict["arrivals"]["derive_seed"] = flag
+        with pytest.raises(
+            ScenarioValidationError, match="true or false"
+        ) as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "arrivals.derive_seed"
+
+
 class TestRoundTrip:
     def test_minimal_round_trip(self, spec):
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
@@ -162,8 +193,9 @@ class TestRoundTrip:
 
 
 class TestLoading:
-    def test_catalog_has_the_five_scenarios(self):
+    def test_catalog_has_the_six_scenarios(self):
         assert catalog_scenarios() == [
+            "audio_lab",
             "conference_mesh",
             "gallery_profiles",
             "smart_home_evening",

@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.apps.audio_on_demand import (
+    audio_degradation_ladder as audio_ladder,  # noqa: F401 (re-exported)
+)
 from repro.domain.device import Device, DeviceClass
 from repro.domain.space import SmartSpace
 from repro.graph.cuts import Assignment
 from repro.graph.service_graph import ServiceComponent, ServiceEdge, ServiceGraph
 from repro.network.links import LinkClass
-from repro.qos.vectors import QoSVector
 from repro.resources.vectors import ResourceVector
-from repro.runtime.degradation import DegradationLadder, QoSLevel
 from repro.server.ledger import ReservationLedger
 
 
@@ -58,18 +59,3 @@ def pair_server():
 @pytest.fixture
 def ledger(pair_server):
     return ReservationLedger(pair_server)
-
-
-def audio_ladder() -> DegradationLadder:
-    """Three demand levels over the same user QoS.
-
-    The levels keep the composable QoS range and only scale resource
-    demand, so a degraded admission always composes but needs less
-    capacity — the shape the server sweep's graceful-overload story uses.
-    """
-    qos = QoSVector(frame_rate=(20.0, 48.0))
-    return DegradationLadder.of(
-        QoSLevel(label="full", user_qos=qos, demand_scale=1.0),
-        QoSLevel(label="reduced", user_qos=qos, demand_scale=0.7),
-        QoSLevel(label="economy", user_qos=qos, demand_scale=0.45),
-    )

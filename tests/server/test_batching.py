@@ -22,6 +22,7 @@ from repro.server.service import (
     ServerRequest,
 )
 
+from tests.conftest import audio_lab_point
 from tests.server.conftest import audio_ladder
 
 
@@ -156,38 +157,20 @@ class TestBatchedAdmission:
 
 class TestBatchedDeterminism:
     def test_batched_sim_replay_is_byte_identical(self):
-        from repro.experiments.cluster_sweep import run_cluster_once
-
-        first = run_cluster_once(
-            2,
-            2.0,
-            seed=11,
-            horizon_s=60.0,
-            batched=True,
-            batch=BatchPolicy(max_batch_size=4, max_linger_s=0.2),
-            trace=True,
+        first = audio_lab_point(
+            2, 2.0, seed=11, horizon_s=60.0, batched=True, trace=True
         )
-        second = run_cluster_once(
-            2,
-            2.0,
-            seed=11,
-            horizon_s=60.0,
-            batched=True,
-            batch=BatchPolicy(max_batch_size=4, max_linger_s=0.2),
-            trace=True,
+        second = audio_lab_point(
+            2, 2.0, seed=11, horizon_s=60.0, batched=True, trace=True
         )
         assert first.metrics_json == second.metrics_json
         assert first.trace_ndjson == second.trace_ndjson
         assert first.trace_ndjson.count("server.batch") > 0
 
     def test_batched_sim_admits_under_light_load(self):
-        from repro.experiments.cluster_sweep import run_cluster_once
-
-        point = run_cluster_once(
-            1, 1.0, seed=3, horizon_s=60.0, batched=True
-        )
+        point = audio_lab_point(1, 1.0, seed=3, horizon_s=60.0, batched=True)
         assert point.admitted > 0
-        assert point.submitted == point.admitted + point.shed_final + point.failed
+        assert point.submitted == point.admitted + point.shed + point.failed
 
 
 class TestBatchedThreadStress:

@@ -4,22 +4,22 @@ import json
 
 import pytest
 
-from repro.apps.audio_on_demand import audio_request, build_audio_testbed
-from repro.experiments.server_sweep import (
+from repro.apps.audio_on_demand import (
     audio_degradation_ladder,
-    run_server_once,
-    run_server_sweep,
+    audio_request,
+    build_audio_testbed,
 )
 from repro.server.drivers import SimulatedServerDriver
 from repro.server.service import DomainConfigurationService, ServerRequest
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import arrival_trace
+from tests.conftest import audio_lab_point, audio_lab_sweep
 
 
 def replay(seed: int = 9, multiplier: float = 1.5) -> str:
     """One full trace replay; returns the metrics JSON."""
-    return run_server_once(
-        multiplier, seed=seed, horizon_s=180.0
+    return audio_lab_point(
+        1, multiplier, seed=seed, horizon_s=180.0
     ).metrics_json
 
 
@@ -33,8 +33,8 @@ class TestDeterminism:
     def test_sweep_json_deterministic(self):
         kwargs = dict(multipliers=(1.0, 2.0), seed=5, horizon_s=120.0)
         assert (
-            run_server_sweep(**kwargs).to_json()
-            == run_server_sweep(**kwargs).to_json()
+            audio_lab_sweep(**kwargs).to_json()
+            == audio_lab_sweep(**kwargs).to_json()
         )
 
     def test_queue_wait_measured_in_logical_time(self):
@@ -69,7 +69,7 @@ class TestDeterminism:
 
 class TestGracefulOverload:
     def test_two_x_saturating_load_degrades_not_raises(self):
-        point = run_server_once(2.0, seed=42, horizon_s=300.0)
+        point = audio_lab_point(1, 2.0, seed=42, horizon_s=300.0)
         assert point.submitted > 0
         # Every request got a disposition; nothing vanished or raised.
         assert (
@@ -84,7 +84,7 @@ class TestGracefulOverload:
         assert "shed_rate" in payload["derived"]
 
     def test_throughput_saturates_as_load_grows(self):
-        sweep = run_server_sweep(
+        sweep = audio_lab_sweep(
             multipliers=(0.5, 2.0, 5.0), seed=42, horizon_s=300.0
         )
         low, mid, high = sweep.points
@@ -95,7 +95,7 @@ class TestGracefulOverload:
         assert high.shed_rate > 0.2
 
     def test_sweep_json_records_throughput_and_shed_per_multiplier(self):
-        sweep = run_server_sweep(
+        sweep = audio_lab_sweep(
             multipliers=(1.0, 2.0), seed=7, horizon_s=120.0
         )
         payload = json.loads(sweep.to_json())
@@ -139,4 +139,4 @@ class TestGracefulOverload:
 
     def test_invalid_multiplier_rejected(self):
         with pytest.raises(ValueError):
-            run_server_once(0.0)
+            audio_lab_point(1, 0.0)

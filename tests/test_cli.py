@@ -86,11 +86,12 @@ class TestCommands:
         assert (
             main(
                 [
-                    "cluster-sweep",
+                    "scenario",
+                    "audio_lab",
                     "--shards",
                     "1",
                     "2",
-                    "--multipliers",
+                    "--multiplier",
                     "2.0",
                     "--horizon",
                     "60",
@@ -103,29 +104,32 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "Sharded cluster under offered-load multipliers" in out
-        assert f"cluster metrics JSON written to {json_path}" in out
-        assert json_path.read_text().strip()
-        assert "run.cluster_sweep" in trace_path.read_text()
+        assert "Scenario 'audio_lab'" in out and "shards" in out
+        assert f"scenario JSON written to {json_path}" in out
+        payload = json.loads(json_path.read_text())
+        assert [p["shards"] for p in payload["points"]] == [1, 2]
+        assert "run.scenario" in trace_path.read_text()
 
     def test_cluster_sweep_thread_driver(self, capsys):
+        # The thread run raises when a ledger audits dirty or the pools
+        # do not drain.
         assert (
             main(
                 [
-                    "cluster-sweep",
+                    "scenario",
+                    "audio_lab",
                     "--driver",
                     "thread",
                     "--shards",
                     "1",
-                    "--requests",
-                    "24",
+                    "--horizon",
+                    "60",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "1 shard(s):" in out
-        assert "audit=clean" in out
+        assert "driver thread" in out
 
     def test_federation_sweep_json_and_trace(self, capsys, tmp_path):
         json_path = tmp_path / "federation.json"
@@ -180,8 +184,9 @@ class TestCommands:
         assert (
             main(
                 [
-                    "server-sweep",
-                    "--multipliers",
+                    "scenario",
+                    "audio_lab",
+                    "--multiplier",
                     "1.0",
                     "--horizon",
                     "45",
@@ -192,23 +197,18 @@ class TestCommands:
             == 0
         )
         capsys.readouterr()
-        assert "run.server_sweep" in trace_path.read_text()
+        assert "run.scenario" in trace_path.read_text()
+
+    def test_sweep_commands_are_gone(self, capsys):
+        for command in ("server-sweep", "cluster-sweep"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
+        capsys.readouterr()
 
 
 class TestSharedSweepOptions:
-    def test_batch_linger_flag(self):
-        args = build_parser().parse_args(
-            ["cluster-sweep", "--batched", "--batch-linger", "0.5"]
-        )
-        assert args.batch_linger == 0.5
-
     def test_sweeps_share_defaults(self):
-        for command in (
-            "server-sweep",
-            "cluster-sweep",
-            "chaos-sweep",
-            "federation-sweep",
-        ):
+        for command in ("chaos-sweep", "federation-sweep"):
             args = build_parser().parse_args([command])
             assert args.seed == 42
             assert args.horizon == 300.0
@@ -222,6 +222,7 @@ class TestScenarioCommand:
         out = capsys.readouterr().out
         assert "built-in scenarios:" in out
         for name in (
+            "audio_lab",
             "conference_mesh",
             "smart_home_evening",
             "stadium_surge",
@@ -280,6 +281,59 @@ class TestScenarioCommand:
         assert "ledger balanced" in out
         payload = json.loads(json_path.read_text())
         assert payload["balanced"] is True
+
+    def test_sweep_axes_parse(self):
+        args = build_parser().parse_args(
+            [
+                "scenario",
+                "audio_lab",
+                "--multiplier",
+                "2",
+                "6",
+                "--shards",
+                "1",
+                "2",
+                "--horizon",
+                "180",
+            ]
+        )
+        assert args.multiplier == [2.0, 6.0]
+        assert args.shards == [1, 2]
+        assert args.horizon == 180.0
+        defaults = build_parser().parse_args(["scenario", "audio_lab"])
+        assert defaults.multiplier == [1.0]
+        assert defaults.shards is None and defaults.horizon is None
+
+    def test_crash_restart_runs_one_point(self):
+        with pytest.raises(SystemExit, match="one point"):
+            main(["scenario", "conference_mesh", "--crash-restart", "--shards", "2"])
+
+    def test_seed_override_changes_the_lab_trace(self, capsys, tmp_path):
+        traces = []
+        for seed in ("42", "7"):
+            path = tmp_path / f"lab-{seed}.ndjson"
+            assert (
+                main(
+                    [
+                        "scenario",
+                        "audio_lab",
+                        "--horizon",
+                        "60",
+                        "--seed",
+                        seed,
+                        "--trace",
+                        str(path),
+                    ]
+                )
+                == 0
+            )
+            spans = [json.loads(line) for line in path.read_text().splitlines()]
+            traces.append(
+                [s["start_s"] for s in spans if s["name"] == "server.serve"]
+            )
+        capsys.readouterr()
+        assert traces[0] and traces[1]
+        assert traces[0] != traces[1]
 
     def test_unknown_scenario_errors(self):
         with pytest.raises(KeyError, match="unknown scenario"):
