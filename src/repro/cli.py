@@ -32,6 +32,7 @@ The sweep flags above are declared once in
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -266,7 +267,36 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
     write_artifacts(args, result, json_label="scenario")
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_self_gating(args: argparse.Namespace) -> None:
+    """Exit when a bench would write its output over the baseline it reads.
+
+    Each artifact is written before its baseline is loaded, so such a run
+    would be compared with itself and always pass.
+    """
+    pairs = (
+        ("--serving-json", args.serving_json, "--baseline", args.baseline),
+        ("--control-json", args.control_json,
+         "--control-baseline", args.control_baseline),
+        ("--pareto-json", args.pareto_json,
+         "--pareto-baseline", args.pareto_baseline),
+    )
+    for output_flag, output, baseline_flag, baseline in pairs:
+        if baseline is not None and _same_file(output, baseline):
+            raise SystemExit(
+                f"bench: {output_flag} and {baseline_flag} are the same file "
+                f"({baseline}); the run would be gated against itself. "
+                f"Write {output_flag} elsewhere."
+            )
+
+
 def _cmd_bench(args: argparse.Namespace) -> None:
+    _refuse_self_gating(args)
     serving = run_serving_bench(quick=args.quick)
     print(serving.format_table())
     with open(args.serving_json, "w", encoding="utf-8") as handle:

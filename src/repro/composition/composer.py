@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -99,10 +98,13 @@ class ServiceComposer:
     detected during runtime" — it is stateless across calls except for the
     decomposition registry and correction policy it is configured with,
     plus a composition cache: composition is deterministic given the
-    request and the registry contents, so identical requests against an
+    request and the registry contents, so equal requests against an
     unchanged registry (the common case in a load sweep, where many
     sessions open the same application) reuse the previous result instead
-    of re-running discovery and the OC algorithm.
+    of re-running discovery and the OC algorithm. The cache keys on the
+    abstract graph's :attr:`~AbstractServiceGraph.structure_key`, not on
+    the graph object: request builders make a fresh graph per request, and
+    every request of one class shares an entry.
 
     ``cache_size`` bounds the LRU composition cache (0 disables it). The
     cache is bypassed when a profiler is attached — measured estimates may
@@ -131,7 +133,7 @@ class ServiceComposer:
         # vector, so distribution plans with observed demand.
         self.profiler = profiler
         self.cache_size = cache_size
-        self._cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._cache: "OrderedDict[tuple, CompositionResult]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -144,23 +146,17 @@ class ServiceComposer:
         ) as span:
             key = self._cache_key(request)
             if key is not None:
-                entry = self._cache.get(key)
-                if entry is not None:
-                    graph_ref, cached = entry
-                    # The key contains id(abstract_graph); confirm the weakly
-                    # referenced graph is still that exact object, so a recycled
-                    # id can never resurrect a dead graph's composition.
-                    if graph_ref() is request.abstract_graph:
-                        self._cache.move_to_end(key)
-                        self.cache_hits += 1
-                        span.set("cache_hit", True).set("success", cached.success)
-                        return _clone_result(cached)
-                    del self._cache[key]
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._cache.move_to_end(key)
+                    self.cache_hits += 1
+                    span.set("cache_hit", True).set("success", cached.success)
+                    return _clone_result(cached)
                 self.cache_misses += 1
             result = self._compose_uncached(request)
             span.set("cache_hit", False).set("success", result.success)
             if key is not None:
-                self._cache[key] = (weakref.ref(request.abstract_graph), _clone_result(result))
+                self._cache[key] = _clone_result(result)
                 if len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
             return result
@@ -175,8 +171,7 @@ class ServiceComposer:
             # invalidated safely; always compose cold.
             return None
         return (
-            id(request.abstract_graph),
-            request.abstract_graph.version,
+            request.abstract_graph.structure_key,
             request.user_qos,
             request.client_device_id,
             request.client_device_class,

@@ -77,6 +77,16 @@ class AbstractComponentSpec:
             raise ValueError("spec_id must be non-empty")
         if not self.service_type:
             raise ValueError("service_type must be non-empty")
+        # Specs are hashed into their graph's structure key, so unhashable
+        # attributes (a list of pairs, say) become a tuple of pairs.
+        try:
+            hash(self.attributes)
+        except TypeError:
+            object.__setattr__(
+                self,
+                "attributes",
+                tuple((key, value) for key, value in self.attributes),
+            )
 
     def attribute(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Look up a desired attribute by name."""
@@ -86,6 +96,34 @@ class AbstractComponentSpec:
         return default
 
 
+class StructureKey:
+    """A hashable value key for an abstract graph's structure.
+
+    Equal structures give equal keys whatever graph objects they came
+    from. The hash is computed once: a plain tuple would re-hash every
+    spec (and each spec's QoS vectors) on every dictionary lookup.
+    """
+
+    __slots__ = ("_value", "_hash")
+
+    def __init__(self, value: tuple) -> None:
+        self._value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, StructureKey):
+            return NotImplemented
+        return self._hash == other._hash and self._value == other._value
+
+    def __repr__(self) -> str:
+        return f"StructureKey({self._value!r})"
+
+
 class AbstractServiceGraph:
     """A DAG of abstract component specs with estimated edge throughputs.
 
@@ -93,6 +131,11 @@ class AbstractServiceGraph:
     specs, edges carry the developer's throughput estimate for the stream
     between the two services (refined later from the discovered instances).
     """
+
+    # The memoized structure key and the (version, name) it was built at.
+    # Class-level defaults: a graph whose key is never read pays nothing.
+    _structure_key: Optional[StructureKey] = None
+    _structure_key_stamp: Tuple[int, str] = (-1, "")
 
     def __init__(
         self,
@@ -113,11 +156,32 @@ class AbstractServiceGraph:
     def version(self) -> int:
         """Change counter: increases when a spec or edge is added.
 
-        Together with the graph's identity this keys the composer's
-        composition cache (specs and edges are immutable dataclasses, so
-        structural additions are the only possible mutations).
+        Specs and edges are immutable dataclasses, so structural additions
+        are the only possible mutations; the counter tells
+        :attr:`structure_key` when to rebuild.
         """
         return self._version
+
+    @property
+    def structure_key(self) -> StructureKey:
+        """The graph's structure as a value: name, specs and edges in order.
+
+        Two graphs with equal keys compose identically, so the composer's
+        cache and the admission front cache key on this, not on the graph
+        object. Built at first use and rebuilt only after the graph grows
+        (or is renamed).
+        """
+        stamp = (self._version, self.name)
+        if self._structure_key is None or stamp != self._structure_key_stamp:
+            self._structure_key = StructureKey(
+                (
+                    self.name,
+                    tuple(self._specs.values()),
+                    tuple(self._edges.values()),
+                )
+            )
+            self._structure_key_stamp = stamp
+        return self._structure_key
 
     def add_spec(self, spec: AbstractComponentSpec) -> None:
         """Add an abstract service spec; raises on duplicate ids."""

@@ -346,7 +346,13 @@ class CompiledScenario:
     # -- per-request factories ----------------------------------------
 
     def abstract_graph(self, workload_name: str) -> AbstractServiceGraph:
-        """A fresh abstract service graph for one workload (never shared)."""
+        """A fresh abstract service graph for one workload.
+
+        Never shared: abstract graphs are mutable (``add_spec``), and one
+        caller's growth must not change another caller's request. Caches
+        still share work across requests, because they key on the graph's
+        :attr:`~repro.graph.abstract.AbstractServiceGraph.structure_key`.
+        """
         workload = self.spec.workloads[workload_name]
         graph = AbstractServiceGraph(
             name=f"{self.spec.name}/{workload_name}"

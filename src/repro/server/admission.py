@@ -163,12 +163,12 @@ class FrontCache:
     """Per-domain cache of measured ladder-level objective points.
 
     One entry per request class — keyed on the class's abstract graph
-    name/version and user QoS — holding the per-level
+    structure key and user QoS — holding the per-level
     :class:`~repro.distribution.pareto.ParetoPoint` list produced by
     probing every ladder level once. Each entry is stamped with the
     registry version it was measured against; a stale stamp invalidates
-    the entry on lookup (the existing registry/graph version counters
-    are the only invalidation signal — ledger churn does *not* evict,
+    the entry on lookup (the registry version is the only invalidation
+    signal; a grown graph has a new key — ledger churn does *not* evict,
     because the walk re-validates feasibility per attempt anyway). LRU
     bounded by ``max_entries``.
     """
@@ -300,16 +300,13 @@ class AdmissionController:
     def _class_key(request: CompositionRequest) -> tuple:
         """Identity of a request class, shared across its clients.
 
-        The abstract graph's name and version plus the user QoS: clients
-        of one workload class share the front (their pins shift the
-        measured points only marginally, and the walk re-validates
-        feasibility per request anyway).
+        The abstract graph's structure key (the composer's cache key on the
+        graph) plus the user QoS: clients of one workload class share the
+        front (their pins shift the measured points only marginally, and
+        the walk re-validates feasibility per request anyway), while two
+        graphs that share a name but differ in a spec or an edge do not.
         """
-        return (
-            request.abstract_graph.name,
-            request.abstract_graph.version,
-            request.user_qos,
-        )
+        return (request.abstract_graph.structure_key, request.user_qos)
 
     def _probe_points(
         self, request: CompositionRequest

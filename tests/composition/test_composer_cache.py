@@ -150,14 +150,69 @@ class TestCacheInvalidation:
         assert composer.cache_hits == 0
         assert composer.cache_misses == 3
 
-    def test_equal_fresh_graph_object_does_not_hit_stale_entry(self, composer):
-        request_a = CompositionRequest(simple_abstract(), client_device_id="pda1")
-        composer.compose(request_a)
-        # A different (if identical-looking) graph object is a different key.
-        request_b = CompositionRequest(simple_abstract(), client_device_id="pda1")
-        result = composer.compose(request_b)
-        assert result.success
+
+
+class TestStructuralKey:
+    """The cache keys on the abstract graph's structure, not its identity."""
+
+    def test_equal_fresh_graph_hits_isolated_copy(self, composer):
+        first = composer.compose(
+            CompositionRequest(simple_abstract(), client_device_id="pda1")
+        )
+        # Request builders make a fresh graph per request; equal structure
+        # is the same request class.
+        second = composer.compose(
+            CompositionRequest(simple_abstract(), client_device_id="pda1")
+        )
+        assert composer.cache_hits == 1
+        assert composer.cache_misses == 1
+        assert second.success and first.success
+        assert second.graph is not first.graph
+        assert [c.component_id for c in second.graph] == [
+            c.component_id for c in first.graph
+        ]
+        second.graph.update_component(
+            template("media_server").renamed("server").with_pin("elsewhere")
+        )
+        third = composer.compose(
+            CompositionRequest(simple_abstract(), client_device_id="pda1")
+        )
+        assert third.graph.component("server").pinned_to == "serverbox"
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"throughput": 3.0},
+            {"player": {"attributes": (("codec", "wav"),)}},
+            {"player": {"optional": True}},
+            {"player": {"pin": PinConstraint(device_id="pda1")}},
+            {"player": {"required_output": QoSVector(frame_rate=(20.0, 30.0))}},
+        ],
+        ids=["edge-throughput", "attributes", "optional", "pin", "required-output"],
+    )
+    def test_same_name_and_size_with_one_difference_misses(self, composer, variant):
+        composer.compose(
+            CompositionRequest(simple_abstract(), client_device_id="pda1")
+        )
+        changed = AbstractServiceGraph(name="app")
+        changed.add_spec(AbstractComponentSpec("server", "media_server"))
+        player = {"pin": PinConstraint(role="client"), **variant.get("player", {})}
+        changed.add_spec(AbstractComponentSpec("player", "wav_player", **player))
+        changed.connect("server", "player", variant.get("throughput", 1.5))
+        assert len(changed) == len(simple_abstract())
+        composer.compose(CompositionRequest(changed, client_device_id="pda1"))
         assert composer.cache_hits == 0
+        assert composer.cache_misses == 2
+
+    def test_growth_after_memoizing_invalidates_the_key(self):
+        abstract = simple_abstract()
+        before = abstract.structure_key
+        assert abstract.structure_key is before
+        abstract.add_spec(
+            AbstractComponentSpec("extra", "media_server", optional=True)
+        )
+        assert abstract.structure_key != before
+        assert abstract.structure_key != simple_abstract().structure_key
 
 
 class TestCacheControls:

@@ -43,6 +43,13 @@ class TestSpec:
         assert spec.attribute("codec") == "mp3"
         assert spec.attribute("nope") is None
 
+    def test_list_attributes_become_hashable_pairs(self):
+        spec = AbstractComponentSpec("s", "x", attributes=[["codec", "mp3"]])
+        assert spec.attributes == (("codec", "mp3"),)
+        assert spec == AbstractComponentSpec("s", "x", attributes=(("codec", "mp3"),))
+        graph = AbstractServiceGraph(specs=[spec])
+        hash(graph.structure_key)
+
 
 class TestAbstractGraph:
     def build(self) -> AbstractServiceGraph:

@@ -6,13 +6,20 @@ replays), utility-profile-ordered ladder walks on the unbatched *and*
 batched paths, and the entry-offset clamp on both paths.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.apps.audio_on_demand import audio_request, build_audio_testbed
+from repro.apps.audio_on_demand import (
+    STREAM_MBPS,
+    audio_abstract_graph,
+    audio_request,
+    build_audio_testbed,
+)
 from repro.discovery.registry import ServiceDescription
 from repro.distribution.pareto import ParetoPoint, dominates
+from repro.graph.abstract import AbstractServiceGraph
 from repro.graph.service_graph import ServiceComponent
 from repro.resources.vectors import ResourceVector
 from repro.server.admission import FrontCache
@@ -145,6 +152,33 @@ class TestClassFronts:
         # And the fresh stamp serves hits again.
         service.admission.class_points(composition)
         assert cache.hits == 1
+
+    def test_same_named_graph_with_heavier_edge_is_its_own_class(self):
+        """A graph's name and size do not identify its class: structure does."""
+
+        def heavy_request(testbed):
+            light = audio_abstract_graph()
+            heavy = AbstractServiceGraph(name=light.name)
+            for spec in light.specs():
+                heavy.add_spec(spec)
+            for edge in light.edges():
+                heavy.connect(edge.source, edge.target, 4 * STREAM_MBPS)
+            return dataclasses.replace(
+                audio_request(testbed, "jornada"), abstract_graph=heavy
+            )
+
+        testbed = build_audio_testbed()
+        alone = make_service(testbed).admission.class_points(heavy_request(testbed))
+        # The jornada's wireless link cannot carry the heavy full-QoS stream.
+        assert alone[0] is None
+
+        testbed = build_audio_testbed()
+        service = make_service(testbed)
+        light = service.admission.class_points(audio_request(testbed, "jornada"))
+        assert light[0] is not None
+        after_light = service.admission.class_points(heavy_request(testbed))
+        assert after_light == alone
+        assert service.admission.front_cache.hits == 0
 
     def test_front_members_never_dominate_each_other(self):
         testbed = build_audio_testbed()

@@ -206,6 +206,55 @@ class TestCommands:
         capsys.readouterr()
 
 
+class TestBenchSelfGating:
+    """An output path that is also its baseline must stop the run up front."""
+
+    class CellRan(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_cells(self, monkeypatch, tmp_path):
+        def cell(**_kwargs):
+            raise self.CellRan()
+
+        monkeypatch.setattr("repro.cli.run_serving_bench", cell)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--baseline", "BENCH_serving.json"],
+            ["--control-baseline", "BENCH_control.json"],
+            ["--pareto-baseline", "./BENCH_pareto.json"],
+            ["--pareto-json", "out/p.json", "--pareto-baseline", "out/../out/p.json"],
+        ],
+        ids=["serving-default", "control-default", "pareto-default", "pareto-spelled"],
+    )
+    def test_same_path_exits_before_any_cell(self, argv):
+        with pytest.raises(SystemExit, match="gated against itself"):
+            main(["bench", "--quick", *argv])
+
+    def test_existing_file_through_a_symlink_exits(self, tmp_path):
+        (tmp_path / "BENCH_serving.json").write_text("{}")
+        (tmp_path / "link.json").symlink_to(tmp_path / "BENCH_serving.json")
+        with pytest.raises(SystemExit, match="gated against itself"):
+            main(["bench", "--quick", "--baseline", "link.json"])
+
+    def test_distinct_paths_reach_the_cells(self, tmp_path):
+        (tmp_path / "BENCH_serving.json").write_text("{}")
+        with pytest.raises(self.CellRan):
+            main(
+                [
+                    "bench",
+                    "--quick",
+                    "--serving-json",
+                    "new.json",
+                    "--baseline",
+                    "BENCH_serving.json",
+                ]
+            )
+
+
 class TestSharedSweepOptions:
     def test_sweeps_share_defaults(self):
         for command in ("chaos-sweep", "federation-sweep"):
