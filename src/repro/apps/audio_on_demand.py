@@ -68,8 +68,7 @@ class AudioTestbed:
     devices: Dict[str, Device]
 
 
-def audio_abstract_graph() -> AbstractServiceGraph:
-    """The developer's abstract description: server → player (client-pinned)."""
+def _build_audio_abstract_graph() -> AbstractServiceGraph:
     graph = AbstractServiceGraph(name="mobile-audio-on-demand")
     graph.add_spec(
         AbstractComponentSpec(
@@ -89,6 +88,18 @@ def audio_abstract_graph() -> AbstractServiceGraph:
     )
     graph.connect("audio-server", "audio-player", STREAM_MBPS)
     return graph
+
+
+_AUDIO_TEMPLATE = _build_audio_abstract_graph()
+
+
+def audio_abstract_graph() -> AbstractServiceGraph:
+    """The developer's abstract description: server → player (client-pinned).
+
+    Each call returns a fresh copy of one module-level template, so every
+    request of this class shares the template's structure key.
+    """
+    return _AUDIO_TEMPLATE.copy()
 
 
 def audio_request(testbed: AudioTestbed, client_device: str) -> CompositionRequest:

@@ -55,8 +55,7 @@ class ConferencingTestbed:
     devices: Dict[str, Device]
 
 
-def conferencing_abstract_graph() -> AbstractServiceGraph:
-    """Recorders → gateway → lipsync → players (a DAG, not a chain)."""
+def _build_conferencing_abstract_graph() -> AbstractServiceGraph:
     graph = AbstractServiceGraph(name="video-conferencing")
     graph.add_spec(
         AbstractComponentSpec(
@@ -93,6 +92,18 @@ def conferencing_abstract_graph() -> AbstractServiceGraph:
     graph.connect("lipsync", "video-player", VIDEO_MBPS)
     graph.connect("lipsync", "audio-player", AUDIO_MBPS)
     return graph
+
+
+_CONFERENCING_TEMPLATE = _build_conferencing_abstract_graph()
+
+
+def conferencing_abstract_graph() -> AbstractServiceGraph:
+    """Recorders → gateway → lipsync → players (a DAG, not a chain).
+
+    Each call returns a fresh copy of one module-level template, so every
+    request of this class shares the template's structure key.
+    """
+    return _CONFERENCING_TEMPLATE.copy()
 
 
 def conferencing_request(

@@ -156,7 +156,12 @@ class ServiceComposer:
             result = self._compose_uncached(request)
             span.set("cache_hit", False).set("success", result.success)
             if key is not None:
-                self._cache[key] = _clone_result(result)
+                entry = _clone_result(result)
+                if entry.graph is not None:
+                    # Every hit copies this graph; warm its memos once so
+                    # each copy inherits them.
+                    entry.graph.warm()
+                self._cache[key] = entry
                 if len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
             return result
@@ -283,9 +288,7 @@ class ServiceComposer:
         estimate = self.profiler.estimate(component.service_type)
         if estimate is None or not estimate.confident:
             return component
-        import dataclasses
-
-        return dataclasses.replace(component, resources=estimate.requirements)
+        return component.with_resources(estimate.requirements)
 
 
 def _clone_result(result: CompositionResult) -> CompositionResult:

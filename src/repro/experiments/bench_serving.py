@@ -24,6 +24,7 @@ committed baseline (:func:`compare_to_baseline`).
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
@@ -176,29 +177,40 @@ def _run_serving_cell(
         batch=BatchPolicy(max_batch_size=max_batch_size, max_linger_s=0.0),
     )
     rid = 0
-    start = time.perf_counter()
-    for _ in range(waves):
-        for _ in range(per_shard * shards):
-            client = CLIENT_CYCLE[rid % len(CLIENT_CYCLE)]
-            cluster.submit(
-                ServerRequest(
-                    request_id=f"req-{rid}",
-                    composition=audio_request(testbeds[0], client),
-                    user_id=f"user-{rid % 97}",
+    # Collect first and keep the cyclic collector off while the clock runs:
+    # a collection pause (tens of ms for the cell's heap) lands wherever an
+    # allocation count trips it, and would time the collector, not the
+    # batching under test.
+    gc.collect()
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(waves):
+            for _ in range(per_shard * shards):
+                client = CLIENT_CYCLE[rid % len(CLIENT_CYCLE)]
+                cluster.submit(
+                    ServerRequest(
+                        request_id=f"req-{rid}",
+                        composition=audio_request(testbeds[0], client),
+                        user_id=f"user-{rid % 97}",
+                    )
                 )
-            )
-            rid += 1
-        for shard in cluster.shards:
-            shard.drain()
-        for shard in cluster.shards:
-            for outcome in shard.outcomes():
-                if (
-                    outcome.admitted
-                    and outcome.session is not None
-                    and outcome.session.running
-                ):
-                    shard.stop_session(outcome)
-    elapsed = time.perf_counter() - start
+                rid += 1
+            for shard in cluster.shards:
+                shard.drain()
+            for shard in cluster.shards:
+                for outcome in shard.outcomes():
+                    if (
+                        outcome.admitted
+                        and outcome.session is not None
+                        and outcome.session.running
+                    ):
+                        shard.stop_session(outcome)
+        elapsed = time.perf_counter() - start
+    finally:
+        if collector_was_enabled:
+            gc.enable()
     audit_or_raise(cluster, "serving bench")
     snapshot = cluster.metrics.snapshot()["cluster"]
     totals: List[float] = []

@@ -138,7 +138,9 @@ class Figure5Result:
                 continue
             summary = ", ".join(
                 f"{cause}={count}"
-                for cause, count in sorted(causes.items(), key=lambda kv: -kv[1])
+                for cause, count in sorted(
+                    causes.items(), key=lambda kv: (-kv[1], kv[0])
+                )
             )
             lines.append(f"  {name}: {summary}")
         return "\n".join(lines)

@@ -183,6 +183,25 @@ class AbstractServiceGraph:
             self._structure_key_stamp = stamp
         return self._structure_key
 
+    def copy(self) -> "AbstractServiceGraph":
+        """Return an independent structural copy.
+
+        The copy gets fresh spec and edge dicts over the same frozen specs
+        and edges, and carries this graph's version and structure key (the
+        *same* key object), so cache lookups with copies of one template
+        take :class:`StructureKey`'s identity fast path. Growing the copy
+        bumps its own version and rebuilds its own key; this graph and its
+        other copies keep theirs.
+        """
+        clone = object.__new__(type(self))
+        clone.name = self.name
+        clone._specs = dict(self._specs)
+        clone._edges = dict(self._edges)
+        clone._version = self._version
+        clone._structure_key = self.structure_key
+        clone._structure_key_stamp = self._structure_key_stamp
+        return clone
+
     def add_spec(self, spec: AbstractComponentSpec) -> None:
         """Add an abstract service spec; raises on duplicate ids."""
         if spec.spec_id in self._specs:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -106,6 +107,18 @@ class ServiceComponent:
     def with_pin(self, device_id: Optional[str]) -> "ServiceComponent":
         """Return a copy pinned to (or released from) a device."""
         return dataclasses.replace(self, pinned_to=device_id)
+
+    def with_resources(self, resources: ResourceVector) -> "ServiceComponent":
+        """Return a copy with a replaced requirement vector ``R``.
+
+        A trusted copy: ``__post_init__`` never reads ``R``, so the field
+        is swapped without re-running ``dataclasses.replace`` and its
+        validation (this sits on every degraded plan's path).
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.__dict__["resources"] = resources
+        return clone
 
     def renamed(self, component_id: str) -> "ServiceComponent":
         """Return a copy with a different component id."""
@@ -328,8 +341,9 @@ class ServiceGraph:
     def successors(self, component_id: str) -> List[str]:
         """Return ids of direct successors, sorted for determinism.
 
-        The returned list is a memoized snapshot shared between calls —
-        treat it as read-only.
+        The returned list is a memoized snapshot shared between calls and
+        between structural copies (see :meth:`copy`) — treat it as
+        read-only.
         """
         if self._succ_cache is None:
             self._succ_cache = {
@@ -340,8 +354,9 @@ class ServiceGraph:
     def predecessors(self, component_id: str) -> List[str]:
         """Return ids of direct predecessors, sorted for determinism.
 
-        The returned list is a memoized snapshot shared between calls —
-        treat it as read-only.
+        The returned list is a memoized snapshot shared between calls and
+        between structural copies (see :meth:`copy`) — treat it as
+        read-only.
         """
         if self._pred_cache is None:
             self._pred_cache = {
@@ -444,13 +459,79 @@ class ServiceGraph:
         except CycleError as exc:
             raise GraphValidationError(str(exc)) from exc
 
+    def warm(self) -> None:
+        """Build the memoized adjacency and topological order now.
+
+        Copies inherit the memos, so warming a graph that is copied many
+        times (a composition-cache entry) computes them once for all.
+        """
+        if self._components:
+            first = next(iter(self._components))
+            self.successors(first)
+            self.predecessors(first)
+        self.is_dag()
+
     def copy(self, name: Optional[str] = None) -> "ServiceGraph":
-        """Return an independent shallow copy (components are immutable)."""
-        return ServiceGraph(
-            components=self._components.values(),
-            edges=self._edges.values(),
-            name=self.name if name is None else name,
-        )
+        """Return an independent structural copy (components are immutable).
+
+        The copy shares the component and edge objects and copies only the
+        mutable containers. It inherits the memoized topological order and
+        adjacency as they are: :meth:`successors`/:meth:`predecessors`
+        lists are read-only, :meth:`topological_order` hands out copies,
+        and a structural mutation drops a graph's memos rather than editing
+        them, so neither graph can change what the other sees. The copy's
+        :attr:`version` is what rebuilding it edge by edge would give.
+        """
+        clone = self.map_payloads()
+        if name is not None:
+            clone.name = name
+        return clone
+
+    def map_payloads(
+        self,
+        component: Optional[Callable[[ServiceComponent], ServiceComponent]] = None,
+        edge: Optional[Callable[[ServiceEdge], ServiceEdge]] = None,
+    ) -> "ServiceGraph":
+        """Return a structural copy whose payloads pass through the maps.
+
+        Like :meth:`copy`, but each component (each edge) is replaced by
+        ``component(c)`` (``edge(e)``). The maps may change payloads only:
+        a mapped component keeps its id and a mapped edge its endpoints,
+        because the copy inherits this graph's structure instead of
+        rebuilding it.
+        """
+        if component is None:
+            components = dict(self._components)
+        else:
+            components = {
+                cid: component(original)
+                for cid, original in self._components.items()
+            }
+            for cid, mapped in components.items():
+                if mapped.component_id != cid:
+                    raise GraphValidationError(
+                        f"payload map renamed {cid!r} to {mapped.component_id!r}"
+                    )
+        if edge is None:
+            edges = dict(self._edges)
+        else:
+            edges = {key: edge(original) for key, original in self._edges.items()}
+            for key, mapped_edge in edges.items():
+                if mapped_edge.key != key:
+                    raise GraphValidationError(
+                        f"payload map moved edge {key!r} to {mapped_edge.key!r}"
+                    )
+        clone = object.__new__(type(self))
+        clone.name = self.name
+        clone._components = components
+        clone._edges = edges
+        clone._succ = {cid: set(targets) for cid, targets in self._succ.items()}
+        clone._pred = {cid: set(sources) for cid, sources in self._pred.items()}
+        clone._version = len(components) + len(edges)
+        clone._topo_cache = self._topo_cache
+        clone._succ_cache = self._succ_cache
+        clone._pred_cache = self._pred_cache
+        return clone
 
     def __repr__(self) -> str:
         return (

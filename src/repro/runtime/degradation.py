@@ -140,23 +140,22 @@ def scale_graph_demand(graph, factor: float):
     """Scale every component's R vector and edge throughput by ``factor``.
 
     Returns a new graph; the input is untouched. Factor 1.0 returns the
-    graph unchanged (identity).
+    graph unchanged (identity). The result is a structural copy of the
+    input (see :meth:`~repro.graph.service_graph.ServiceGraph.map_payloads`):
+    it inherits the input's memoized adjacency and topological order, and
+    each component is swapped through the trusted
+    :meth:`~repro.graph.service_graph.ServiceComponent.with_resources`
+    copy. Floats, orders and :attr:`version` equal those of rebuilding the
+    graph node by node.
     """
-    from repro.graph.service_graph import ServiceEdge, ServiceGraph
-    import dataclasses as _dc
+    from repro.graph.service_graph import ServiceEdge
 
     if factor == 1.0:
         return graph
-    scaled = ServiceGraph(name=graph.name)
-    for component in graph:
-        scaled.add_component(
-            _dc.replace(component, resources=component.resources * factor)
-        )
-    for edge in graph.edges():
-        scaled.add_edge(
-            ServiceEdge(edge.source, edge.target, edge.throughput_mbps * factor)
-        )
-    return scaled
+    return graph.map_payloads(
+        component=lambda c: c.with_resources(c.resources * factor),
+        edge=lambda e: ServiceEdge(e.source, e.target, e.throughput_mbps * factor),
+    )
 
 
 @dataclass

@@ -127,6 +127,11 @@ class CompiledScenario:
             name: self._expand_clients(workload)
             for name, workload in spec.workloads.items()
         }
+        #: Per-workload abstract graph templates; :meth:`abstract_graph`
+        #: hands out copies.
+        self._graph_templates: Dict[str, AbstractServiceGraph] = {
+            name: self._build_abstract_graph(name) for name in spec.workloads
+        }
 
     # -- mix / client expansion --------------------------------------
 
@@ -348,11 +353,16 @@ class CompiledScenario:
     def abstract_graph(self, workload_name: str) -> AbstractServiceGraph:
         """A fresh abstract service graph for one workload.
 
-        Never shared: abstract graphs are mutable (``add_spec``), and one
-        caller's growth must not change another caller's request. Caches
-        still share work across requests, because they key on the graph's
-        :attr:`~repro.graph.abstract.AbstractServiceGraph.structure_key`.
+        Each call returns a fresh copy of a template built once per
+        compiled workload. The copy stays fresh, never shared, because
+        abstract graphs are mutable (``add_spec``) and one caller's growth
+        must not change another caller's request. Copies of one template
+        share its :attr:`~repro.graph.abstract.AbstractServiceGraph.structure_key`
+        object, so the caches that key on it hit by identity.
         """
+        return self._graph_templates[workload_name].copy()
+
+    def _build_abstract_graph(self, workload_name: str) -> AbstractServiceGraph:
         workload = self.spec.workloads[workload_name]
         graph = AbstractServiceGraph(
             name=f"{self.spec.name}/{workload_name}"

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments.figure5 import (
+    Figure5Result,
+    SuccessSeries,
     paper_bandwidths,
     paper_devices,
     run_figure5,
@@ -68,3 +70,31 @@ class TestOutcome:
         failures = fixed.total_attempts - fixed.total_successes
         assert failures > 0
         assert sum(fixed.failure_causes.values()) >= failures
+
+
+class TestFailureCauseOrder:
+    @staticmethod
+    def _render(causes):
+        series = SuccessSeries(
+            name="heuristic",
+            sample_times_h=[10.0],
+            success_rates=[0.5],
+            failure_causes=causes,
+        )
+        return Figure5Result(
+            series={"heuristic": series},
+            request_count=2,
+            horizon_h=10.0,
+            window_h=10.0,
+        ).format_series()
+
+    def test_tied_counts_print_in_name_order(self):
+        # Tallies fill in set-iteration order, which follows the string
+        # hash seed; the rendering must not.
+        forward = {"resource:cpu": 3, "resource:memory": 3, "bandwidth": 5}
+        backward = dict(reversed(list(forward.items())))
+        assert self._render(forward) == self._render(backward)
+        assert (
+            "heuristic: bandwidth=5, resource:cpu=3, resource:memory=3"
+            in self._render(backward)
+        )
