@@ -192,6 +192,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
     from pathlib import Path
 
     from repro.scenarios import (
+        ScenarioValidationError,
         catalog_scenarios,
         load_catalog_scenario,
         load_scenario,
@@ -211,10 +212,13 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
             print("\nrun one with: python -m repro scenario <name>")
         return
 
-    if Path(args.name).is_file():
-        spec = load_scenario(Path(args.name))
-    else:
-        spec = load_catalog_scenario(args.name)
+    try:
+        if Path(args.name).is_file():
+            spec = load_scenario(Path(args.name))
+        else:
+            spec = load_catalog_scenario(args.name)
+    except ScenarioValidationError as exc:
+        raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
 

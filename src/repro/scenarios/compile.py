@@ -385,7 +385,7 @@ class CompiledScenario:
                 )
             )
         for source, target, mbps in workload.relations:
-            graph.connect(str(source), str(target), float(mbps))
+            graph.connect(source, target, mbps)
         return graph
 
     def composition_request(

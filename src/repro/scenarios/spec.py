@@ -9,11 +9,21 @@ reproduces the entire run. :func:`load_scenario` parses and validates;
 :func:`repro.scenarios.compile.compile_scenario` lowers the spec into the
 live objects every harness in this repo builds by hand.
 
-Validation is strict and cross-referential: unknown keys anywhere are
-errors (a typo never silently becomes a default), endpoint templates must
-name declared components, link endpoints must name declared devices or
-hubs, workload clients and fault targets must resolve to devices, and
-arrival mixes must name declared workloads. Errors carry the spec path
+Every section is a :class:`Section` dataclass, and its fields are its
+grammar: the annotation gives the type, and :func:`doc` metadata gives
+the document key, the allowed choices and the numeric bound. One generic
+parser and one generic :meth:`Section.to_dict` walk that field table, so
+no section hand-writes either direction. Types are checked, not coerced:
+a string is never read as a boolean, a float never truncates to an
+integer, and numbers are finite. Unknown keys anywhere are errors (a typo
+never silently becomes a default).
+
+Shape checks live in the table (plus a section's ``_check`` hook for
+what one field cannot say); cross-references live in
+:meth:`ScenarioSpec.validate`: endpoint templates must name declared
+components, link endpoints must name declared devices or hubs, workload
+clients and fault targets must resolve to devices, and arrival mixes must
+name declared workloads. Errors carry the spec path
 (``workloads.listen.clients``) so a catalog author can fix the line.
 
 QoS vectors are written as plain mappings and coerced on compile:
@@ -28,9 +38,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.domain.device import DeviceClass
 from repro.faults.model import FaultKind
@@ -45,9 +56,11 @@ DEVICE_CLASSES = (
     DeviceClass.SERVER,
 )
 LINK_CLASSES = {cls.label: cls for cls in LinkClass}
-FAULT_KINDS = {kind.value: kind for kind in FaultKind}
+FAULT_KINDS = tuple(sorted(kind.value for kind in FaultKind))
 ARRIVAL_PROCESSES = ("poisson", "pareto")
 DURATION_PROCESSES = ("exponential", "pareto")
+
+Parse = Callable[[object, str], object]
 
 
 class ScenarioValidationError(ValueError):
@@ -69,74 +82,252 @@ def _require_mapping(value: object, path: str) -> Dict[str, object]:
     return value
 
 
-def _take(
-    data: Dict[str, object],
-    path: str,
-    known: Dict[str, object],
-) -> Dict[str, object]:
-    """Fill ``known`` defaults from ``data``, rejecting unknown keys."""
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ScenarioValidationError(
-            path,
-            f"unknown key(s) {', '.join(repr(k) for k in unknown)} "
-            f"(expected: {', '.join(sorted(known))})",
-        )
-    merged = dict(known)
-    merged.update(data)
-    return merged
+# ---------------------------------------------------------------------------
+# the field table
+# ---------------------------------------------------------------------------
 
 
-_REQUIRED = object()
+def doc(
+    default: object = MISSING,
+    *,
+    factory: object = MISSING,
+    key: Optional[str] = None,
+    choices: Optional[Tuple[str, Tuple[str, ...]]] = None,
+    gt: Optional[float] = None,
+    ge: Optional[float] = None,
+    le: Optional[float] = None,
+    omit_none: bool = False,
+):
+    """A section field with grammar metadata.
+
+    ``key`` is the document key when it differs from the attribute name;
+    ``choices`` is ``(noun, allowed)`` and applies to the value or to each
+    element of a list value; ``gt``/``ge``/``le`` bound every number the
+    field holds; ``omit_none`` leaves a ``None`` value out of ``to_dict``.
+    """
+    return field(
+        default=default,
+        default_factory=factory,
+        metadata=dict(
+            key=key, choices=choices, gt=gt, ge=ge, le=le, omit_none=omit_none
+        ),
+    )
 
 
-def _required(value: object, path: str) -> object:
-    if value is _REQUIRED:
-        raise ScenarioValidationError(path, "required key is missing")
+def _number(whole: bool, gt=None, ge=None, le=None) -> Parse:
+    """A number leaf: integers for ``whole``, finite floats otherwise."""
+    noun = "integer" if whole else "finite number"
+    if le is not None:
+        what = f"a {noun} in ({gt:g}, {le:g}]"
+    elif gt == 0:
+        what = f"a positive {noun}"
+    elif ge == 0:
+        what = f"a non-negative {noun}"
+    elif gt is not None:
+        what = f"a {noun} > {gt:g}"
+    else:
+        what = f"an {noun}" if whole else f"a {noun}"
+    message = f"must be {what}, got {{!r}}"
+
+    def parse(value: object, path: str) -> object:
+        if isinstance(value, bool) or not isinstance(
+            value, int if whole else (int, float)
+        ):
+            raise ScenarioValidationError(path, message.format(value))
+        if not whole:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+        if (
+            not (whole or math.isfinite(value))
+            or (gt is not None and not value > gt)
+            or (ge is not None and not value >= ge)
+            or (le is not None and not value <= le)
+        ):
+            raise ScenarioValidationError(path, message.format(value))
+        return value
+
+    return parse
+
+
+def _string(value: object, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioValidationError(path, f"expected a string, got {value!r}")
     return value
 
 
-def _qos_dict(value: object, path: str) -> Dict[str, object]:
-    """Validate a QoS mapping's shape (coercion happens at compile)."""
-    mapping = _require_mapping(value, path)
-    out: Dict[str, object] = {}
-    for name, raw in mapping.items():
-        if isinstance(raw, (int, float, str, bool)):
-            out[name] = raw
-        elif isinstance(raw, list):
-            if not raw:
+def _boolean(value: object, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioValidationError(path, f"must be true or false, got {value!r}")
+    return value
+
+
+def _qos_value(value: object, path: str) -> object:
+    """A QoS value's shape: a scalar or a non-empty list (coerced on compile)."""
+    if isinstance(value, (int, float, str, bool)):
+        return value
+    if isinstance(value, list):
+        if not value:
+            raise ScenarioValidationError(path, "empty list is not a QoS value")
+        return list(value)
+    raise ScenarioValidationError(
+        path, f"QoS values are scalars or lists, got {type(value).__name__}"
+    )
+
+
+def _compile(hint: object, meta: Dict[str, object]) -> Parse:
+    """One annotation (plus its field's bound) → a ``(value, path)`` parser."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        item = _compile(inner, meta)
+        return lambda value, path: None if value is None else item(value, path)
+    if origin is dict:
+        item = _compile(args[1], meta)
+        return lambda value, path: {
+            name: item(raw, f"{path}.{name}")
+            for name, raw in _require_mapping(value, path).items()
+        }
+    if origin is list:
+        item = _compile(args[0], meta)
+
+        def parse_list(value: object, path: str) -> list:
+            if not isinstance(value, list):
+                raise ScenarioValidationError(path, f"expected a list, got {value!r}")
+            return [item(raw, f"{path}[{index}]") for index, raw in enumerate(value)]
+
+        return parse_list
+    if origin is tuple:
+        items = [_compile(arg, meta) for arg in args]
+
+        def parse_tuple(value: object, path: str) -> tuple:
+            if not isinstance(value, list) or len(value) != len(items):
                 raise ScenarioValidationError(
-                    f"{path}.{name}", "empty list is not a QoS value"
+                    path, f"expected a list of {len(items)}, got {value!r}"
                 )
-            out[name] = list(raw)
-        else:
-            raise ScenarioValidationError(
-                f"{path}.{name}",
-                f"QoS values are scalars or lists, got {type(raw).__name__}",
+            return tuple(
+                parse(raw, f"{path}[{index}]")
+                for index, (parse, raw) in enumerate(zip(items, value))
             )
-    return out
+
+        return parse_tuple
+    if isinstance(hint, type) and issubclass(hint, Section):
+        return hint.from_dict
+    if hint in (int, float):
+        bound = {name: meta[name] for name in ("gt", "ge", "le")}
+        return _number(hint is int, **bound)
+    leaves = {str: _string, bool: _boolean, object: _qos_value}
+    return leaves[hint]
 
 
-def _resource_dict(value: object, path: str) -> Dict[str, float]:
-    mapping = _require_mapping(value, path)
-    out: Dict[str, float] = {}
-    for name, raw in mapping.items():
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+def _with_choices(parse: Parse, noun: str, allowed: Tuple[str, ...]) -> Parse:
+    def check(value: object, path: str) -> object:
+        value = parse(value, path)
+        for item in value if isinstance(value, list) else (value,):
+            if item not in allowed:
+                raise ScenarioValidationError(
+                    path,
+                    f"unknown {noun} {item!r} (choose from {', '.join(allowed)})",
+                )
+        return value
+
+    return check
+
+
+_NO_METADATA = doc().metadata
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One field of a section's table (keyed by its document key)."""
+
+    name: str
+    parse: Parse
+    required: bool
+    omit_none: bool
+
+
+class Section:
+    """A document section: parsed and serialized from its dataclass fields."""
+
+    @classmethod
+    def _table(cls) -> Dict[str, _Row]:
+        """Document key → row, built once per class."""
+        table = cls.__dict__.get("_rows")
+        if table is None:
+            hints = typing.get_type_hints(cls)
+            table = {}
+            for spec_field in fields(cls):
+                meta = spec_field.metadata or _NO_METADATA
+                parse = _compile(hints[spec_field.name], meta)
+                if meta["choices"] is not None:
+                    parse = _with_choices(parse, *meta["choices"])
+                table[meta["key"] or spec_field.name] = _Row(
+                    name=spec_field.name,
+                    parse=parse,
+                    required=(
+                        spec_field.default is MISSING
+                        and spec_field.default_factory is MISSING
+                    ),
+                    omit_none=meta["omit_none"],
+                )
+            cls._rows = table
+        return table
+
+    @classmethod
+    def _normalize(cls, data: object, path: str) -> object:
+        """Rewrite a shorthand form of the section into its mapping."""
+        return data
+
+    def _check(self, path: str) -> None:
+        """Checks across fields that no single row can express."""
+
+    @classmethod
+    def from_dict(cls, data: object, path: str = ""):
+        """Parse one section document; errors name the field's ``path``."""
+        table = cls._table()
+        raw = _require_mapping(cls._normalize(data, path), path)
+        if not raw.keys() <= table.keys():
+            unknown = sorted(raw.keys() - table.keys())
             raise ScenarioValidationError(
-                f"{path}.{name}", f"resource amounts are numbers, got {raw!r}"
+                path,
+                f"unknown key(s) {', '.join(repr(k) for k in unknown)} "
+                f"(expected: {', '.join(sorted(table))})",
             )
-        if not 0.0 <= raw < math.inf:
-            raise ScenarioValidationError(
-                f"{path}.{name}",
-                f"resource amounts are finite and non-negative, got {raw!r}",
-            )
-        out[name] = float(raw)
-    return out
+        prefix = f"{path}." if path else ""
+        values = {}
+        for key, value in raw.items():
+            row = table[key]
+            values[row.name] = row.parse(value, prefix + key)
+        if len(values) < len(table):
+            for key, row in table.items():
+                if row.required and key not in raw:
+                    raise ScenarioValidationError(
+                        prefix + key, "required key is missing"
+                    )
+        section = cls(**values)
+        section._check(path)
+        return section
+
+    def to_dict(self) -> Dict[str, object]:
+        """The section as plain document data (lists, dicts, scalars)."""
+        out: Dict[str, object] = {}
+        for key, row in self._table().items():
+            value = getattr(self, row.name)
+            if not (value is None and row.omit_none):
+                out[key] = _plain(value)
+        return out
 
 
-def _attr_dict(value: object, path: str) -> Dict[str, str]:
-    mapping = _require_mapping(value, path)
-    return {name: str(raw) for name, raw in mapping.items()}
+def _plain(value: object) -> object:
+    if isinstance(value, Section):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {name: _plain(item) for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -145,215 +336,66 @@ def _attr_dict(value: object, path: str) -> Dict[str, str]:
 
 
 @dataclass
-class ComponentSpec:
+class ComponentSpec(Section):
     """One reusable component template (a registry entry's payload)."""
 
     service_type: str
     qos_input: Dict[str, object] = field(default_factory=dict)
     qos_output: Dict[str, object] = field(default_factory=dict)
-    resources: Dict[str, float] = field(default_factory=dict)
+    resources: Dict[str, float] = doc(factory=dict, ge=0)
     code_size_kb: float = 0.0
     state_size_kb: float = 0.0
     attributes: Dict[str, str] = field(default_factory=dict)
 
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "ComponentSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "service_type": _REQUIRED,
-                "qos_input": {},
-                "qos_output": {},
-                "resources": {},
-                "code_size_kb": 0.0,
-                "state_size_kb": 0.0,
-                "attributes": {},
-            },
-        )
-        return cls(
-            service_type=str(_required(raw["service_type"], f"{path}.service_type")),
-            qos_input=_qos_dict(raw["qos_input"], f"{path}.qos_input"),
-            qos_output=_qos_dict(raw["qos_output"], f"{path}.qos_output"),
-            resources=_resource_dict(raw["resources"], f"{path}.resources"),
-            code_size_kb=float(raw["code_size_kb"]),
-            state_size_kb=float(raw["state_size_kb"]),
-            attributes=_attr_dict(raw["attributes"], f"{path}.attributes"),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "service_type": self.service_type,
-            "qos_input": dict(self.qos_input),
-            "qos_output": dict(self.qos_output),
-            "resources": dict(self.resources),
-            "code_size_kb": self.code_size_kb,
-            "state_size_kb": self.state_size_kb,
-            "attributes": dict(self.attributes),
-        }
-
 
 @dataclass
-class EndpointSpec:
+class EndpointSpec(Section):
     """One registered service endpoint: a component offered for discovery."""
 
     component: str
     attributes: Dict[str, str] = field(default_factory=dict)
     hosted_on: Optional[str] = None
-    platforms: List[str] = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "EndpointSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "component": _REQUIRED,
-                "attributes": {},
-                "hosted_on": None,
-                "platforms": [],
-            },
-        )
-        platforms = raw["platforms"]
-        if not isinstance(platforms, list):
-            raise ScenarioValidationError(
-                f"{path}.platforms", "expected a list of device classes"
-            )
-        for cls_name in platforms:
-            if cls_name not in DEVICE_CLASSES:
-                raise ScenarioValidationError(
-                    f"{path}.platforms",
-                    f"unknown device class {cls_name!r} "
-                    f"(choose from {', '.join(DEVICE_CLASSES)})",
-                )
-        return cls(
-            component=str(_required(raw["component"], f"{path}.component")),
-            attributes=_attr_dict(raw["attributes"], f"{path}.attributes"),
-            hosted_on=(
-                str(raw["hosted_on"]) if raw["hosted_on"] is not None else None
-            ),
-            platforms=[str(p) for p in platforms],
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "component": self.component,
-            "attributes": dict(self.attributes),
-            "hosted_on": self.hosted_on,
-            "platforms": list(self.platforms),
-        }
+    platforms: List[str] = doc(
+        factory=list, choices=("device class", DEVICE_CLASSES)
+    )
 
 
 @dataclass
-class DeviceSpec:
+class DeviceSpec(Section):
     """One device (or a replicated pool of identical devices)."""
 
-    device_class: str
-    capacity: Dict[str, float]
-    count: int = 1
-
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "DeviceSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {"class": _REQUIRED, "capacity": _REQUIRED, "count": 1},
-        )
-        device_class = str(_required(raw["class"], f"{path}.class"))
-        if device_class not in DEVICE_CLASSES:
-            raise ScenarioValidationError(
-                f"{path}.class",
-                f"unknown device class {device_class!r} "
-                f"(choose from {', '.join(DEVICE_CLASSES)})",
-            )
-        count = raw["count"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ScenarioValidationError(
-                f"{path}.count", f"count must be a positive integer, got {count!r}"
-            )
-        return cls(
-            device_class=device_class,
-            capacity=_resource_dict(
-                _required(raw["capacity"], f"{path}.capacity"),
-                f"{path}.capacity",
-            ),
-            count=count,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "class": self.device_class,
-            "capacity": dict(self.capacity),
-            "count": self.count,
-        }
+    device_class: str = doc(key="class", choices=("device class", DEVICE_CLASSES))
+    capacity: Dict[str, float] = doc(ge=0)
+    count: int = doc(1, gt=0)
 
 
 @dataclass
-class LinkSpec:
+class LinkSpec(Section):
     """One (bidirectional) link between devices and/or hubs."""
 
     first: str
     second: str
-    link_class: str = LinkClass.FAST_ETHERNET.label
+    link_class: str = doc(
+        LinkClass.FAST_ETHERNET.label,
+        key="class",
+        choices=("link class", tuple(sorted(LINK_CLASSES))),
+    )
     bandwidth_mbps: Optional[float] = None
     latency_ms: Optional[float] = None
 
     @classmethod
-    def from_dict(cls, data: object, path: str) -> "LinkSpec":
-        if isinstance(data, list):
-            if len(data) not in (2, 3):
-                raise ScenarioValidationError(
-                    path, "list links are [first, second] or [first, second, class]"
-                )
-            data = {
-                "first": data[0],
-                "second": data[1],
-                **({"class": data[2]} if len(data) == 3 else {}),
-            }
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "first": _REQUIRED,
-                "second": _REQUIRED,
-                "class": LinkClass.FAST_ETHERNET.label,
-                "bandwidth_mbps": None,
-                "latency_ms": None,
-            },
-        )
-        link_class = str(raw["class"])
-        if link_class not in LINK_CLASSES:
+    def _normalize(cls, data: object, path: str) -> object:
+        if not isinstance(data, list):
+            return data
+        if len(data) not in (2, 3):
             raise ScenarioValidationError(
-                f"{path}.class",
-                f"unknown link class {link_class!r} "
-                f"(choose from {', '.join(sorted(LINK_CLASSES))})",
+                path, "list links are [first, second] or [first, second, class]"
             )
-        return cls(
-            first=str(_required(raw["first"], f"{path}.first")),
-            second=str(_required(raw["second"], f"{path}.second")),
-            link_class=link_class,
-            bandwidth_mbps=(
-                float(raw["bandwidth_mbps"])
-                if raw["bandwidth_mbps"] is not None
-                else None
-            ),
-            latency_ms=(
-                float(raw["latency_ms"]) if raw["latency_ms"] is not None else None
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "first": self.first,
-            "second": self.second,
-            "class": self.link_class,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "latency_ms": self.latency_ms,
-        }
+        return dict(zip(("first", "second", "class"), data))
 
 
 @dataclass
-class WorkloadNodeSpec:
+class WorkloadNodeSpec(Section):
     """One abstract component in a workload's service graph."""
 
     service_type: str
@@ -364,313 +406,98 @@ class WorkloadNodeSpec:
     #: to that named device; None leaves placement to the distributor.
     pin: Optional[str] = None
 
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "WorkloadNodeSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "service_type": _REQUIRED,
-                "attributes": {},
-                "required_output": {},
-                "optional": False,
-                "pin": None,
-            },
-        )
-        return cls(
-            service_type=str(_required(raw["service_type"], f"{path}.service_type")),
-            attributes=_attr_dict(raw["attributes"], f"{path}.attributes"),
-            required_output=_qos_dict(
-                raw["required_output"], f"{path}.required_output"
-            ),
-            optional=bool(raw["optional"]),
-            pin=str(raw["pin"]) if raw["pin"] is not None else None,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "service_type": self.service_type,
-            "attributes": dict(self.attributes),
-            "required_output": dict(self.required_output),
-            "optional": self.optional,
-            "pin": self.pin,
-        }
-
 
 @dataclass
-class WorkloadSpec:
+class WorkloadSpec(Section):
     """One request shape: abstract graph + relations + client pool."""
 
     nodes: Dict[str, WorkloadNodeSpec]
-    relations: List[List[object]]  # [source, target, throughput_mbps]
+    #: ``(source, target, throughput_mbps)`` edges between node ids.
+    relations: List[Tuple[str, str, float]] = field(default_factory=list)
     user_qos: Dict[str, object] = field(default_factory=dict)
     clients: List[str] = field(default_factory=list)
     priority: int = 0
     #: Named utility profile ordering this class's degradation walk
     #: (see ``repro.distribution.pareto.UTILITY_PROFILES``); None keeps
     #: the ladder's best-fidelity-first order.
-    utility_profile: Optional[str] = None
+    utility_profile: Optional[str] = doc(None, omit_none=True)
 
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "WorkloadSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "nodes": _REQUIRED,
-                "relations": [],
-                "user_qos": {},
-                "clients": _REQUIRED,
-                "priority": 0,
-                "utility_profile": None,
-            },
-        )
-        nodes_raw = _require_mapping(
-            _required(raw["nodes"], f"{path}.nodes"), f"{path}.nodes"
-        )
-        if not nodes_raw:
+    def _check(self, path: str) -> None:
+        if not self.nodes:
             raise ScenarioValidationError(
                 f"{path}.nodes", "a workload needs at least one node"
             )
-        nodes = {
-            node_id: WorkloadNodeSpec.from_dict(node, f"{path}.nodes.{node_id}")
-            for node_id, node in nodes_raw.items()
-        }
-        relations_raw = raw["relations"]
-        if not isinstance(relations_raw, list):
-            raise ScenarioValidationError(
-                f"{path}.relations", "expected a list of [source, target, mbps]"
-            )
-        relations: List[List[object]] = []
-        for index, item in enumerate(relations_raw):
-            rel_path = f"{path}.relations[{index}]"
-            if not isinstance(item, list) or len(item) != 3:
-                raise ScenarioValidationError(
-                    rel_path, "relations are [source, target, throughput_mbps]"
-                )
-            source, target, mbps = item
-            for end in (source, target):
-                if end not in nodes:
+        for index, relation in enumerate(self.relations):
+            for end in relation[:2]:
+                if end not in self.nodes:
                     raise ScenarioValidationError(
-                        rel_path,
+                        f"{path}.relations[{index}]",
                         f"unknown node {end!r} "
-                        f"(declared: {', '.join(sorted(nodes))})",
+                        f"(declared: {', '.join(sorted(self.nodes))})",
                     )
-            if not isinstance(mbps, (int, float)) or isinstance(mbps, bool):
-                raise ScenarioValidationError(
-                    rel_path, f"throughput must be a number, got {mbps!r}"
-                )
-            relations.append([str(source), str(target), float(mbps)])
-        clients = _required(raw["clients"], f"{path}.clients")
-        if not isinstance(clients, list) or not clients:
+        if not self.clients:
             raise ScenarioValidationError(
                 f"{path}.clients", "expected a non-empty list of device names"
             )
-        profile_raw = raw["utility_profile"]
-        if profile_raw is not None:
+        if self.utility_profile is not None:
             from repro.distribution.pareto import UTILITY_PROFILES
 
-            if not isinstance(profile_raw, str):
+            if self.utility_profile not in UTILITY_PROFILES:
                 raise ScenarioValidationError(
                     f"{path}.utility_profile",
-                    f"expected a profile name, got {profile_raw!r}",
-                )
-            if profile_raw not in UTILITY_PROFILES:
-                raise ScenarioValidationError(
-                    f"{path}.utility_profile",
-                    f"unknown utility profile {profile_raw!r} "
+                    f"unknown utility profile {self.utility_profile!r} "
                     f"(known: {', '.join(sorted(UTILITY_PROFILES))})",
                 )
-        return cls(
-            nodes=nodes,
-            relations=relations,
-            user_qos=_qos_dict(raw["user_qos"], f"{path}.user_qos"),
-            clients=[str(c) for c in clients],
-            priority=int(raw["priority"]),
-            utility_profile=profile_raw,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "nodes": {
-                node_id: node.to_dict() for node_id, node in self.nodes.items()
-            },
-            "relations": [list(rel) for rel in self.relations],
-            "user_qos": dict(self.user_qos),
-            "clients": list(self.clients),
-            "priority": self.priority,
-        }
-        if self.utility_profile is not None:
-            data["utility_profile"] = self.utility_profile
-        return data
 
 
 @dataclass
-class ArrivalSpec:
+class ArrivalSpec(Section):
     """The offered load: rate, horizon, processes, and workload mix."""
 
-    rate_per_s: float
-    horizon_s: float
-    arrival_process: str = "poisson"
-    duration_process: str = "exponential"
-    mean_duration_s: float = 60.0
+    rate_per_s: float = doc(gt=0)
+    horizon_s: float = doc(gt=0)
+    arrival_process: str = doc(
+        "poisson", choices=("process", ARRIVAL_PROCESSES)
+    )
+    duration_process: str = doc(
+        "exponential", choices=("process", DURATION_PROCESSES)
+    )
+    mean_duration_s: float = doc(60.0, gt=0)
     duration_bounds_s: List[float] = field(default_factory=lambda: [1.0, 600.0])
-    pareto_alpha: float = 1.8
+    pareto_alpha: float = doc(1.8, gt=1)
     deadline_s: Optional[float] = 20.0
     #: workload name → integer weight; empty = every workload, weight 1.
-    mix: Dict[str, int] = field(default_factory=dict)
+    mix: Dict[str, int] = doc(factory=dict, gt=0)
     #: Users the requests recycle (``user-{request_id % users}``); None
     #: gives every request its own user.
-    users: Optional[int] = None
+    users: Optional[int] = doc(None, gt=0)
     #: False seeds the trace with the scenario seed itself instead of the
     #: derived ``arrivals`` stream (faults keep their derived stream).
     derive_seed: bool = True
 
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "ArrivalSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "rate_per_s": _REQUIRED,
-                "horizon_s": _REQUIRED,
-                "arrival_process": "poisson",
-                "duration_process": "exponential",
-                "mean_duration_s": 60.0,
-                "duration_bounds_s": [1.0, 600.0],
-                "pareto_alpha": 1.8,
-                "deadline_s": 20.0,
-                "mix": {},
-                "users": None,
-                "derive_seed": True,
-            },
-        )
-        if raw["arrival_process"] not in ARRIVAL_PROCESSES:
+    def _check(self, path: str) -> None:
+        bounds = self.duration_bounds_s
+        if len(bounds) != 2 or bounds[0] > bounds[1]:
             raise ScenarioValidationError(
-                f"{path}.arrival_process",
-                f"unknown process {raw['arrival_process']!r} "
-                f"(choose from {', '.join(ARRIVAL_PROCESSES)})",
+                f"{path}.duration_bounds_s",
+                f"expected [min_s, max_s] with min_s <= max_s, got {bounds!r}",
             )
-        if raw["duration_process"] not in DURATION_PROCESSES:
-            raise ScenarioValidationError(
-                f"{path}.duration_process",
-                f"unknown process {raw['duration_process']!r} "
-                f"(choose from {', '.join(DURATION_PROCESSES)})",
-            )
-        bounds = raw["duration_bounds_s"]
-        if (
-            not isinstance(bounds, list)
-            or len(bounds) != 2
-            or not all(isinstance(b, (int, float)) for b in bounds)
-        ):
-            raise ScenarioValidationError(
-                f"{path}.duration_bounds_s", "expected [min_s, max_s]"
-            )
-        mix = _require_mapping(raw["mix"], f"{path}.mix")
-        for workload, weight in mix.items():
-            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-                raise ScenarioValidationError(
-                    f"{path}.mix.{workload}",
-                    f"weights are positive integers, got {weight!r}",
-                )
-        users = raw["users"]
-        if users is not None and (
-            not isinstance(users, int) or isinstance(users, bool) or users < 1
-        ):
-            raise ScenarioValidationError(
-                f"{path}.users", f"must be a positive integer, got {users!r}"
-            )
-        if not isinstance(raw["derive_seed"], bool):
-            raise ScenarioValidationError(
-                f"{path}.derive_seed",
-                f"must be true or false, got {raw['derive_seed']!r}",
-            )
-        return cls(
-            rate_per_s=float(_required(raw["rate_per_s"], f"{path}.rate_per_s")),
-            horizon_s=float(_required(raw["horizon_s"], f"{path}.horizon_s")),
-            arrival_process=str(raw["arrival_process"]),
-            duration_process=str(raw["duration_process"]),
-            mean_duration_s=float(raw["mean_duration_s"]),
-            duration_bounds_s=[float(bounds[0]), float(bounds[1])],
-            pareto_alpha=float(raw["pareto_alpha"]),
-            deadline_s=(
-                float(raw["deadline_s"]) if raw["deadline_s"] is not None else None
-            ),
-            mix={str(k): int(v) for k, v in mix.items()},
-            users=users,
-            derive_seed=raw["derive_seed"],
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rate_per_s": self.rate_per_s,
-            "horizon_s": self.horizon_s,
-            "arrival_process": self.arrival_process,
-            "duration_process": self.duration_process,
-            "mean_duration_s": self.mean_duration_s,
-            "duration_bounds_s": list(self.duration_bounds_s),
-            "pareto_alpha": self.pareto_alpha,
-            "deadline_s": self.deadline_s,
-            "mix": dict(self.mix),
-            "users": self.users,
-            "derive_seed": self.derive_seed,
-        }
 
 
 @dataclass
-class ScriptedFaultSpec:
+class ScriptedFaultSpec(Section):
     """One explicit fault event (compiled to a ``FaultSpec``)."""
 
-    kind: str
-    at_s: float
+    kind: str = doc(choices=("fault kind", FAULT_KINDS))
+    at_s: float = doc(ge=0)
     target: str
     peer: Optional[str] = None
     magnitude: float = 0.5
     duration_s: float = 0.0
 
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "ScriptedFaultSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "kind": _REQUIRED,
-                "at_s": _REQUIRED,
-                "target": _REQUIRED,
-                "peer": None,
-                "magnitude": 0.5,
-                "duration_s": 0.0,
-            },
-        )
-        kind = str(_required(raw["kind"], f"{path}.kind"))
-        if kind not in FAULT_KINDS:
-            raise ScenarioValidationError(
-                f"{path}.kind",
-                f"unknown fault kind {kind!r} "
-                f"(choose from {', '.join(sorted(FAULT_KINDS))})",
-            )
-        return cls(
-            kind=kind,
-            at_s=float(_required(raw["at_s"], f"{path}.at_s")),
-            target=str(_required(raw["target"], f"{path}.target")),
-            peer=str(raw["peer"]) if raw["peer"] is not None else None,
-            magnitude=float(raw["magnitude"]),
-            duration_s=float(raw["duration_s"]),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "at_s": self.at_s,
-            "target": self.target,
-            "peer": self.peer,
-            "magnitude": self.magnitude,
-            "duration_s": self.duration_s,
-        }
-
 
 @dataclass
-class RandomFaultsSpec:
+class RandomFaultsSpec(Section):
     """A seeded Poisson fault storm (compiled via ``random_fault_schedule``)."""
 
     crash_targets: List[str] = field(default_factory=list)
@@ -683,115 +510,24 @@ class RandomFaultsSpec:
     pressure_rate_per_min: float = 0.0
     #: Faults land only in the first fraction of the horizon so late
     #: crashes still have room to be detected and healed.
-    injection_window: float = 0.7
+    injection_window: float = doc(0.7, gt=0, le=1)
 
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "RandomFaultsSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "crash_targets": [],
-                "depart_targets": [],
-                "link_pairs": [],
-                "pressure_targets": [],
-                "crash_rate_per_min": 0.0,
-                "depart_rate_per_min": 0.0,
-                "link_rate_per_min": 0.0,
-                "pressure_rate_per_min": 0.0,
-                "injection_window": 0.7,
-            },
-        )
-        link_pairs_raw = raw["link_pairs"]
-        if not isinstance(link_pairs_raw, list):
-            raise ScenarioValidationError(
-                f"{path}.link_pairs", "expected a list of [first, second]"
-            )
-        link_pairs: List[List[str]] = []
-        for index, pair in enumerate(link_pairs_raw):
-            if not isinstance(pair, list) or len(pair) != 2:
+    def _check(self, path: str) -> None:
+        for index, pair in enumerate(self.link_pairs):
+            if len(pair) != 2:
                 raise ScenarioValidationError(
                     f"{path}.link_pairs[{index}]", "pairs are [first, second]"
                 )
-            link_pairs.append([str(pair[0]), str(pair[1])])
-        window = float(raw["injection_window"])
-        if not 0.0 < window <= 1.0:
-            raise ScenarioValidationError(
-                f"{path}.injection_window", "must be in (0, 1]"
-            )
-        return cls(
-            crash_targets=[str(t) for t in raw["crash_targets"]],
-            depart_targets=[str(t) for t in raw["depart_targets"]],
-            link_pairs=link_pairs,
-            pressure_targets=[str(t) for t in raw["pressure_targets"]],
-            crash_rate_per_min=float(raw["crash_rate_per_min"]),
-            depart_rate_per_min=float(raw["depart_rate_per_min"]),
-            link_rate_per_min=float(raw["link_rate_per_min"]),
-            pressure_rate_per_min=float(raw["pressure_rate_per_min"]),
-            injection_window=window,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "crash_targets": list(self.crash_targets),
-            "depart_targets": list(self.depart_targets),
-            "link_pairs": [list(p) for p in self.link_pairs],
-            "pressure_targets": list(self.pressure_targets),
-            "crash_rate_per_min": self.crash_rate_per_min,
-            "depart_rate_per_min": self.depart_rate_per_min,
-            "link_rate_per_min": self.link_rate_per_min,
-            "pressure_rate_per_min": self.pressure_rate_per_min,
-            "injection_window": self.injection_window,
-        }
 
 
 @dataclass
-class FaultsSpec:
+class FaultsSpec(Section):
     """The scenario's fault plan: a seeded storm, scripted events, or both."""
 
     random: Optional[RandomFaultsSpec] = None
     scripted: List[ScriptedFaultSpec] = field(default_factory=list)
-    heartbeat_interval_s: float = 2.0
-    suspicion_threshold: float = 3.0
-
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "FaultsSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "random": None,
-                "scripted": [],
-                "heartbeat_interval_s": 2.0,
-                "suspicion_threshold": 3.0,
-            },
-        )
-        scripted_raw = raw["scripted"]
-        if not isinstance(scripted_raw, list):
-            raise ScenarioValidationError(
-                f"{path}.scripted", "expected a list of fault events"
-            )
-        return cls(
-            random=(
-                RandomFaultsSpec.from_dict(raw["random"], f"{path}.random")
-                if raw["random"] is not None
-                else None
-            ),
-            scripted=[
-                ScriptedFaultSpec.from_dict(item, f"{path}.scripted[{index}]")
-                for index, item in enumerate(scripted_raw)
-            ],
-            heartbeat_interval_s=float(raw["heartbeat_interval_s"]),
-            suspicion_threshold=float(raw["suspicion_threshold"]),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "random": self.random.to_dict() if self.random is not None else None,
-            "scripted": [item.to_dict() for item in self.scripted],
-            "heartbeat_interval_s": self.heartbeat_interval_s,
-            "suspicion_threshold": self.suspicion_threshold,
-        }
+    heartbeat_interval_s: float = doc(2.0, gt=0)
+    suspicion_threshold: float = doc(3.0, gt=1)
 
     def targets(self) -> List[str]:
         """Every device name the plan touches (for cross-validation)."""
@@ -810,140 +546,41 @@ class FaultsSpec:
 
 
 @dataclass
-class LadderLevelSpec:
+class LadderLevelSpec(Section):
     """One rung of the degradation ladder."""
 
     label: str
     user_qos: Dict[str, object] = field(default_factory=dict)
-    demand_scale: float = 1.0
-
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "LadderLevelSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {"label": _REQUIRED, "user_qos": {}, "demand_scale": 1.0},
-        )
-        scale = float(raw["demand_scale"])
-        if not 0.0 < scale <= 1.0:
-            raise ScenarioValidationError(
-                f"{path}.demand_scale", "must be in (0, 1]"
-            )
-        return cls(
-            label=str(_required(raw["label"], f"{path}.label")),
-            user_qos=_qos_dict(raw["user_qos"], f"{path}.user_qos"),
-            demand_scale=scale,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "user_qos": dict(self.user_qos),
-            "demand_scale": self.demand_scale,
-        }
+    demand_scale: float = doc(1.0, gt=0, le=1)
 
 
 @dataclass
-class ServerSpec:
+class ServerSpec(Section):
     """Per-shard serving knobs (queue, workers, service-time floor)."""
 
-    queue_capacity: int = 16
-    workers: int = 1
+    queue_capacity: int = doc(16, gt=0)
+    workers: int = doc(1, gt=0)
     min_service_s: float = 1.5
     skip_downloads: bool = True
     preinstall: bool = True
-    max_conflict_retries: int = 2
-
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "ServerSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {
-                "queue_capacity": 16,
-                "workers": 1,
-                "min_service_s": 1.5,
-                "skip_downloads": True,
-                "preinstall": True,
-                "max_conflict_retries": 2,
-            },
-        )
-        return cls(
-            queue_capacity=int(raw["queue_capacity"]),
-            workers=int(raw["workers"]),
-            min_service_s=float(raw["min_service_s"]),
-            skip_downloads=bool(raw["skip_downloads"]),
-            preinstall=bool(raw["preinstall"]),
-            max_conflict_retries=int(raw["max_conflict_retries"]),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "queue_capacity": self.queue_capacity,
-            "workers": self.workers,
-            "min_service_s": self.min_service_s,
-            "skip_downloads": self.skip_downloads,
-            "preinstall": self.preinstall,
-            "max_conflict_retries": self.max_conflict_retries,
-        }
+    max_conflict_retries: int = doc(2, ge=0)
 
 
 @dataclass
-class ClusterSpec:
+class ClusterSpec(Section):
     """Sharding topology: one spec-built testbed per shard."""
 
-    shards: int = 1
-    router: str = "hash"
-
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "ClusterSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {"shards": 1, "router": "hash"},
-        )
-        shards = int(raw["shards"])
-        if shards < 1:
-            raise ScenarioValidationError(f"{path}.shards", "need at least 1 shard")
-        router = str(raw["router"])
-        if router not in ROUTERS:
-            raise ScenarioValidationError(
-                f"{path}.router",
-                f"unknown router {router!r} (choose from {', '.join(ROUTERS)})",
-            )
-        return cls(shards=shards, router=router)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"shards": self.shards, "router": self.router}
+    shards: int = doc(1, gt=0)
+    router: str = doc("hash", choices=("router", ROUTERS))
 
 
 @dataclass
-class ControlSpec:
+class ControlSpec(Section):
     """Predictive control-plane knobs."""
 
     enabled: bool = False
-    tick_interval_s: float = 1.0
-    window_s: float = 30.0
-
-    @classmethod
-    def from_dict(cls, data: object, path: str) -> "ControlSpec":
-        raw = _take(
-            _require_mapping(data, path),
-            path,
-            {"enabled": False, "tick_interval_s": 1.0, "window_s": 30.0},
-        )
-        return cls(
-            enabled=bool(raw["enabled"]),
-            tick_interval_s=float(raw["tick_interval_s"]),
-            window_s=float(raw["window_s"]),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "enabled": self.enabled,
-            "tick_interval_s": self.tick_interval_s,
-            "window_s": self.window_s,
-        }
+    tick_interval_s: float = doc(1.0, gt=0)
+    window_s: float = doc(30.0, gt=0)
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +589,7 @@ class ControlSpec:
 
 
 @dataclass
-class ScenarioSpec:
+class ScenarioSpec(Section):
     """One validated scenario document.
 
     A single ``seed`` reproduces the whole run: the compile pass derives
@@ -977,100 +614,8 @@ class ScenarioSpec:
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     control: ControlSpec = field(default_factory=ControlSpec)
 
-    @classmethod
-    def from_dict(cls, data: object) -> "ScenarioSpec":
-        raw = _take(
-            _require_mapping(data, ""),
-            "",
-            {
-                "name": _REQUIRED,
-                "description": "",
-                "seed": 42,
-                "domain": "domain",
-                "components": _REQUIRED,
-                "endpoints": _REQUIRED,
-                "devices": _REQUIRED,
-                "hubs": [],
-                "links": _REQUIRED,
-                "workloads": _REQUIRED,
-                "arrivals": _REQUIRED,
-                "faults": None,
-                "ladder": [],
-                "server": {},
-                "cluster": {},
-                "control": {},
-            },
-        )
-        name = str(_required(raw["name"], "name"))
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ScenarioValidationError("seed", f"must be an integer, got {seed!r}")
-        components = {
-            comp_id: ComponentSpec.from_dict(comp, f"components.{comp_id}")
-            for comp_id, comp in _require_mapping(
-                _required(raw["components"], "components"), "components"
-            ).items()
-        }
-        endpoints = {
-            ep_id: EndpointSpec.from_dict(ep, f"endpoints.{ep_id}")
-            for ep_id, ep in _require_mapping(
-                _required(raw["endpoints"], "endpoints"), "endpoints"
-            ).items()
-        }
-        devices = {
-            dev_id: DeviceSpec.from_dict(dev, f"devices.{dev_id}")
-            for dev_id, dev in _require_mapping(
-                _required(raw["devices"], "devices"), "devices"
-            ).items()
-        }
-        hubs = raw["hubs"]
-        if not isinstance(hubs, list):
-            raise ScenarioValidationError("hubs", "expected a list of names")
-        links_raw = _required(raw["links"], "links")
-        if not isinstance(links_raw, list):
-            raise ScenarioValidationError("links", "expected a list of links")
-        links = [
-            LinkSpec.from_dict(item, f"links[{index}]")
-            for index, item in enumerate(links_raw)
-        ]
-        workloads = {
-            wl_id: WorkloadSpec.from_dict(wl, f"workloads.{wl_id}")
-            for wl_id, wl in _require_mapping(
-                _required(raw["workloads"], "workloads"), "workloads"
-            ).items()
-        }
-        ladder_raw = raw["ladder"]
-        if not isinstance(ladder_raw, list):
-            raise ScenarioValidationError("ladder", "expected a list of levels")
-        spec = cls(
-            name=name,
-            description=str(raw["description"]),
-            seed=seed,
-            domain=str(raw["domain"]),
-            components=components,
-            endpoints=endpoints,
-            devices=devices,
-            hubs=[str(h) for h in hubs],
-            links=links,
-            workloads=workloads,
-            arrivals=ArrivalSpec.from_dict(
-                _required(raw["arrivals"], "arrivals"), "arrivals"
-            ),
-            faults=(
-                FaultsSpec.from_dict(raw["faults"], "faults")
-                if raw["faults"] is not None
-                else None
-            ),
-            ladder=[
-                LadderLevelSpec.from_dict(item, f"ladder[{index}]")
-                for index, item in enumerate(ladder_raw)
-            ],
-            server=ServerSpec.from_dict(raw["server"], "server"),
-            cluster=ClusterSpec.from_dict(raw["cluster"], "cluster"),
-            control=ControlSpec.from_dict(raw["control"], "control"),
-        )
-        spec.validate()
-        return spec
+    def _check(self, path: str) -> None:
+        self.validate()
 
     # -- cross-reference validation ----------------------------------
 
@@ -1194,35 +739,6 @@ class ScenarioSpec:
 
     # -- serialization -----------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "seed": self.seed,
-            "domain": self.domain,
-            "components": {
-                comp_id: comp.to_dict()
-                for comp_id, comp in self.components.items()
-            },
-            "endpoints": {
-                ep_id: ep.to_dict() for ep_id, ep in self.endpoints.items()
-            },
-            "devices": {
-                dev_id: dev.to_dict() for dev_id, dev in self.devices.items()
-            },
-            "hubs": list(self.hubs),
-            "links": [link.to_dict() for link in self.links],
-            "workloads": {
-                wl_id: wl.to_dict() for wl_id, wl in self.workloads.items()
-            },
-            "arrivals": self.arrivals.to_dict(),
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-            "ladder": [level.to_dict() for level in self.ladder],
-            "server": self.server.to_dict(),
-            "cluster": self.cluster.to_dict(),
-            "control": self.control.to_dict(),
-        }
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
@@ -1236,18 +752,12 @@ def load_scenario(source: Union[str, Path]) -> ScenarioSpec:
     path = Path(source)
     text = path.read_text()
     if path.suffix == ".json":
-        data = json.loads(text)
-    else:
-        data = loads_scenario_text(text, validate=False)
-        return ScenarioSpec.from_dict(data)
-    return ScenarioSpec.from_dict(data)
+        return ScenarioSpec.from_dict(json.loads(text))
+    return loads_scenario_text(text)
 
 
-def loads_scenario_text(text: str, validate: bool = True):
-    """Parse scenario YAML text; with ``validate=True`` return a spec."""
+def loads_scenario_text(text: str) -> ScenarioSpec:
+    """Parse and validate scenario YAML text."""
     import yaml
 
-    data = yaml.safe_load(text)
-    if validate:
-        return ScenarioSpec.from_dict(data)
-    return data
+    return ScenarioSpec.from_dict(yaml.safe_load(text))

@@ -18,6 +18,7 @@ byte-identical-metrics guarantee rests on.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
@@ -107,15 +108,17 @@ def arrival_trace(
     priorities: Sequence[int] = (0,),
 ) -> ArrivalTrace:
     """Generate a trace of request arrivals, deterministically per seed."""
-    if rate_per_s <= 0:
-        raise ValueError("arrival rate must be positive")
-    if horizon_s <= 0:
-        raise ValueError("horizon must be positive")
-    if mean_duration_s <= 0:
-        raise ValueError("mean duration must be positive")
-    if duration_bounds_s[0] > duration_bounds_s[1]:
-        raise ValueError("duration bounds are inverted")
-    if pareto_alpha <= 1.0:
+    # Written as ``not (ok)`` so NaN fails every guard: a NaN rate or an
+    # infinite horizon would otherwise never reach the loop's exit.
+    if not 0 < rate_per_s < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
+    if not 0 < horizon_s < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if not 0 < mean_duration_s < math.inf:
+        raise ValueError("mean duration must be positive and finite")
+    if not -math.inf < duration_bounds_s[0] <= duration_bounds_s[1] < math.inf:
+        raise ValueError("duration bounds must be finite and ordered")
+    if not 1.0 < pareto_alpha < math.inf:
         raise ValueError("pareto_alpha must exceed 1 for a finite mean")
     if graph_count < 1:
         raise ValueError("need at least one graph")

@@ -236,3 +236,102 @@ class TestLoading:
         yaml = pytest.importorskip("yaml")
         text = yaml.safe_dump(minimal_spec_dict())
         assert loads_scenario_text(text) == spec
+
+
+_MISSING = object()
+
+#: (where, value, expected error path): set ``where`` in the minimal
+#: document to ``value`` (``_MISSING`` deletes the key) and expect a
+#: ``ScenarioValidationError`` at that path.
+MALFORMED = [
+    (("name",), None, "name"),
+    (("arrivals",), _MISSING, "arrivals"),
+    (("hubs",), "hub", "hubs"),
+    (("components", "src", "code_size_kb"), [1], "components.src.code_size_kb"),
+    (
+        ("components", "src", "qos_output", "frame_rate"),
+        [],
+        "components.src.qos_output.frame_rate",
+    ),
+    (
+        ("endpoints", "sink/any", "platforms"),
+        ["mainframe"],
+        "endpoints.sink/any.platforms",
+    ),
+    (("endpoints", "src@hub", "hosted_on"), 7, "endpoints.src@hub.hosted_on"),
+    (("devices", "hub", "count"), 0, "devices.hub.count"),
+    (("devices", "hub", "colour"), "red", "devices.hub"),
+    (("links", 0), ["hub"], "links[0]"),
+    (
+        ("links", 0),
+        {"first": "hub", "second": "kiosk", "class": "carrier-pigeon"},
+        "links[0].class",
+    ),
+    (
+        ("workloads", "watch", "nodes", "b", "optional"),
+        "no",
+        "workloads.watch.nodes.b.optional",
+    ),
+    (
+        ("workloads", "watch", "nodes", "a", "service_type"),
+        _MISSING,
+        "workloads.watch.nodes.a.service_type",
+    ),
+    (
+        ("workloads", "watch", "relations"),
+        [["a", "z", 1.0]],
+        "workloads.watch.relations[0]",
+    ),
+    (("workloads", "watch", "clients"), [], "workloads.watch.clients"),
+    (
+        ("workloads", "watch", "utility_profile"),
+        "nope",
+        "workloads.watch.utility_profile",
+    ),
+    (("arrivals", "rate_per_s"), float("nan"), "arrivals.rate_per_s"),
+    (("arrivals", "duration_bounds_s"), [600, 1], "arrivals.duration_bounds_s"),
+    (("arrivals", "arrival_process"), "uniform", "arrivals.arrival_process"),
+    (("arrivals", "mix"), {"watch": 0}, "arrivals.mix.watch"),
+    (
+        ("faults",),
+        {"scripted": [{"kind": "meteor", "at_s": 1.0, "target": "kiosk"}]},
+        "faults.scripted[0].kind",
+    ),
+    (("faults",), {"scripted": {}}, "faults.scripted"),
+    (
+        ("faults",),
+        {"random": {"crash_targets": "kiosk"}},
+        "faults.random.crash_targets",
+    ),
+    (
+        ("faults",),
+        {"random": {"link_pairs": [["hub"]]}},
+        "faults.random.link_pairs[0]",
+    ),
+    (("faults",), {"heartbeat_interval_s": 0}, "faults.heartbeat_interval_s"),
+    (("ladder",), [{"label": "full", "demand_scale": 0}], "ladder[0].demand_scale"),
+    (("ladder",), [{"user_qos": {}}], "ladder[0].label"),
+    (("server", "skip_downloads"), "false", "server.skip_downloads"),
+    (("server", "queue_capacity"), "many", "server.queue_capacity"),
+    (("cluster", "shards"), 2.9, "cluster.shards"),
+    (("cluster", "router"), "random", "cluster.router"),
+    (("control", "enabled"), "false", "control.enabled"),
+    (("control", "tick_interval_s"), 0, "control.tick_interval_s"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, value, path", MALFORMED, ids=[row[2] for row in MALFORMED]
+)
+def test_malformed_document_names_its_path(spec_dict, where, value, path):
+    *parents, leaf = where
+    node = spec_dict
+    for key in parents:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    if value is _MISSING:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        ScenarioSpec.from_dict(spec_dict)
+    assert excinfo.value.path == path

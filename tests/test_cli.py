@@ -1,6 +1,10 @@
 """Unit tests for the CLI (reduced workloads)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +387,25 @@ class TestScenarioCommand:
         capsys.readouterr()
         assert traces[0] and traces[1]
         assert traces[0] != traces[1]
+
+    def test_invalid_spec_file_exits_with_its_path(self, tmp_path):
+        from repro.scenarios import load_catalog_scenario
+
+        document = load_catalog_scenario("conference_mesh").to_dict()
+        document["cluster"]["shards"] = 2.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "scenario", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "cluster.shards: must be a positive integer" in done.stderr
 
     def test_unknown_scenario_errors(self):
         with pytest.raises(KeyError, match="unknown scenario"):

@@ -103,6 +103,14 @@ class TestValidation:
             {"horizon_s": 0.0},
             {"mean_duration_s": 0.0},
             {"duration_bounds_s": (5.0, 1.0)},
+            {"rate_per_s": float("nan")},
+            {"rate_per_s": float("inf")},
+            {"horizon_s": float("nan")},
+            {"horizon_s": float("inf")},
+            {"mean_duration_s": float("nan")},
+            {"duration_bounds_s": (float("nan"), 600.0)},
+            {"duration_bounds_s": (1.0, float("inf"))},
+            {"pareto_alpha": float("nan")},
             {"pareto_alpha": 1.0},
             {"graph_count": 0},
             {"priorities": ()},
