@@ -8,9 +8,8 @@ Usage::
     python -m repro figure5  [--requests N] [--horizon H]
     python -m repro ablations [--cases N]
     python -m repro chaos-sweep  [--multipliers M ...] [--driver sim|thread] [--controlled] [--json PATH] [--trace PATH]
-    python -m repro federation-sweep [--clusters N ...] [--multipliers M ...] [--roam-rates R ...] [--driver sim|thread] [--json PATH] [--trace PATH]
     python -m repro control-sweep [--quick] [--json PATH]
-    python -m repro scenario [NAME|PATH] [--list] [--driver sim|thread] [--multiplier M ...] [--shards N ...] [--horizon S] [--seed S] [--controlled] [--batched] [--store PATH] [--crash-restart] [--json PATH] [--trace PATH]
+    python -m repro scenario [NAME|PATH] [--list] [--driver sim|thread] [--multiplier M ...] [--shards N ...] [--clusters N ...] [--horizon S] [--seed S] [--controlled] [--batched] [--store PATH] [--crash-restart] [--json PATH] [--trace PATH]
     python -m repro bench [--quick] [--baseline PATH] [--tolerance F]
     python -m repro trace-report PATH
     python -m repro all
@@ -22,8 +21,9 @@ NDJSON (byte-identical per seed under the sim driver), which
 ``trace-report`` renders as a per-phase latency breakdown with
 critical-path summaries. ``scenario`` runs one declarative document from
 the built-in catalog (or any YAML/JSON spec path) through the unified
-spec → compile → run pipeline, at every ``--shards`` × ``--multiplier``
-point; ``scenario audio_lab`` is the paper's own testbed under load.
+spec → compile → run pipeline, at every ``--clusters`` × ``--shards`` ×
+``--multiplier`` point; ``scenario audio_lab`` is the paper's own
+testbed under load, and ``--clusters N`` federates N copies of it.
 
 The sweep flags above are declared once in
 :mod:`repro.experiments.runner`.
@@ -57,11 +57,6 @@ from repro.experiments.bench_serving import (
     run_serving_bench,
 )
 from repro.experiments.chaos_sweep import run_chaos_sweep
-from repro.experiments.bench_federation import run_federation_bench
-from repro.experiments.federation_sweep import (
-    run_federation_sweep,
-    run_federation_thread_once,
-)
 from repro.experiments.figure3 import run_prototype_scenario
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure5 import run_figure5
@@ -141,36 +136,6 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> None:
     write_artifacts(args, result, json_label="recovery metrics")
 
 
-def _cmd_federation_sweep(args: argparse.Namespace) -> None:
-    if args.driver == "thread":
-        for cluster_count in args.clusters:
-            report = run_federation_thread_once(
-                cluster_count, request_count=args.requests
-            )
-            whole = report["snapshot"]["federation"]
-            print(
-                f"{cluster_count} cluster(s): "
-                f"submitted {whole['submitted']}, "
-                f"admitted {whole['admitted']}, "
-                f"shed {whole['shed_final']} "
-                f"({100.0 * report['shed_rate']:.1f}%), "
-                f"drained={report['drained']}, "
-                f"audit={'clean' if not report['audit'] else report['audit']}"
-            )
-        return
-    result = run_federation_sweep(
-        cluster_counts=tuple(args.clusters),
-        multipliers=tuple(args.multipliers),
-        roam_rates=tuple(args.roam_rates),
-        seed=args.seed,
-        horizon_s=args.horizon,
-        queue_capacity=args.queue_capacity,
-        trace=args.trace is not None,
-    )
-    print(result.format_table())
-    write_artifacts(args, result, json_label="federation metrics")
-
-
 def _cmd_control_sweep(args: argparse.Namespace) -> None:
     result = run_control_bench(quick=args.quick, seed=args.seed)
     print(result.format_table())
@@ -223,17 +188,25 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         spec = dataclasses.replace(spec, seed=args.seed)
 
     if args.crash_restart:
-        if len(args.multiplier) > 1 or args.shards or args.horizon:
+        if (
+            len(args.multiplier) > 1
+            or args.shards
+            or args.clusters
+            or args.horizon
+        ):
             raise SystemExit(
                 "--crash-restart runs one point: one --multiplier, "
-                "no --shards or --horizon"
+                "no --shards, --clusters or --horizon"
             )
-        result = run_crash_restart(
-            spec,
-            store_path=args.store,
-            crash_at_fraction=args.crash_at,
-            multiplier=args.multiplier[0],
-        )
+        try:
+            result = run_crash_restart(
+                spec,
+                store_path=args.store,
+                crash_at_fraction=args.crash_at,
+                multiplier=args.multiplier[0],
+            )
+        except ScenarioValidationError as exc:
+            raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
         report = result.report
         print(
             f"Scenario {result.scenario!r} crash-restart: "
@@ -254,17 +227,21 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
             raise SystemExit(1)
     else:
         store = SqliteRecordStore(args.store) if args.store else None
-        sweep = run_sweep(
-            spec,
-            args.multiplier,
-            shards=args.shards,
-            horizon_s=args.horizon,
-            driver=args.driver,
-            trace=args.trace is not None,
-            controlled=True if args.controlled else None,
-            batched=args.batched,
-            store=store,
-        )
+        try:
+            sweep = run_sweep(
+                spec,
+                args.multiplier,
+                shards=args.shards,
+                clusters=args.clusters,
+                horizon_s=args.horizon,
+                driver=args.driver,
+                trace=args.trace is not None,
+                controlled=True if args.controlled else None,
+                batched=args.batched,
+                store=store,
+            )
+        except ScenarioValidationError as exc:
+            raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
         # One point writes the single-run JSON and table.
         result = sweep.points[0] if len(sweep.points) == 1 else sweep
         print(result.format_table())
@@ -313,13 +290,6 @@ def _cmd_bench(args: argparse.Namespace) -> None:
         with open(args.distribution_json, "w", encoding="utf-8") as handle:
             handle.write(distribution.to_json())
         print(f"\ndistribution bench JSON written to {args.distribution_json}")
-    if not args.no_federation:
-        print()
-        federation = run_federation_bench(quick=args.quick)
-        print(federation.format_table())
-        with open(args.federation_json, "w", encoding="utf-8") as handle:
-            handle.write(federation.to_json())
-        print(f"\nfederation bench JSON written to {args.federation_json}")
     if not args.no_control:
         print()
         control = run_control_bench(quick=args.quick)
@@ -461,42 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_sweep.set_defaults(handler=_cmd_chaos_sweep)
 
-    federation_sweep = subparsers.add_parser(
-        "federation-sweep",
-        help="geo-federated clusters with cross-cluster roaming (extension)",
-    )
-    federation_sweep.add_argument(
-        "--clusters", type=int, nargs="+", default=[1, 3]
-    )
-    add_multipliers_option(federation_sweep, default=[1.0, 2.0])
-    federation_sweep.add_argument(
-        "--roam-rates", type=float, nargs="+", default=[0.0, 0.2]
-    )
-    add_seed_option(federation_sweep)
-    add_horizon_option(federation_sweep)
-    federation_sweep.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=16,
-        help="per-shard bounded queue capacity in every member cluster",
-    )
-    add_driver_option(
-        federation_sweep,
-        thread_help="one real worker pool per shard per cluster, "
-        "burst-submitted",
-    )
-    federation_sweep.add_argument(
-        "--requests",
-        type=int,
-        default=90,
-        help="burst size per cluster count (thread driver only)",
-    )
-    add_artifact_options(
-        federation_sweep,
-        json_help="also write deterministic federation metrics JSON",
-    )
-    federation_sweep.set_defaults(handler=_cmd_federation_sweep)
-
     control_sweep = subparsers.add_parser(
         "control-sweep",
         help="predictive control plane: controlled vs reactive (extension)",
@@ -549,6 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         help="shard counts to sweep (default: the spec's cluster.shards)",
+    )
+    scenario.add_argument(
+        "--clusters",
+        type=int,
+        nargs="+",
+        default=None,
+        help="federated cluster counts to sweep (default: the spec's "
+        "federation.clusters, 1 without the section)",
     )
     add_horizon_option(scenario, default=None)
     scenario.add_argument(
@@ -616,16 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-distribution",
         action="store_true",
         help="skip the distribution-search bench",
-    )
-    bench.add_argument(
-        "--federation-json",
-        default="BENCH_federation.json",
-        help="where to write the federation bench artifact",
-    )
-    bench.add_argument(
-        "--no-federation",
-        action="store_true",
-        help="skip the isolated-vs-federated clusters bench",
     )
     bench.add_argument(
         "--control-json",

@@ -14,14 +14,15 @@ the loop and acts *before* overload happens. Three layers:
 - :mod:`repro.control.controller` — the :class:`QoSController` tick loop
   that, on a forecast, pre-emptively degrades low-priority admission,
   rebalances router weights and queued work across shards, evacuates
-  sessions off at-risk devices, hands heavy sessions to sibling clusters
-  (:class:`FederationController`), and reverts every action when the
+  sessions off at-risk devices, and reverts every action when the
   forecast clears — all emitted as ``control.*`` spans and counters.
+
+The loop runs on one cluster (or one domain); a federation of clusters
+is served uncontrolled.
 """
 
 from repro.control.controller import (
     ControlPolicy,
-    FederationController,
     QoSController,
 )
 from repro.control.estimator import (
@@ -42,7 +43,6 @@ from repro.control.signals import (
 __all__ = [
     "ClusterSignals",
     "ControlPolicy",
-    "FederationController",
     "LinearTrendEstimator",
     "NaiveBayesEstimator",
     "OverloadEstimator",

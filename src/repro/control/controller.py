@@ -39,11 +39,6 @@ a device the detector has already *suspected* — once the
 :class:`~repro.faults.recovery.RecoveryManager` owns an incident, the
 control plane stands down (the chaos tests assert exactly this).
 
-:class:`FederationController` runs one :class:`QoSController` per member
-cluster plus a cross-cluster actuator that hands the heaviest session of
-a forecast-hot member to the sibling with the most digest headroom via
-the five-phase :class:`~repro.federation.migration.SessionMigrator`.
-
 Every action and revert is a ``control.*`` span and counter; the loop is
 driven entirely by the injected scheduler and seeded estimator, so a sim
 replay at the same seed is byte-identical, controller included.
@@ -52,13 +47,12 @@ replay at the same seed is byte-identical, controller included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.control.estimator import OverloadEstimator, OverloadForecast
 from repro.control.signals import (
     ClusterSignals,
     ShardSignals,
-    TrendWindow,
     suspicion_view,
 )
 from repro.events.types import Event, Topics
@@ -99,8 +93,6 @@ class ControlPolicy:
     rebalance_headroom: float = 0.5  #: sibling occupancy ceiling to accept moves
     evacuation_phi: float = 1.5  #: rising suspicion level that triggers evacuation
     min_phi_samples: int = 2  #: suspicion points needed before evacuating
-    migrate_headroom: float = 0.35  #: sibling digest headroom floor for migration
-    max_migrations_per_tick: int = 1  #: cross-cluster handoff budget per tick
     seed: int = 0  #: estimator seed
 
     def __post_init__(self) -> None:
@@ -525,237 +517,3 @@ class QoSController:
             self.configurator.unquarantine(device_id)
         del self._evacuated[device_id]
         self._evacuation_reverted.incr()
-
-
-class FederationController:
-    """Per-member control loops plus cross-cluster pre-emptive migration.
-
-    Each member cluster gets its own :class:`QoSController` (attached via
-    the cluster's own ``attach_controller`` seam, so per-shard actuation
-    works exactly as in the single-cluster case). On top, this loop
-    watches member digests: when a member's aggregate trajectory
-    forecasts hot, its heaviest running session is handed to the sibling
-    with the most digest headroom through the five-phase
-    :class:`~repro.federation.migration.SessionMigrator` — pressure leaves
-    the cluster entirely instead of sloshing between its shards. Migrated
-    sessions are remembered so a session never ping-pongs.
-    """
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        tier: object,
-        policy: Optional[ControlPolicy] = None,
-        migrator: Optional[object] = None,
-    ) -> None:
-        self.scheduler = scheduler
-        self.tier = tier
-        self.policy = policy if policy is not None else ControlPolicy()
-        self.migrator = migrator
-        self.registry = tier.registry
-        self.children: Dict[str, QoSController] = {
-            member.name: member.cluster.attach_controller(
-                scheduler, policy=self.policy
-            )
-            for member in tier.members
-        }
-        self.estimator = OverloadEstimator(
-            seed=self.policy.seed,
-            horizon_s=self.policy.horizon_s,
-            occupancy_limit=self.policy.occupancy_limit,
-            confidence_floor=self.policy.confidence_floor,
-            min_samples=self.policy.min_samples,
-        )
-        self._occupancy: Dict[str, TrendWindow] = {}
-        self._utilization: Dict[str, TrendWindow] = {}
-        self._last_shed: Dict[str, int] = {}
-        self._prev_views: Dict[str, ShardSignals] = {}
-        for member in tier.members:
-            self._occupancy[member.name] = TrendWindow(self.policy.window_s)
-            self._utilization[member.name] = TrendWindow(self.policy.window_s)
-            self._last_shed[member.name] = 0
-        self._migrated: Set[str] = set()
-        self._running = False
-        self._deadline: Optional[float] = None
-        self._tick_handle: Optional[object] = None
-        self._migrations = self.registry.counter(
-            "control.federation_migrations"
-        )
-        self._migration_failed = self.registry.counter(
-            "control.federation_migration_failed"
-        )
-        self._ticks = self.registry.counter("control.federation_ticks")
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self, horizon_s: Optional[float] = None) -> None:
-        """Start every member loop, then the federation loop itself."""
-        if self._running:
-            raise RuntimeError("federation controller already running")
-        for name in sorted(self.children):
-            self.children[name].start(horizon_s=horizon_s)
-        self._running = True
-        if horizon_s is not None:
-            self._deadline = self.scheduler.now + horizon_s
-        self._tick()
-
-    def stop(self) -> None:
-        """Stop the federation loop and every member loop (idempotent)."""
-        self._running = False
-        if self._tick_handle is not None:
-            self.scheduler.cancel(self._tick_handle)
-            self._tick_handle = None
-        for name in sorted(self.children):
-            self.children[name].stop()
-
-    # -- the loop --------------------------------------------------------------
-
-    def _tick(self) -> None:
-        self._tick_handle = None
-        if not self._running:
-            return
-        now = self.scheduler.now
-        self._ticks.incr()
-        migrations_left = self.policy.max_migrations_per_tick
-        for member in self.tier.members:
-            view = self._member_view(member, now)
-            previous = self._prev_views.get(member.name)
-            shed = member.cluster.registry.counter("cluster.shed_at_submit").value
-            if previous is not None:
-                self.estimator.observe(
-                    previous, shed > self._last_shed[member.name]
-                )
-            self._last_shed[member.name] = shed
-            self._prev_views[member.name] = view
-            forecast = self.estimator.forecast(
-                view, now, scope="member", target=member.name
-            )
-            if (
-                forecast is not None
-                and self.migrator is not None
-                and migrations_left > 0
-                and self.tier.member_count > 1
-            ):
-                if self._offload(member, forecast, now):
-                    migrations_left -= 1
-        if self._deadline is not None and now >= self._deadline:
-            self._running = False
-            return
-        self._tick_handle = self.scheduler.schedule(
-            self.policy.tick_interval_s, self._tick
-        )
-
-    def _member_view(self, member: object, now: float) -> ShardSignals:
-        digest = member.digest()
-        occupancy = (
-            digest.queue_depth / digest.queue_capacity
-            if digest.queue_capacity
-            else 0.0
-        )
-        occ_window = self._occupancy[member.name]
-        util_window = self._utilization[member.name]
-        occ_window.append(now, occupancy)
-        util_window.append(now, digest.utilization)
-        return ShardSignals(
-            shard=-1,
-            occupancy=occupancy,
-            utilization=digest.utilization,
-            load=digest.load_score,
-            occupancy_slope=occ_window.slope(),
-            utilization_slope=util_window.slope(),
-            arrival_rate_per_s=0.0,
-            samples=occ_window.count,
-        )
-
-    # -- cross-cluster actuation ----------------------------------------------
-
-    def _offload(
-        self, member: object, forecast: OverloadForecast, now: float
-    ) -> bool:
-        """Hand the member's heaviest session to the best sibling, once."""
-        destination = self._pick_destination(member)
-        if destination is None:
-            return False
-        session = self._pick_session(member)
-        if session is None:
-            return False
-        client = self._pick_client(destination, session)
-        if client is None:
-            return False
-        with get_tracer().span(
-            "control.migrate",
-            session_id=session.session_id,
-            origin=member.name,
-            destination=destination.name,
-        ) as span:
-            span.set("confidence", stable_round(forecast.confidence))
-            outcome = self.migrator.migrate(
-                session,
-                origin=member,
-                destination=destination,
-                new_client_device=client,
-            )
-            span.set("success", outcome.success)
-            span.set("phase", outcome.phase)
-        # Remember both identities: the retired origin session and the
-        # freshly admitted destination one — neither may move again.
-        self._migrated.add(session.session_id)
-        if outcome.new_session is not None:
-            self._migrated.add(outcome.new_session.session_id)
-        if outcome.success:
-            self._migrations.incr()
-            return True
-        self._migration_failed.incr()
-        return False
-
-    def _pick_destination(self, origin: object) -> Optional[object]:
-        """The sibling with the most digest headroom, above the floor."""
-        best = None
-        best_key = None
-        for member in self.tier.members:
-            if member.name == origin.name:
-                continue
-            digest = member.digest()
-            if digest.headroom < self.policy.migrate_headroom:
-                continue
-            key = (-digest.headroom, member.name)
-            if best_key is None or key < best_key:
-                best, best_key = member, key
-        return best
-
-    def _pick_session(self, member: object) -> Optional[object]:
-        """The heaviest movable running session (most devices in use)."""
-        best = None
-        best_key = None
-        for shard in member.cluster.shards:
-            for session_id in sorted(shard.configurator.sessions):
-                if session_id in self._migrated:
-                    continue
-                session = shard.configurator.sessions[session_id]
-                if not session.running or session.deployment is None:
-                    continue
-                key = (-len(session.devices_in_use()), session_id)
-                if best_key is None or key < best_key:
-                    best, best_key = session, key
-        return best
-
-    def _pick_client(
-        self, destination: object, session: object
-    ) -> Optional[str]:
-        """A destination portal device, preferring the session's class."""
-        shard = destination.cluster.shards[destination.cluster.least_loaded()]
-        devices = sorted(
-            shard.configurator.server.available_devices(),
-            key=lambda device: device.device_id,
-        )
-        if not devices:
-            return None
-        wanted = session.request.client_device_class
-        for device in devices:
-            if device.device_class == wanted:
-                return device.device_id
-        return devices[0].device_id

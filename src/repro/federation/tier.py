@@ -30,7 +30,7 @@ from repro.federation.fabric import FederationFabric
 from repro.observability.metrics import MetricsRegistry, stable_round
 from repro.observability.tracing import get_tracer
 from repro.runtime.degradation import DegradationLadder
-from repro.server.cluster import ClusterOutcome, DomainCluster
+from repro.server.cluster import ClusterOutcome, DomainCluster, merged_latency
 from repro.server.service import (
     DomainConfigurationService,
     RequestOutcome,
@@ -82,9 +82,15 @@ class FederationMember:
 
     @classmethod
     def with_ladder(
-        cls, name: str, cluster: DomainCluster, ladder: DegradationLadder
+        cls,
+        name: str,
+        cluster: DomainCluster,
+        ladder: Optional[DegradationLadder],
     ) -> "FederationMember":
-        """A member whose ladder headroom comes from a degradation ladder."""
+        """A member whose ladder headroom comes from its degradation ladder
+        (full-rate only without one)."""
+        if ladder is None:
+            return cls(name, cluster)
         return cls(
             name,
             cluster,
@@ -185,7 +191,6 @@ class FederationTier:
         headroom_floor: float = 0.15,
         digest_cadence: int = 1,
         escalation: bool = True,
-        controller: Optional[object] = None,
     ) -> None:
         if not members:
             raise ValueError("federation needs at least one member cluster")
@@ -206,21 +211,18 @@ class FederationTier:
         self.headroom_floor = headroom_floor
         self.digest_cadence = digest_cadence
         self.escalation = escalation
-        #: The control-plane policy (a :class:`repro.control.ControlPolicy`)
-        #: this tier was configured with; :meth:`attach_controller` turns
-        #: it into a live, ticking FederationController.
-        self.control_policy = controller
-        self.controller: Optional[object] = None
         self._lock = threading.Lock()
         self._placement: Dict[str, str] = {}
+        #: Ids of the requests that left their home cluster, in order.
+        self._escalated: List[str] = []
         self._submitted = self.registry.counter("federation.submitted")
         self._local = self.registry.counter("federation.local")
         self._escalations = self.registry.counter("federation.escalations")
         self._escalation_attempts = self.registry.counter(
             "federation.escalation_attempts"
         )
-        self._escalation_rescued = self.registry.counter(
-            "federation.escalation_rescued"
+        self._escalation_queued = self.registry.counter(
+            "federation.escalation_queued"
         )
         self._escalation_reshed = self.registry.counter(
             "federation.escalation_reshed"
@@ -242,32 +244,6 @@ class FederationTier:
     def member(self, name: str) -> FederationMember:
         """The member with the given name (KeyError when unknown)."""
         return self._by_name[name]
-
-    def attach_controller(
-        self,
-        scheduler: object,
-        policy: Optional[object] = None,
-        migrator: Optional[object] = None,
-    ) -> object:
-        """Build the closed-loop QoS controller over this federation.
-
-        Wraps one per-member cluster loop each plus a cross-cluster
-        actuator that hands heavy sessions to siblings through
-        ``migrator`` (a :class:`~repro.federation.migration.SessionMigrator`)
-        when a member's forecast turns hot. Uses the ``controller=``
-        policy the tier was constructed with unless ``policy`` overrides
-        it; the caller owns start/stop. Imported lazily so the federation
-        layer has no hard dependency on :mod:`repro.control`.
-        """
-        from repro.control.controller import FederationController
-
-        self.controller = FederationController(
-            scheduler,  # type: ignore[arg-type]
-            self,
-            policy=policy if policy is not None else self.control_policy,  # type: ignore[arg-type]
-            migrator=migrator,  # type: ignore[arg-type]
-        )
-        return self.controller
 
     # -- the digest protocol -------------------------------------------------------
 
@@ -336,6 +312,8 @@ class FederationTier:
             span.set("status", outcome.status.value)
         with self._lock:
             self._placement[request.request_id] = outcome.member
+            if outcome.escalated:
+                self._escalated.append(request.request_id)
         return outcome
 
     def _candidate_order(
@@ -412,7 +390,7 @@ class FederationTier:
         elif placed.outcome.status is RequestStatus.SHED:
             self._escalation_reshed.incr()
         else:
-            self._escalation_rescued.incr()
+            self._escalation_queued.incr()
         return FederationOutcome(
             request_id=request.request_id,
             home=request.home,
@@ -423,6 +401,11 @@ class FederationTier:
         )
 
     # -- results -------------------------------------------------------------------
+
+    def escalated(self) -> List[str]:
+        """Ids of the requests that left their home cluster, in order."""
+        with self._lock:
+            return list(self._escalated)
 
     def member_of(self, request_id: str) -> Optional[str]:
         """Which member cluster finally kept the request, if any."""
@@ -450,6 +433,10 @@ class FederationTier:
         return FederationMetrics(self)
 
 
+#: Final dispositions an escalated request is counted under.
+ESCALATION_OUTCOMES = ("admitted", "degraded", "failed", "shed")
+
+
 class FederationMetrics:
     """Whole-federation view over the tier and member registries.
 
@@ -457,7 +444,15 @@ class FederationMetrics:
     same way :class:`~repro.server.cluster.ClusterMetrics` corrects for
     cross-shard overflow: every extra attempt re-submitted one request to
     another cluster after a shed there or at home, so distinct submissions
-    and final sheds subtract ``escalation_attempts``.
+    and final sheds subtract ``escalation_attempts``. Whole-federation
+    percentiles are nearest-rank over the union of every member shard's
+    samples.
+
+    ``escalation_queued`` counts escalated requests a cluster *queued*,
+    not requests it admitted; ``escalation_outcomes`` splits every
+    escalated request by its current disposition (admitted at full
+    quality, degraded, failed or shed), so after a drain the four add up
+    to ``escalations``.
     """
 
     def __init__(self, tier: FederationTier) -> None:
@@ -480,13 +475,20 @@ class FederationMetrics:
             m["cluster"]["shed_final"] for m in members.values()  # type: ignore[index]
         )
         shed_final = shed_members - extra_attempts
-        rescued = registry.counter("federation.escalation_rescued").value
+        queued = registry.counter("federation.escalation_queued").value
         escalations = registry.counter("federation.escalations").value
+        outcomes = {status: 0 for status in ESCALATION_OUTCOMES}
+        for request_id in self.tier.escalated():
+            outcome = self.tier.outcome(request_id)
+            status = outcome.status.value if outcome is not None else None
+            if status in outcomes:
+                outcomes[status] += 1
         routing = {
             "local": registry.counter("federation.local").value,
             "escalations": escalations,
             "escalation_attempts": extra_attempts,
-            "escalation_rescued": rescued,
+            "escalation_queued": queued,
+            "escalation_outcomes": outcomes,
             "escalation_reshed": registry.counter(
                 "federation.escalation_reshed"
             ).value,
@@ -509,6 +511,7 @@ class FederationMetrics:
             "rolled_back": registry.counter(
                 "federation.migration_rolled_back"
             ).value,
+            "handoff_ms": registry.histogram("federation.migration_ms").summary(),
         }
         derived = {
             "shed_rate": (
@@ -517,8 +520,8 @@ class FederationMetrics:
             "admit_rate": (
                 stable_round(admitted / submitted) if submitted else 0.0
             ),
-            "escalation_rescue_rate": (
-                stable_round(rescued / escalations) if escalations else 0.0
+            "escalation_queue_rate": (
+                stable_round(queued / escalations) if escalations else 0.0
             ),
         }
         return {
@@ -529,7 +532,15 @@ class FederationMetrics:
                 "degraded": degraded,
                 "failed": failed,
                 "shed_final": shed_final,
+                "conflict_retries": sum(
+                    m["cluster"]["conflict_retries"] for m in members.values()  # type: ignore[index]
+                ),
                 "derived": derived,
+                "latency": merged_latency(
+                    shard
+                    for member in self.tier.members
+                    for shard in member.cluster.shards
+                ),
             },
             "routing": routing,
             "migration": migration,

@@ -2,15 +2,15 @@
 
 One YAML/JSON document declares an entire experiment — environment,
 registry, workload graphs, arrival mix, fault plan, serving/cluster/
-control knobs, one seed — and this package turns it into a run:
+control/federation knobs, one seed — and this package turns it into a run:
 
 - :mod:`repro.scenarios.spec` — strict parse/validate/round-trip;
 - :mod:`repro.scenarios.compile` — lowering into testbeds, ladders,
   seeded traces, fault schedules, and request factories;
 - :mod:`repro.scenarios.runner` — end-to-end execution (sim or thread
-  driver, cluster, chaos, control, batching, durable stores), sweeps
-  over load multipliers and shard counts, and the crash-restart
-  recovery harness;
+  driver, cluster, federation, chaos, control, batching, durable
+  stores), sweeps over load multipliers, shard counts and cluster
+  counts, and the crash-restart recovery harness;
 - ``catalog/`` — the built-in scenarios behind ``python -m repro
   scenario <name>``.
 """
@@ -28,6 +28,7 @@ from repro.scenarios.runner import (
     CrashRestartResult,
     ScenarioRunResult,
     ScenarioSweep,
+    build_federation,
     run_crash_restart,
     run_scenario,
     run_sweep,
@@ -75,6 +76,7 @@ __all__ = [
     "ScenarioSweep",
     "ScenarioTestbed",
     "ScenarioValidationError",
+    "build_federation",
     "catalog_scenarios",
     "compile_scenario",
     "derive_seed",

@@ -13,7 +13,9 @@ Determinism contract: one scenario-level ``seed`` drives everything.
 enabling faults can never perturb the arrival trace (and vice versa), and
 the same document always replays byte-identically. A document with
 ``arrivals.derive_seed: false`` seeds its trace with the scenario seed
-itself; its faults still draw from the derived stream.
+itself; its faults still draw from the derived stream. A federated
+document draws each request's home cluster and roam from its own
+``"<seed>:home:<id>"`` and ``"<seed>:roam:<id>"`` streams.
 
 The compiled object is cheap and immutable-ish; :meth:`build_testbed`
 constructs a *fresh* environment on every call (two runs never share
@@ -23,8 +25,9 @@ mutable state).
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.composition.composer import CompositionRequest, ServiceComposer
 from repro.composition.corrections import CorrectionPolicy
@@ -61,6 +64,10 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
+
+#: Fraction of a federation's arrivals homed on ``cluster0`` (the hot
+#: spot); the rest spread uniformly over the sibling clusters.
+HOT_SPOT_WEIGHT = 0.6
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -282,7 +289,11 @@ class CompiledScenario:
         )
 
     def arrival_trace(self, multiplier: float = 1.0) -> ArrivalTrace:
-        """The scenario's offered load, scaled by a rate multiplier."""
+        """The scenario's offered load, scaled by a rate multiplier.
+
+        A federation's offered load grows with its member count, so an
+        isolated and a federated run of one document see the same trace.
+        """
         arrivals = self.spec.arrivals
         return arrival_trace(
             seed=(
@@ -290,7 +301,7 @@ class CompiledScenario:
                 if arrivals.derive_seed
                 else self.spec.seed
             ),
-            rate_per_s=arrivals.rate_per_s * multiplier,
+            rate_per_s=arrivals.rate_per_s * multiplier * self.spec.clusters,
             horizon_s=arrivals.horizon_s,
             arrival_process=arrivals.arrival_process,
             duration_process=arrivals.duration_process,
@@ -443,6 +454,78 @@ class CompiledScenario:
 
         return to_request
 
+    # -- federation ----------------------------------------------------
+
+    def member_names(self) -> List[str]:
+        """The federation's member clusters, ``cluster0`` first."""
+        return [f"cluster{index}" for index in range(self.spec.clusters)]
+
+    def home_for(self, event: ArrivalEvent) -> str:
+        """The member cluster an arrival homes on (seeded hot spot)."""
+        clusters = self.spec.clusters
+        if clusters == 1:
+            return "cluster0"
+        rng = random.Random(f"{self.spec.seed}:home:{event.request_id}")
+        if rng.random() < HOT_SPOT_WEIGHT:
+            return "cluster0"
+        return f"cluster{rng.randrange(1, clusters)}"
+
+    def roams(
+        self, arrivals: Iterable[ArrivalEvent]
+    ) -> List[Tuple[float, str, str, str]]:
+        """Mid-session roams as ``(at_s, request_id, destination, device)``.
+
+        A ``federation.roam_rate`` share of the requests roams to a
+        sibling cluster halfway through its session, onto the next client
+        of its workload's rotation. A roam whose session is gone by then
+        is dropped at fire time, like a stale mobility prediction.
+        """
+        federation = self.spec.federation
+        if federation is None or federation.clusters == 1:
+            return []
+        roams: List[Tuple[float, str, str, str]] = []
+        for event in arrivals:
+            rng = random.Random(f"{self.spec.seed}:roam:{event.request_id}")
+            if rng.random() >= federation.roam_rate:
+                continue
+            home = self.home_for(event)
+            siblings = [name for name in self.member_names() if name != home]
+            destination = siblings[rng.randrange(len(siblings))]
+            cycle = self.client_cycles[self.workload_for(event)]
+            roams.append(
+                (
+                    event.arrival_s + 0.5 * event.duration_s,
+                    f"req-{event.request_id}",
+                    destination,
+                    cycle[(event.request_id + 1) % len(cycle)],
+                )
+            )
+        return roams
+
+    def federated_request_factory(
+        self, testbeds: Dict[str, List[ScenarioTestbed]]
+    ):
+        """``ArrivalEvent -> FederatedRequest``, for a federation tier.
+
+        Composition is decentralized: whichever member serves a request
+        composes it against that member's own first testbed.
+        """
+        from repro.federation.tier import FederatedRequest
+
+        factories = {
+            name: self.request_factory(member_testbeds[0])
+            for name, member_testbeds in testbeds.items()
+        }
+
+        def to_request(event: ArrivalEvent) -> "FederatedRequest":
+            return FederatedRequest(
+                request_id=f"req-{event.request_id}",
+                home=self.home_for(event),
+                make_request=lambda member: factories[member.name](event),
+            )
+
+        return to_request
+
     def recovery_request_factory(
         self, testbed: ScenarioTestbed
     ) -> Callable[[SessionRecord], Optional[CompositionRequest]]:
@@ -473,6 +556,7 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
 
 __all__ = [
     "CompiledScenario",
+    "HOT_SPOT_WEIGHT",
     "ScenarioTestbed",
     "compile_scenario",
     "derive_seed",

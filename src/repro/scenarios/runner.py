@@ -3,17 +3,20 @@
 :func:`run_scenario` is the one execution path behind ``python -m repro
 scenario``. It lowers the spec (testbed, ladder, trace, faults) and
 builds one target: a single service when ``cluster.shards == 1``, a
-:class:`~repro.server.cluster.DomainCluster` otherwise. That target goes
+:class:`~repro.server.cluster.DomainCluster` otherwise, and a
+:class:`~repro.federation.tier.FederationTier` of such clusters when
+``federation.clusters > 1`` (:func:`build_federation`). That target goes
 through the serving harness in :mod:`repro.server.drivers` — a
 deterministic :func:`~repro.server.drivers.sim_replay` or a real
 :func:`~repro.server.drivers.thread_burst` — optionally with the
 recovery stack (:mod:`repro.faults.stack`) or the cluster's predictive
 controller alongside, and batched admission on either. Both drivers end
 in the shared ledger audit. One result builder reads the service's or
-the cluster's metrics into a :class:`ScenarioRunResult` whose
-``to_json`` is byte-identical across runs of the same document + seed
-under the sim driver. :func:`run_sweep` runs one document at every
-shard count × load multiplier, one :func:`run_scenario` per point.
+the cluster's or the federation's metrics into a
+:class:`ScenarioRunResult` whose ``to_json`` is byte-identical across
+runs of the same document + seed under the sim driver. :func:`run_sweep`
+runs one document at every cluster count × shard count × load
+multiplier, one :func:`run_scenario` per point.
 
 :func:`run_crash_restart` is the durability counterpart: phase one runs
 the scenario against a shared (sqlite) record store and stops abruptly
@@ -33,6 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.control.controller import ControlPolicy
 from repro.faults.stack import RecoveryStack
+from repro.federation.migration import MigrationSchedule
+from repro.federation.tier import FederationMember, FederationTier
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.clock import SimScheduler
 from repro.server.batching import BatchingDomainService
@@ -55,7 +60,11 @@ from repro.scenarios.compile import (
     ScenarioTestbed,
     compile_scenario,
 )
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import (
+    FederationSpec,
+    ScenarioSpec,
+    ScenarioValidationError,
+)
 
 
 @dataclass
@@ -89,13 +98,28 @@ class ScenarioRunResult:
     control_actuations: int = 0
     control_reverts: int = 0
     control_rebalanced: int = 0
+    #: Member clusters; the three federation keys appear in ``as_dict``
+    #: only when the run was federated.
+    clusters: int = 1
+    escalations: int = 0
+    migrations_committed: int = 0
     metrics_json: str = "{}"
     #: NDJSON span export when traced ("" otherwise); excluded from
     #: ``as_dict`` so the JSON artifact is trace-independent.
     trace_ndjson: str = ""
 
     def as_dict(self) -> Dict[str, object]:
+        federation = (
+            {
+                "clusters": self.clusters,
+                "escalations": self.escalations,
+                "migrations_committed": self.migrations_committed,
+            }
+            if self.clusters > 1
+            else {}
+        )
         return {
+            **federation,
             "scenario": self.scenario,
             "seed": self.seed,
             "driver": self.driver,
@@ -143,6 +167,12 @@ class ScenarioRunResult:
             f"{self.throughput_per_min:>9.2f}"
             f"{100.0 * self.shed_rate:>7.1f}%",
         ]
+        if self.clusters > 1:
+            lines.append(
+                f"{self.clusters} clusters, "
+                f"escalations {self.escalations}, "
+                f"migrations committed {self.migrations_committed}"
+            )
         if self.faulted:
             lines.append(
                 f"faults injected {self.faults_injected}, "
@@ -172,14 +202,16 @@ def run_scenario(
 ) -> ScenarioRunResult:
     """Run one scenario end to end and audit every ledger.
 
-    The target is one service when ``cluster.shards == 1`` and a
-    :class:`~repro.server.cluster.DomainCluster` otherwise; both go
+    The target is one service when ``cluster.shards == 1``, a
+    :class:`~repro.server.cluster.DomainCluster` otherwise, and a
+    federation of such clusters when ``federation.clusters > 1``; all go
     through the same sim replay or thread burst. ``controlled=None``
     follows the spec's ``control.enabled`` knob; an explicit boolean
     overrides it (the thread driver never controls: the control plane
     needs a logical clock). ``store`` plugs a durable record store into
     the (single-shard) service; the default in-memory store keeps the
-    run's behaviour byte-identical to a storeless one.
+    run's behaviour byte-identical to a storeless one. A federation runs
+    without the control plane and without a store.
 
     The thread driver is a time-compressed open loop: arrival times are
     ignored and every request is submitted at once, so dispositions are
@@ -194,6 +226,12 @@ def run_scenario(
         raise ValueError("load multiplier must be positive")
     if controlled is None:
         controlled = spec.control.enabled
+    if spec.clusters > 1 and (controlled or store is not None):
+        raise ScenarioValidationError(
+            "federation.clusters",
+            f"{'--controlled' if controlled else '--store'} requires a "
+            "single-cluster scenario (federation.clusters == 1)",
+        )
     controlled = controlled and driver == "sim"
     if spec.faults is not None and driver != "sim":
         raise ValueError("fault schedules require the sim driver")
@@ -202,9 +240,15 @@ def run_scenario(
 
     simulator = Simulator() if driver == "sim" else None
     clock = SimulatedServerDriver.clock(simulator) if simulator else None
-    target, testbed = _build_target(compiled, clock, controlled, batched, store)
+    if spec.clusters > 1:
+        target, testbeds = build_federation(compiled, clock, batched)
+        to_request = compiled.federated_request_factory(testbeds)
+    else:
+        target, testbed = _build_target(
+            compiled, clock, controlled, batched, store
+        )
+        to_request = compiled.request_factory(testbed)
     arrivals = compiled.arrival_trace(multiplier=multiplier)
-    to_request = compiled.request_factory(testbed)
     recovery: Optional[RecoveryStack] = None
     trace_ndjson = ""
     if simulator is None:
@@ -226,7 +270,17 @@ def run_scenario(
             else None
         )
         setup = teardown = None
-        if isinstance(target, DomainCluster):
+        if isinstance(target, FederationTier):
+            roams = MigrationSchedule(target, simulator)
+            for roam in compiled.roams(arrivals):
+                roams.schedule(*roam)
+            attributes = dict(
+                scenario=spec.name,
+                seed=spec.seed,
+                clusters=target.member_count,
+                multiplier=multiplier,
+            )
+        elif isinstance(target, DomainCluster):
             if control_policy is not None:
                 controller = target.attach_controller(
                     SimScheduler(simulator), policy=control_policy
@@ -283,20 +337,27 @@ def run_scenario(
 
 @dataclass
 class ScenarioSweep:
-    """One scenario run at every shard count × load multiplier."""
+    """One scenario run at every cluster count × shard count × multiplier."""
 
     points: List[ScenarioRunResult] = field(default_factory=list)
 
     def point(
-        self, multiplier: float, shards: Optional[int] = None
+        self,
+        multiplier: float,
+        shards: Optional[int] = None,
+        clusters: Optional[int] = None,
     ) -> ScenarioRunResult:
         for point in self.points:
-            if point.multiplier == multiplier and shards in (
-                None,
-                point.shards,
+            if (
+                point.multiplier == multiplier
+                and shards in (None, point.shards)
+                and clusters in (None, point.clusters)
             ):
                 return point
-        raise KeyError(f"no point for {shards} shards at x{multiplier}")
+        raise KeyError(
+            f"no point for {clusters} clusters of {shards} shards "
+            f"at x{multiplier}"
+        )
 
     def to_json(self) -> str:
         """Deterministic JSON of every point (sorted keys, no whitespace)."""
@@ -308,21 +369,30 @@ class ScenarioSweep:
 
     def format_table(self) -> str:
         first = self.points[0]
+        federated = any(point.clusters > 1 for point in self.points)
         lines = [
             f"Scenario {first.scenario!r} "
             f"(seed {first.seed}, driver {first.driver}, "
             f"horizon {first.horizon_s:g}s, router {first.router})",
             "",
-            f"{'shards':>7}{'load x':>8}{'submitted':>11}{'admitted':>10}"
+            (f"{'clusters':>9}" if federated else "")
+            + f"{'shards':>7}{'load x':>8}{'submitted':>11}{'admitted':>10}"
             f"{'degraded':>10}{'shed':>7}{'failed':>8}{'thr/min':>9}"
-            f"{'shed%':>8}",
+            f"{'shed%':>8}"
+            + (f"{'escal':>7}{'migr':>6}" if federated else ""),
         ]
         for p in self.points:
             lines.append(
-                f"{p.shards:>7d}{p.multiplier:>8.2f}{p.submitted:>11d}"
+                (f"{p.clusters:>9d}" if federated else "")
+                + f"{p.shards:>7d}{p.multiplier:>8.2f}{p.submitted:>11d}"
                 f"{p.admitted:>10d}{p.degraded:>10d}{p.shed:>7d}"
                 f"{p.failed:>8d}{p.throughput_per_min:>9.2f}"
                 f"{100.0 * p.shed_rate:>7.1f}%"
+                + (
+                    f"{p.escalations:>7d}{p.migrations_committed:>6d}"
+                    if federated
+                    else ""
+                )
             )
         return "\n".join(lines)
 
@@ -336,15 +406,17 @@ def run_sweep(
     multipliers: Sequence[float],
     shards: Optional[Sequence[int]] = None,
     horizon_s: Optional[float] = None,
+    clusters: Optional[Sequence[int]] = None,
     **run_kwargs,
 ) -> ScenarioSweep:
-    """Run one scenario at every shard count × load multiplier.
+    """Run one scenario at every cluster count × shard count × multiplier.
 
-    ``shards`` overrides ``cluster.shards`` (default: the spec's own
-    count) and ``horizon_s`` the arrival horizon; every point is a fresh
-    :func:`run_scenario` with ``run_kwargs``, shard counts in the outer
-    loop. The same arrival trace (per multiplier) meets every shard
-    count.
+    ``clusters`` overrides ``federation.clusters`` and ``shards``
+    ``cluster.shards`` (default: the spec's own counts), and
+    ``horizon_s`` the arrival horizon; every point is a fresh
+    :func:`run_scenario` with ``run_kwargs``, cluster counts in the
+    outer loop and shard counts inside. The same arrival trace (per
+    multiplier and cluster count) meets every shard count.
     """
     spec = _as_compiled(scenario).spec
     if horizon_s is not None:
@@ -352,18 +424,28 @@ def run_sweep(
             spec, arrivals=replace(spec.arrivals, horizon_s=horizon_s)
         )
     sweep = ScenarioSweep()
-    for shard_count in shards or (spec.cluster.shards,):
-        if shard_count < 1:
-            raise ValueError("need at least one shard")
-        point_spec = replace(
-            spec, cluster=replace(spec.cluster, shards=shard_count)
-        )
-        point_spec.validate()
-        compiled = compile_scenario(point_spec)
-        for multiplier in multipliers:
-            sweep.points.append(
-                run_scenario(compiled, multiplier=multiplier, **run_kwargs)
+    for cluster_count in clusters or (None,):
+        if cluster_count is not None:
+            if cluster_count < 1:
+                raise ValueError("need at least one cluster")
+            spec = replace(
+                spec,
+                federation=replace(
+                    spec.federation or FederationSpec(), clusters=cluster_count
+                ),
             )
+        for shard_count in shards or (spec.cluster.shards,):
+            if shard_count < 1:
+                raise ValueError("need at least one shard")
+            point_spec = replace(
+                spec, cluster=replace(spec.cluster, shards=shard_count)
+            )
+            point_spec.validate()
+            compiled = compile_scenario(point_spec)
+            for multiplier in multipliers:
+                sweep.points.append(
+                    run_scenario(compiled, multiplier=multiplier, **run_kwargs)
+                )
     return sweep
 
 
@@ -384,6 +466,30 @@ def _build_service(
     return service, testbed
 
 
+def _build_cluster(
+    compiled: CompiledScenario,
+    clock,
+    batched: bool,
+    registry: MetricsRegistry,
+) -> Tuple[DomainCluster, List[ScenarioTestbed]]:
+    """``cluster.shards`` spec-built testbeds behind one cluster.
+
+    Shards share devices and registries, so the first testbed composes
+    every request; the serving shard's own configurator deploys it.
+    """
+    spec = compiled.spec
+    shard_count = spec.cluster.shards
+    testbeds = [compiled.build_testbed(clock=clock) for _ in range(shard_count)]
+    cluster = DomainCluster.build(
+        [testbed.configurator for testbed in testbeds],
+        router=make_router(spec.cluster.router, shard_count),
+        registry=registry,
+        batched=batched,
+        **_service_kwargs(compiled, clock),
+    )
+    return cluster, testbeds
+
+
 def _build_target(
     compiled: CompiledScenario,
     clock,
@@ -391,24 +497,45 @@ def _build_target(
     batched: bool,
     store: Optional[RecordStore],
 ) -> Tuple[Union[BatchingDomainService, DomainCluster], ScenarioTestbed]:
-    """The run's target and the testbed its requests are composed against.
-
-    Shards share devices and registries, so shard 0's testbed composes
-    every request; the serving shard's own configurator deploys it.
-    """
-    spec = compiled.spec
-    shard_count = spec.cluster.shards
-    if shard_count == 1:
+    """The run's target and the testbed its requests are composed against."""
+    if compiled.spec.cluster.shards == 1:
         return _build_service(compiled, clock, batched, store)
-    testbeds = [compiled.build_testbed(clock=clock) for _ in range(shard_count)]
-    cluster = DomainCluster.build(
-        [testbed.configurator for testbed in testbeds],
-        router=make_router(spec.cluster.router, shard_count),
-        registry=MetricsRegistry(clock=clock if controlled else None),
-        batched=batched,
-        **_service_kwargs(compiled, clock),
+    cluster, testbeds = _build_cluster(
+        compiled,
+        clock,
+        batched,
+        MetricsRegistry(clock=clock if controlled else None),
     )
     return cluster, testbeds[0]
+
+
+def build_federation(
+    compiled: Union[ScenarioSpec, CompiledScenario],
+    clock=None,
+    batched: bool = False,
+) -> Tuple[FederationTier, Dict[str, List[ScenarioTestbed]]]:
+    """``federation.clusters`` member clusters under one federation tier.
+
+    Each member is a :class:`~repro.server.cluster.DomainCluster` of
+    ``cluster.shards`` spec-built testbeds with its *own* metrics
+    registry (the shard namespace is per cluster, so two members sharing
+    one would alias each other's counters); the tier keeps a separate
+    registry for the ``federation.*`` series. A member's ladder headroom
+    comes from the spec's ladder. Returns ``(tier, testbeds_by_member)``:
+    requests are composed against the serving member's own testbeds.
+    """
+    compiled = _as_compiled(compiled)
+    federation = compiled.spec.federation or FederationSpec()
+    members: List[FederationMember] = []
+    testbeds: Dict[str, List[ScenarioTestbed]] = {}
+    for name in compiled.member_names():
+        cluster, testbeds[name] = _build_cluster(
+            compiled, clock, batched, MetricsRegistry()
+        )
+        members.append(
+            FederationMember.with_ladder(name, cluster, compiled.ladder())
+        )
+    return FederationTier(members, escalation=federation.escalation), testbeds
 
 
 def _service_kwargs(compiled: CompiledScenario, clock) -> Dict[str, object]:
@@ -447,8 +574,8 @@ def _result(
     recovery: Optional[RecoveryStack],
     trace_ndjson: str,
 ) -> ScenarioRunResult:
-    """The run's aggregate result, read from a service's or a cluster's
-    metrics."""
+    """The run's aggregate result, read from a service's, a cluster's or
+    a federation's metrics."""
     spec = compiled.spec
     extra: Dict[str, object] = {
         "scenario": spec.name,
@@ -456,12 +583,25 @@ def _result(
         "multiplier": multiplier,
         "horizon_s": horizon_s,
     }
-    if isinstance(target, DomainCluster):
+    counts: Dict[str, object] = {}
+    whole: Optional[Dict[str, object]] = None
+    if isinstance(target, FederationTier):
+        extra["clusters"] = target.member_count
+        extra["shard_count"] = spec.cluster.shards
+        snapshot = target.metrics.snapshot()
+        whole = snapshot["federation"]
+        counts.update(
+            clusters=target.member_count,
+            escalations=snapshot["routing"]["escalations"],
+            migrations_committed=snapshot["migration"]["committed"],
+        )
+    elif isinstance(target, DomainCluster):
         extra["shard_count"] = target.shard_count
         whole = target.metrics.snapshot()["cluster"]
+    if whole is not None:
         latency = whole["latency"]["total_ms"]
-        counts = dict(
-            shards=target.shard_count,
+        counts.update(
+            shards=spec.cluster.shards,
             submitted=whole["submitted"],
             admitted=whole["admitted"],
             degraded=whole["degraded"],
@@ -475,7 +615,7 @@ def _result(
     else:
         metrics = target.metrics
         submitted = metrics.count("submitted")
-        counts = dict(
+        counts.update(
             shards=1,
             submitted=submitted,
             admitted=metrics.count("admitted"),
@@ -584,6 +724,12 @@ def run_crash_restart(
     spec = compiled.spec
     if not 0.0 < crash_at_fraction < 1.0:
         raise ValueError("crash_at_fraction must be in (0, 1)")
+    if spec.clusters > 1:
+        raise ScenarioValidationError(
+            "federation.clusters",
+            "--crash-restart requires a single-cluster scenario "
+            "(federation.clusters == 1)",
+        )
     if store is None:
         store = SqliteRecordStore(store_path or ":memory:")
     crash_at_s = spec.arrivals.horizon_s * crash_at_fraction
@@ -650,6 +796,7 @@ __all__ = [
     "CrashRestartResult",
     "ScenarioRunResult",
     "ScenarioSweep",
+    "build_federation",
     "run_crash_restart",
     "run_scenario",
     "run_sweep",

@@ -117,7 +117,9 @@ def doc(
 def _number(whole: bool, gt=None, ge=None, le=None) -> Parse:
     """A number leaf: integers for ``whole``, finite floats otherwise."""
     noun = "integer" if whole else "finite number"
-    if le is not None:
+    if le is not None and ge is not None:
+        what = f"a {noun} in [{ge:g}, {le:g}]"
+    elif le is not None:
         what = f"a {noun} in ({gt:g}, {le:g}]"
     elif gt == 0:
         what = f"a positive {noun}"
@@ -583,6 +585,21 @@ class ControlSpec(Section):
     window_s: float = doc(30.0, gt=0)
 
 
+@dataclass
+class FederationSpec(Section):
+    """Federation topology: member clusters of ``cluster.shards`` shards each.
+
+    ``clusters: 1`` is the plain single-cluster run. With more members,
+    requests home on a seeded hot spot, a member sheds into its siblings'
+    headroom when ``escalation`` is on, and ``roam_rate`` of the requests
+    roam mid-session to a sibling cluster.
+    """
+
+    clusters: int = doc(1, gt=0)
+    roam_rate: float = doc(0.0, ge=0, le=1)
+    escalation: bool = True
+
+
 # ---------------------------------------------------------------------------
 # the top-level spec
 # ---------------------------------------------------------------------------
@@ -613,9 +630,15 @@ class ScenarioSpec(Section):
     server: ServerSpec = field(default_factory=ServerSpec)
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     control: ControlSpec = field(default_factory=ControlSpec)
+    federation: Optional[FederationSpec] = doc(None, omit_none=True)
 
     def _check(self, path: str) -> None:
         self.validate()
+
+    @property
+    def clusters(self) -> int:
+        """Member clusters (1 without a ``federation`` section)."""
+        return self.federation.clusters if self.federation else 1
 
     # -- cross-reference validation ----------------------------------
 
@@ -733,6 +756,18 @@ class ScenarioSpec(Section):
                     "fault schedules require a single-shard scenario "
                     "(cluster.shards == 1)",
                 )
+            if self.clusters > 1:
+                raise ScenarioValidationError(
+                    "faults",
+                    "fault schedules require a single-cluster scenario "
+                    "(federation.clusters == 1)",
+                )
+        if self.clusters > 1 and self.control.enabled:
+            raise ScenarioValidationError(
+                "control.enabled",
+                "the control plane requires a single-cluster scenario "
+                "(federation.clusters == 1)",
+            )
         labels = [level.label for level in self.ladder]
         if len(labels) != len(set(labels)):
             raise ScenarioValidationError("ladder", "duplicate level labels")

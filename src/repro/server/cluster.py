@@ -35,7 +35,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.observability.metrics import (
     MetricsRegistry,
@@ -476,6 +476,25 @@ class DomainCluster:
         return ClusterMetrics(self)
 
 
+def merged_latency(
+    shards: Iterable[DomainConfigurationService],
+) -> Dict[str, Dict[str, float]]:
+    """Nearest-rank summary per stage over the union of ``shards``' samples.
+
+    Chains the shards' sample iterators instead of copying each shard's
+    list: one union list per stage (needed for the sort), zero per-shard
+    copies, zero scratch histograms.
+    """
+    shards = list(shards)
+    latency: Dict[str, Dict[str, float]] = {}
+    for stage in STAGE_NAMES:
+        merged: List[float] = []
+        for shard in shards:
+            merged.extend(shard.metrics.stage(stage).iter_samples())
+        latency[stage] = summarize_samples(merged)
+    return latency
+
+
 class ClusterMetrics:
     """Merged per-shard and whole-cluster view over the shared registry.
 
@@ -505,15 +524,7 @@ class ClusterMetrics:
             + counters["shed_deadline"]
         )
         shed_final = shed_raw - overflow_attempts
-        latency: Dict[str, Dict[str, float]] = {}
-        for stage in STAGE_NAMES:
-            # Chain the shards' sample iterators instead of copying each
-            # shard's list: one union list per stage (needed for the
-            # sort), zero per-shard copies, zero scratch histograms.
-            merged: List[float] = []
-            for shard in self.cluster.shards:
-                merged.extend(shard.metrics.stage(stage).iter_samples())
-            latency[stage] = summarize_samples(merged)
+        latency = merged_latency(self.cluster.shards)
         routing = {
             "policy": type(self.cluster.router).__name__,
             "routed": [

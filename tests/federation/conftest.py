@@ -1,14 +1,32 @@
 """Shared helpers for the federation-tier tests."""
 
+from dataclasses import replace
+
 from repro.apps.audio_on_demand import audio_request
-from repro.experiments.federation_sweep import build_federation
 from repro.federation import FederatedRequest
+from repro.scenarios import build_federation, load_catalog_scenario
 from repro.server.service import ServerRequest
+
+
+def audio_federation(
+    clusters, queue_capacity=16, shards=1, escalation=True, clock=None
+):
+    """An ``audio_lab`` federation plus its per-member testbeds."""
+    spec = load_catalog_scenario("audio_lab")
+    spec = replace(
+        spec,
+        server=replace(spec.server, queue_capacity=queue_capacity),
+        cluster=replace(spec.cluster, shards=shards),
+        federation=replace(
+            spec.federation, clusters=clusters, escalation=escalation
+        ),
+    )
+    return build_federation(spec, clock=clock)
 
 
 def two_cluster_federation(queue_capacity=16, **kwargs):
     """A 2-cluster audio federation plus its per-member testbeds."""
-    return build_federation(2, queue_capacity=queue_capacity, **kwargs)
+    return audio_federation(2, queue_capacity=queue_capacity, **kwargs)
 
 
 def federated_request(

@@ -1,18 +1,16 @@
 """Driving a federation tier: deterministic sim replay, scheduled roams,
 and real thread pools."""
 
-from repro.experiments.federation_sweep import build_federation
 from repro.federation import MigrationSchedule
 from repro.server.drivers import SimulatedServerDriver, ThreadPoolDriver
 from repro.sim.kernel import Simulator
 from repro.workloads.arrivals import arrival_trace
-from tests.federation.conftest import federated_request
+from tests.federation.conftest import federated_request, two_cluster_federation
 
 
 def sim_setup(queue_capacity=16):
     simulator = Simulator()
-    tier, testbeds = build_federation(
-        2,
+    tier, testbeds = two_cluster_federation(
         queue_capacity=queue_capacity,
         clock=SimulatedServerDriver.clock(simulator),
     )
@@ -129,7 +127,7 @@ class TestSimulatedDriver:
 
 class TestThreadDriver:
     def test_burst_drains_and_stays_balanced(self):
-        tier, testbeds = build_federation(2, queue_capacity=16)
+        tier, testbeds = two_cluster_federation(queue_capacity=16)
         driver = ThreadPoolDriver(tier, workers=2)
         driver.start()
         try:

@@ -74,7 +74,7 @@ class TestRouting:
         assert placed.placed.outcome.status is RequestStatus.QUEUED
         registry = tier.registry
         assert registry.counter("federation.escalations").value == 1
-        assert registry.counter("federation.escalation_rescued").value == 1
+        assert registry.counter("federation.escalation_queued").value == 1
         assert registry.counter("federation.escalation_attempts").value == 1
 
     def test_saturated_home_tried_last(self):
@@ -197,7 +197,8 @@ class TestDigestCadence:
         assert tier.publish_digests(force=True) == 2
 
     def test_high_cadence_batches_publishes(self):
-        tier, testbeds = two_cluster_federation(digest_cadence=1000)
+        tier, testbeds = two_cluster_federation()
+        tier.digest_cadence = 1000
         tier.publish_digests()
         admit_one(tier, testbeds)
         # The version counter moved, but far less than the cadence.

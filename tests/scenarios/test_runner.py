@@ -1,18 +1,23 @@
 """End-to-end scenario runs: determinism, drivers, error handling."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.scenarios import (
     ScenarioValidationError,
+    build_federation,
     catalog_scenarios,
     compile_scenario,
     load_catalog_scenario,
+    run_crash_restart,
     run_scenario,
     run_sweep,
 )
+from repro.scenarios.spec import FederationSpec
 from repro.store import InMemoryRecordStore, SqliteRecordStore
+from repro.workloads.arrivals import arrival_trace
 
 
 class TestGoldenDeterminism:
@@ -219,3 +224,205 @@ class TestTracing:
         traced = run_scenario(spec, driver="sim", trace=True)
         untraced = run_scenario(spec, driver="sim")
         assert traced.to_json() == untraced.to_json()
+
+
+def audio_federation(clusters, horizon_s=None, **federation):
+    """The ``audio_lab`` document federated over ``clusters`` members."""
+    spec = load_catalog_scenario("audio_lab")
+    if horizon_s is not None:
+        spec = replace(
+            spec, arrivals=replace(spec.arrivals, horizon_s=horizon_s)
+        )
+    return replace(
+        spec,
+        federation=replace(spec.federation, clusters=clusters, **federation),
+    )
+
+
+def dispositions(result):
+    """submitted/admitted/degraded/failed/shed/escalations/migrations."""
+    return (
+        result.submitted,
+        result.admitted,
+        result.degraded,
+        result.failed,
+        result.shed,
+        result.escalations,
+        result.migrations_committed,
+    )
+
+
+class TestFederation:
+    def test_replay_is_byte_identical(self):
+        spec = replace(audio_federation(3, horizon_s=90.0), seed=11)
+        first = run_scenario(spec, trace=True)
+        second = run_scenario(spec, trace=True)
+        assert first.to_json() == second.to_json()
+        assert first.trace_ndjson == second.trace_ndjson
+        assert '"name":"federation.route"' in first.trace_ndjson
+
+    def test_sweep_covers_grid_and_serializes(self):
+        spec = load_catalog_scenario("audio_lab")
+        sweep = run_sweep(spec, (1.0, 2.0), clusters=(1, 2), horizon_s=60.0)
+        assert [(p.clusters, p.multiplier) for p in sweep.points] == [
+            (1, 1.0),
+            (1, 2.0),
+            (2, 1.0),
+            (2, 2.0),
+        ]
+        assert sweep.point(2.0, clusters=2) is sweep.points[3]
+        with pytest.raises(KeyError):
+            sweep.point(1.0, clusters=9)
+        payload = json.loads(sweep.to_json())
+        # Only federated points carry the federation keys.
+        assert [p.get("clusters") for p in payload["points"]] == [
+            None,
+            None,
+            2,
+            2,
+        ]
+        assert "clusters" in sweep.format_table()
+        plain = run_sweep(spec, (1.0, 2.0), horizon_s=60.0)
+        assert "clusters" not in plain.format_table()
+
+    def test_members_named_and_isolated(self):
+        spec = audio_federation(3)
+        spec = replace(spec, cluster=replace(spec.cluster, shards=2))
+        tier, testbeds = build_federation(spec)
+        assert [m.name for m in tier.members] == [
+            "cluster0",
+            "cluster1",
+            "cluster2",
+        ]
+        assert len(testbeds["cluster0"]) == 2
+        # Each member keeps its own metrics registry (shard namespaces
+        # collide across members otherwise) — distinct from the tier's.
+        registries = {id(m.cluster.registry) for m in tier.members}
+        assert len(registries) == 3
+        assert id(tier.registry) not in registries
+
+    def test_member_ladder_headroom_comes_from_the_ladder(self):
+        tier, _ = build_federation(audio_federation(2))
+        # audio_lab's deepest rung is ``economy`` at demand scale 0.45.
+        assert [m.min_demand_scale for m in tier.members] == [0.45, 0.45]
+
+    def test_ladderless_members_serve_full_rate_only(self, spec):
+        assert not spec.ladder
+        spec = replace(spec, federation=FederationSpec(clusters=2))
+        tier, _ = build_federation(spec)
+        assert [m.min_demand_scale for m in tier.members] == [1.0, 1.0]
+
+    def test_offered_rate_scales_with_members(self):
+        spec = audio_federation(3)
+        arrivals = spec.arrivals
+        expected = arrival_trace(
+            seed=spec.seed,
+            rate_per_s=arrivals.rate_per_s * 1.5 * 3,
+            horizon_s=arrivals.horizon_s,
+            mean_duration_s=arrivals.mean_duration_s,
+            duration_bounds_s=tuple(arrivals.duration_bounds_s),
+        )
+        assert compile_scenario(spec).arrival_trace(1.5) == expected
+
+    def test_roaming_commits_migrations(self):
+        spec = audio_federation(3, horizon_s=120.0, roam_rate=0.3)
+        result = run_scenario(spec)
+        migration = json.loads(result.metrics_json)["migration"]
+        assert migration["attempts"] >= migration["committed"]
+        assert result.migrations_committed == migration["committed"] > 0
+        handoff = migration["handoff_ms"]
+        assert handoff["p99"] >= handoff["p50"] > 0.0
+
+    def test_one_member_never_escalates_or_roams(self):
+        spec = audio_federation(1, horizon_s=60.0, roam_rate=0.5)
+        assert compile_scenario(spec).roams(
+            compile_scenario(spec).arrival_trace()
+        ) == []
+        result = run_scenario(spec)
+        assert result.clusters == 1
+        assert "escalations" not in result.as_dict()
+        # One member is exactly the run without a federation section.
+        bare = replace(spec, federation=None)
+        assert result.to_json() == run_scenario(bare).to_json()
+        tier, testbeds = build_federation(spec)
+        assert tier.member_count == 1
+
+    def test_thread_run_drains_with_clean_audit(self):
+        spec = audio_federation(2, horizon_s=60.0)
+        result = run_scenario(spec, driver="thread")
+        # run_scenario raises on any ledger audit problem or undrained pool.
+        assert result.clusters == 2
+        assert (
+            result.admitted + result.failed + result.shed
+            == result.submitted
+            == len(compile_scenario(spec).arrival_trace())
+        )
+
+    #: The isolated-vs-federated comparison at queue 8, x4, 3 clusters,
+    #: seed 42: submitted/admitted/degraded/failed/shed/escalations/
+    #: migrations committed.
+    PINNED = [
+        (120.0, False, (264, 68, 12, 123, 73, 0, 0)),
+        (120.0, True, (264, 73, 21, 174, 17, 135, 3)),
+        (300.0, False, (702, 161, 42, 353, 188, 0, 0)),
+        (300.0, True, (702, 155, 56, 458, 89, 403, 1)),
+    ]
+
+    @staticmethod
+    def bench_cell(horizon_s, federated):
+        spec = audio_federation(
+            3,
+            horizon_s=horizon_s,
+            escalation=federated,
+            roam_rate=0.2 if federated else 0.0,
+        )
+        spec = replace(spec, server=replace(spec.server, queue_capacity=8))
+        return run_scenario(spec, multiplier=4.0)
+
+    @pytest.mark.parametrize(
+        "horizon_s, federated, expected",
+        PINNED,
+        ids=[f"{h:g}s-{'federated' if f else 'isolated'}" for h, f, _ in PINNED],
+    )
+    def test_pinned_dispositions(self, horizon_s, federated, expected):
+        assert dispositions(self.bench_cell(horizon_s, federated)) == expected
+
+    def test_escalation_outcomes_add_up(self):
+        result = self.bench_cell(120.0, True)
+        routing = json.loads(result.metrics_json)["routing"]
+        outcomes = routing["escalation_outcomes"]
+        assert set(outcomes) == {"admitted", "degraded", "failed", "shed"}
+        assert sum(outcomes.values()) == routing["escalations"]
+        # Queued by a sibling is not admitted: most escalations fail.
+        assert routing["escalation_queued"] > (
+            outcomes["admitted"] + outcomes["degraded"]
+        )
+
+    def test_federation_rejects_control_store_and_crash_restart(self):
+        spec = audio_federation(2, horizon_s=30.0)
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            run_scenario(spec, controlled=True)
+        assert excinfo.value.path == "federation.clusters"
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            run_scenario(spec, store=InMemoryRecordStore())
+        assert excinfo.value.path == "federation.clusters"
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            run_crash_restart(spec)
+        assert excinfo.value.path == "federation.clusters"
+
+    def test_controlled_document_rejects_clusters(self):
+        spec = load_catalog_scenario("audio_lab")
+        spec = replace(spec, control=replace(spec.control, enabled=True))
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            run_sweep(spec, (1.0,), clusters=(2,))
+        assert excinfo.value.path == "control.enabled"
+
+    def test_faulted_document_rejects_clusters(self):
+        spec = load_catalog_scenario("vehicular_corridor")
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            run_sweep(spec, (1.0,), clusters=(2,))
+        assert excinfo.value.path == "faults"
+
+    def test_zero_clusters_rejected(self, spec):
+        with pytest.raises(ValueError, match="at least one cluster"):
+            run_sweep(spec, (1.0,), clusters=(0,))

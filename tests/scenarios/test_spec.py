@@ -122,6 +122,26 @@ class TestValidation:
         ):
             ScenarioSpec.from_dict(spec_dict)
 
+    def test_faults_require_single_cluster(self, spec_dict):
+        spec_dict["faults"] = {
+            "random": {"crash_targets": ["kiosk"], "crash_rate_per_min": 1.0}
+        }
+        spec_dict["federation"] = {"clusters": 2}
+        with pytest.raises(
+            ScenarioValidationError, match="single-cluster"
+        ) as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "faults"
+
+    def test_control_requires_single_cluster(self, spec_dict):
+        spec_dict["control"] = {"enabled": True}
+        spec_dict["federation"] = {"clusters": 3}
+        with pytest.raises(
+            ScenarioValidationError, match="single-cluster"
+        ) as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "control.enabled"
+
     def test_duplicate_ladder_labels(self, spec_dict):
         level = {"user_qos": {"frame_rate": [10.0, 40.0]}, "demand_scale": 1.0}
         spec_dict["ladder"] = [
@@ -171,6 +191,40 @@ class TestArrivalUsersAndSeeding:
         ) as excinfo:
             ScenarioSpec.from_dict(spec_dict)
         assert excinfo.value.path == "arrivals.derive_seed"
+
+
+class TestFederationSection:
+    def test_absent_section_is_one_cluster_and_omitted(self, spec):
+        assert spec.federation is None
+        assert spec.clusters == 1
+        assert "federation" not in spec.to_dict()
+
+    def test_defaults_and_round_trip(self, spec_dict):
+        spec_dict["federation"] = {"clusters": 3}
+        spec = ScenarioSpec.from_dict(spec_dict)
+        assert spec.clusters == 3
+        assert spec.federation.roam_rate == 0.0
+        assert spec.federation.escalation is True
+        assert spec.to_dict()["federation"] == {
+            "clusters": 3,
+            "roam_rate": 0.0,
+            "escalation": True,
+        }
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_roam_rate_bound_is_closed(self, spec_dict):
+        spec_dict["federation"] = {"roam_rate": -0.1}
+        with pytest.raises(
+            ScenarioValidationError, match=r"in \[0, 1\]"
+        ):
+            ScenarioSpec.from_dict(spec_dict)
+        for rate in (0, 1):
+            spec_dict["federation"] = {"roam_rate": rate}
+            assert ScenarioSpec.from_dict(spec_dict).federation.roam_rate == rate
+
+    def test_audio_lab_declares_one_roaming_cluster(self):
+        federation = load_catalog_scenario("audio_lab").federation
+        assert (federation.clusters, federation.roam_rate) == (1, 0.2)
 
 
 class TestRoundTrip:
@@ -317,6 +371,10 @@ MALFORMED = [
     (("cluster", "router"), "random", "cluster.router"),
     (("control", "enabled"), "false", "control.enabled"),
     (("control", "tick_interval_s"), 0, "control.tick_interval_s"),
+    (("federation", "clusters"), 0, "federation.clusters"),
+    (("federation", "roam_rate"), 1.5, "federation.roam_rate"),
+    (("federation", "roam_rate"), "0.2", "federation.roam_rate"),
+    (("federation", "escalation"), "yes", "federation.escalation"),
 ]
 
 

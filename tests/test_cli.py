@@ -135,19 +135,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "driver thread" in out
 
-    def test_federation_sweep_json_and_trace(self, capsys, tmp_path):
+    def test_federated_scenario_json_and_trace(self, capsys, tmp_path):
         json_path = tmp_path / "federation.json"
         trace_path = tmp_path / "federation.ndjson"
         assert (
             main(
                 [
-                    "federation-sweep",
+                    "scenario",
+                    "audio_lab",
                     "--clusters",
                     "2",
-                    "--multipliers",
-                    "1.0",
-                    "--roam-rates",
-                    "0.2",
                     "--horizon",
                     "60",
                     "--json",
@@ -159,29 +156,46 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "Federated clusters under hot-spot offered-load" in out
-        assert f"federation metrics JSON written to {json_path}" in out
-        assert json_path.read_text().strip()
-        assert "run.federation_sweep" in trace_path.read_text()
+        assert "2 clusters, escalations" in out
+        assert f"scenario JSON written to {json_path}" in out
+        payload = json.loads(json_path.read_text())
+        assert payload["clusters"] == 2
+        assert "escalation_outcomes" in payload["metrics"]["routing"]
+        assert '"clusters":2' in trace_path.read_text()
 
-    def test_federation_sweep_thread_driver(self, capsys):
+    def test_federated_scenario_thread_driver(self, capsys):
         assert (
             main(
                 [
-                    "federation-sweep",
+                    "scenario",
+                    "audio_lab",
                     "--driver",
                     "thread",
                     "--clusters",
                     "2",
-                    "--requests",
-                    "20",
+                    "--horizon",
+                    "60",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "2 cluster(s):" in out
-        assert "audit=clean" in out
+        assert "driver thread" in out
+        assert "2 clusters, escalations" in out
+
+    def test_federated_scenario_rejects_controlled(self):
+        with pytest.raises(SystemExit, match="federation.clusters"):
+            main(
+                [
+                    "scenario",
+                    "audio_lab",
+                    "--clusters",
+                    "2",
+                    "--controlled",
+                    "--horizon",
+                    "30",
+                ]
+            )
 
     def test_server_sweep_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "server.ndjson"
@@ -204,7 +218,7 @@ class TestCommands:
         assert "run.scenario" in trace_path.read_text()
 
     def test_sweep_commands_are_gone(self, capsys):
-        for command in ("server-sweep", "cluster-sweep"):
+        for command in ("server-sweep", "cluster-sweep", "federation-sweep"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
         capsys.readouterr()
@@ -261,7 +275,7 @@ class TestBenchSelfGating:
 
 class TestSharedSweepOptions:
     def test_sweeps_share_defaults(self):
-        for command in ("chaos-sweep", "federation-sweep"):
+        for command in ("chaos-sweep",):
             args = build_parser().parse_args([command])
             assert args.seed == 42
             assert args.horizon == 300.0
