@@ -3,8 +3,8 @@
 Activates a :class:`repro.Tracer` around one audio-on-demand session
 start, then feeds the exported NDJSON span stream straight into
 :class:`repro.TraceReport` — the same pipeline behind
-``python -m repro chaos-sweep --trace`` and ``python -m repro
-trace-report``.
+``python -m repro scenario audio_storm --trace`` and ``python -m
+repro trace-report``.
 
 Run:  python examples/traced_configuration.py
 """

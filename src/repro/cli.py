@@ -7,7 +7,6 @@ Usage::
     python -m repro figure4
     python -m repro figure5  [--requests N] [--horizon H]
     python -m repro ablations [--cases N]
-    python -m repro chaos-sweep  [--multipliers M ...] [--driver sim|thread] [--controlled] [--json PATH] [--trace PATH]
     python -m repro control-sweep [--quick] [--json PATH]
     python -m repro scenario [NAME|PATH] [--list] [--driver sim|thread] [--multiplier M ...] [--shards N ...] [--clusters N ...] [--horizon S] [--seed S] [--controlled] [--batched] [--store PATH] [--crash-restart] [--json PATH] [--trace PATH]
     python -m repro bench [--quick] [--baseline PATH] [--tolerance F]
@@ -16,17 +15,16 @@ Usage::
 
 Each subcommand prints the regenerated table/series (the same rows the
 paper reports) to stdout; ``figure4``/``figure5`` additionally render an
-ASCII chart. ``--trace`` writes the sweep's structured span trace as
-NDJSON (byte-identical per seed under the sim driver), which
-``trace-report`` renders as a per-phase latency breakdown with
-critical-path summaries. ``scenario`` runs one declarative document from
-the built-in catalog (or any YAML/JSON spec path) through the unified
-spec → compile → run pipeline, at every ``--clusters`` × ``--shards`` ×
+ASCII chart. ``scenario`` runs one declarative document from the
+built-in catalog (or any YAML/JSON spec path) through the unified spec →
+compile → run pipeline, at every ``--clusters`` × ``--shards`` ×
 ``--multiplier`` point; ``scenario audio_lab`` is the paper's own
-testbed under load, and ``--clusters N`` federates N copies of it.
-
-The sweep flags above are declared once in
-:mod:`repro.experiments.runner`.
+testbed under load, ``--clusters N`` federates N copies of it, and
+``scenario audio_storm`` holds the lab's sessions through a fault storm
+whose rates ``--multiplier`` scales. Its ``--trace`` writes the run's
+structured span trace as NDJSON (byte-identical per seed under the sim
+driver), which ``trace-report`` renders as a per-phase latency breakdown
+with critical-path summaries.
 """
 
 from __future__ import annotations
@@ -56,20 +54,10 @@ from repro.experiments.bench_serving import (
     run_distribution_bench,
     run_serving_bench,
 )
-from repro.experiments.chaos_sweep import run_chaos_sweep
 from repro.experiments.figure3 import run_prototype_scenario
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.load_sweep import run_load_sweep
-from repro.experiments.runner import (
-    add_artifact_options,
-    add_controlled_option,
-    add_driver_option,
-    add_horizon_option,
-    add_multipliers_option,
-    add_seed_option,
-    write_artifacts,
-)
 from repro.experiments.table1 import run_table1
 from repro.observability.report import TraceReport
 from repro.reporting import render_overhead_bars, render_success_series
@@ -121,19 +109,6 @@ def _cmd_load_sweep(args: argparse.Namespace) -> None:
         base_requests=args.requests, horizon_h=args.horizon
     )
     print(result.format_table())
-
-
-def _cmd_chaos_sweep(args: argparse.Namespace) -> None:
-    result = run_chaos_sweep(
-        multipliers=tuple(args.multipliers),
-        seed=args.seed,
-        horizon_s=args.horizon,
-        driver=args.driver,
-        trace=args.trace is not None,
-        controlled=args.controlled,
-    )
-    print(result.format_table())
-    write_artifacts(args, result, json_label="recovery metrics")
 
 
 def _cmd_control_sweep(args: argparse.Namespace) -> None:
@@ -205,7 +180,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
                 crash_at_fraction=args.crash_at,
                 multiplier=args.multiplier[0],
             )
-        except ScenarioValidationError as exc:
+        except ValueError as exc:
             raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
         report = result.report
         print(
@@ -225,6 +200,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
             args.trace = None
         if not result.balanced:
             raise SystemExit(1)
+        trace_ndjson = ""
     else:
         store = SqliteRecordStore(args.store) if args.store else None
         try:
@@ -240,12 +216,20 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
                 batched=args.batched,
                 store=store,
             )
-        except ScenarioValidationError as exc:
+        except ValueError as exc:
             raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
         # One point writes the single-run JSON and table.
         result = sweep.points[0] if len(sweep.points) == 1 else sweep
         print(result.format_table())
-    write_artifacts(args, result, json_label="scenario")
+        trace_ndjson = sweep.trace_ndjson()
+    if args.json is not None:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            handle.write(result.to_json() + "\n")
+        print(f"\nscenario JSON written to {args.json}")
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            handle.write(trace_ndjson)
+        print(f"span trace NDJSON written to {args.trace}")
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -409,33 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     load_sweep.add_argument("--horizon", type=float, default=120.0)
     load_sweep.set_defaults(handler=_cmd_load_sweep)
 
-    chaos_sweep = subparsers.add_parser(
-        "chaos-sweep",
-        help="recovery success rate and MTTR vs fault rate (extension)",
-    )
-    add_multipliers_option(chaos_sweep, default=[0.5, 1.0, 2.0, 4.0])
-    add_seed_option(chaos_sweep)
-    add_horizon_option(chaos_sweep)
-    add_driver_option(
-        chaos_sweep,
-        thread_help="wall-clock timers at a compressed timescale",
-    )
-    add_artifact_options(
-        chaos_sweep,
-        json_help="also write deterministic recovery-metrics JSON",
-    )
-    add_controlled_option(
-        chaos_sweep,
-        "attach the predictive QoS controller (pre-emptive evacuation "
-        "of silence-trending devices) alongside the reactive stack",
-    )
-    chaos_sweep.set_defaults(handler=_cmd_chaos_sweep)
-
     control_sweep = subparsers.add_parser(
         "control-sweep",
         help="predictive control plane: controlled vs reactive (extension)",
     )
-    add_seed_option(control_sweep)
+    control_sweep.add_argument(
+        "--seed",
+        type=int,
+        default=42,
+        help="master seed for every derived stream",
+    )
     control_sweep.add_argument(
         "--quick",
         action="store_true",
@@ -464,18 +431,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the built-in catalog and exit",
     )
-    add_driver_option(
-        scenario,
-        thread_help="a real worker pool, burst-submitted "
-        "(faulted scenarios require sim)",
+    scenario.add_argument(
+        "--driver",
+        choices=("sim", "thread"),
+        default="sim",
+        help="sim: deterministic logical time; thread: a real worker "
+        "pool, burst-submitted (documents with faults or sessions "
+        "require sim)",
     )
     scenario.add_argument(
         "--multiplier",
         type=float,
         nargs="+",
         default=[1.0],
-        help="offered-load multipliers on the spec's arrival rate "
-        "(one run per value)",
+        help="multipliers on every rate the spec declares, its arrivals "
+        "and its fault storm (one run per value)",
     )
     scenario.add_argument(
         "--shards",
@@ -492,17 +462,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="federated cluster counts to sweep (default: the spec's "
         "federation.clusters, 1 without the section)",
     )
-    add_horizon_option(scenario, default=None)
+    scenario.add_argument(
+        "--horizon",
+        type=float,
+        default=None,
+        help="arrival horizon in (logical) seconds (default: the spec's)",
+    )
     scenario.add_argument(
         "--seed",
         type=int,
         default=None,
         help="override the spec's seed (default: the one it declares)",
     )
-    add_controlled_option(
-        scenario,
-        "force the predictive QoS controller on (default follows the "
-        "spec's control.enabled knob)",
+    scenario.add_argument(
+        "--controlled",
+        action="store_true",
+        help="force the predictive QoS controller on (default follows "
+        "the spec's control.enabled knob)",
     )
     scenario.add_argument(
         "--batched",
@@ -529,9 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="horizon fraction at which the crash happens "
         "(with --crash-restart)",
     )
-    add_artifact_options(
-        scenario,
-        json_help="also write the deterministic scenario result JSON",
+    scenario.add_argument(
+        "--json",
+        default=None,
+        help="also write the deterministic scenario result JSON",
+    )
+    scenario.add_argument(
+        "--trace",
+        default=None,
+        help="also write the span trace as NDJSON",
     )
     scenario.set_defaults(handler=_cmd_scenario)
 

@@ -14,7 +14,8 @@ commits the deltas:
   full-rate configurations, and the utilization-aware offset stands
   down in ledger-bound regimes where degraded entries would only turn
   failed walks into denials.
-- **chaos leg** — the chaos sweep's fault storm. Controlled runs watch
+- **chaos leg** — the ``audio_storm`` scenario's fault storm, its
+  rates scaled by fault multipliers. Controlled runs watch
   rising φ-accrual suspicion and evacuate movable sessions *before* the
   detector's verdict, so the measured injection→repaired time must beat
   the reactive detection + MTTR path (or, failing that, the mean
@@ -31,8 +32,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.chaos_sweep import run_chaos_once
-from repro.scenarios import load_catalog_scenario, run_sweep
+from repro.scenarios import load_catalog_scenario, run_scenario, run_sweep
 
 #: The cluster leg's fixed shape: the measured worker-bound overload
 #: regime where proactive degradation genuinely reduces sheds (serial
@@ -229,40 +229,63 @@ def run_control_bench(
                 control_rebalanced=controlled_point.control_rebalanced,
             )
         )
+    storm = load_catalog_scenario("audio_storm")
+    storm = replace(
+        storm,
+        seed=seed,
+        arrivals=replace(storm.arrivals, horizon_s=horizon_s),
+    )
     for multiplier in chaos_multipliers:
-        points = {}
-        for controlled in (False, True):
-            points[controlled] = run_chaos_once(
-                multiplier,
-                seed=seed,
-                horizon_s=horizon_s,
-                controlled=controlled,
-            )
-        reactive_point, controlled_point = points[False], points[True]
+        reactive, controlled_run = (
+            run_scenario(
+                storm, multiplier=multiplier, controlled=controlled
+            ).recovery
+            for controlled in (False, True)
+        )
         result.chaos_cells.append(
             ControlChaosCell(
                 fault_multiplier=multiplier,
                 reactive_repair_ms=(
-                    reactive_point.mean_detection_ms
-                    + reactive_point.mean_mttr_ms
+                    _mean(reactive, "recovery.detection_ms")
+                    + _mean(reactive, "recovery.mttr_ms")
                 ),
-                controlled_repair_ms=controlled_point.mean_control_repair_ms,
-                reactive_interruption_ms=reactive_point.mean_interruption_ms,
-                controlled_interruption_ms=(
-                    controlled_point.mean_interruption_ms
+                controlled_repair_ms=_mean(
+                    controlled_run, "control.time_to_repair_ms"
                 ),
-                reactive_affected=reactive_point.sessions_affected,
-                controlled_affected=controlled_point.sessions_affected,
-                control_evacuations=controlled_point.control_evacuations,
-                control_sessions_moved=(
-                    controlled_point.control_sessions_moved
+                reactive_interruption_ms=_mean(
+                    reactive, "recovery.interruption_ms"
                 ),
-                control_evacuation_reverts=(
-                    controlled_point.control_evacuation_reverts
+                controlled_interruption_ms=_mean(
+                    controlled_run, "recovery.interruption_ms"
+                ),
+                reactive_affected=_count(
+                    reactive, "recovery.sessions_affected"
+                ),
+                controlled_affected=_count(
+                    controlled_run, "recovery.sessions_affected"
+                ),
+                control_evacuations=_count(
+                    controlled_run, "control.evacuations"
+                ),
+                control_sessions_moved=_count(
+                    controlled_run, "control.sessions_moved"
+                ),
+                control_evacuation_reverts=_count(
+                    controlled_run, "control.evacuation_reverted"
                 ),
             )
         )
     return result
+
+
+def _count(recovery: Dict[str, object], name: str) -> int:
+    """One counter of a storm run's ``recovery`` block (0 when unused)."""
+    return recovery["counters"].get(name, 0)
+
+
+def _mean(recovery: Dict[str, object], name: str) -> float:
+    """One histogram's mean in a storm run's ``recovery`` block."""
+    return float(recovery["histograms"].get(name, {}).get("mean", 0.0))
 
 
 def verify_payload(payload: Dict[str, object]) -> List[str]:

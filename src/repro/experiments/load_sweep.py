@@ -15,19 +15,10 @@ admission.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.apps.templates import figure5_graphs
-from repro.distribution.baselines import FixedDistributor, RandomDistributor
-from repro.distribution.cost import CostWeights
-from repro.distribution.heuristic import HeuristicDistributor
-from repro.experiments.figure5 import (
-    _simulate_one,
-    paper_bandwidths,
-    paper_devices,
-)
+from repro.experiments.figure5 import run_figure5
 from repro.workloads.requests import figure5_trace
 
 
@@ -69,41 +60,25 @@ def run_load_sweep(
     horizon_h: float = 120.0,
     seed: int = 17,
 ) -> LoadSweepResult:
-    """Run the three algorithms across arrival-rate multipliers."""
-    graphs = figure5_graphs()
-    devices = paper_devices()
-    bandwidths = paper_bandwidths()
-    weights = CostWeights()
+    """Run Figure 5's three algorithms across arrival-rate multipliers.
+
+    Each point is one :func:`run_figure5` over a ``seed`` trace of
+    ``base_requests × multiplier`` requests, sampled once over the whole
+    horizon; the baselines draw from ``seed + 1``.
+    """
     result = LoadSweepResult(
         base_requests=base_requests, horizon_h=horizon_h
     )
     for multiplier in multipliers:
         request_count = max(1, int(round(base_requests * multiplier)))
-        trace = figure5_trace(
-            seed=seed, request_count=request_count, horizon_h=horizon_h
+        figure = run_figure5(
+            trace=figure5_trace(
+                seed=seed, request_count=request_count, horizon_h=horizon_h
+            ),
+            window_h=horizon_h,
+            seed=seed + 1,
         )
-        strategies = [
-            ("heuristic", HeuristicDistributor()),
-            (
-                "random",
-                RandomDistributor(
-                    rng=random.Random(seed + 1), attempts=3, mode="fit"
-                ),
-            ),
-            (
-                "fixed",
-                FixedDistributor(
-                    base=RandomDistributor(
-                        rng=random.Random(seed + 2), attempts=20, mode="fit"
-                    )
-                ),
-            ),
-        ]
         result.multipliers.append(multiplier)
-        for name, strategy in strategies:
-            series = _simulate_one(
-                name, strategy, trace, graphs, devices, bandwidths, weights,
-                window_h=horizon_h,
-            )
+        for name, series in figure.series.items():
             result.rates.setdefault(name, []).append(series.overall_rate)
     return result

@@ -5,8 +5,8 @@ A heartbeat :class:`~repro.faults.detector.FailureDetector`, optionally a
 :class:`~repro.faults.recovery.RecoveryManager` that heals what it breaks,
 and optionally a :class:`~repro.control.controller.QoSController` acting on
 the detector's trends — built in that order, started in one order and torn
-down in one order, so the chaos sweep and the scenario runner replay the
-same events for the same seed.
+down in one order, so a scenario replays the same events for the same
+seed.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from repro.faults.model import FaultSchedule
 from repro.faults.recovery import RecoveryManager, RecoveryPolicy
 from repro.runtime.clock import Scheduler
 from repro.runtime.degradation import DegradationLadder
+
+#: Every storm's retry budget: four attempts backing off 1, 2, 4, 8 s.
+STORM_POLICY = RecoveryPolicy(backoff_base_s=1.0)
 
 
 class RecoveryStack:
@@ -38,14 +41,13 @@ class RecoveryStack:
         scheduler: Scheduler,
         heartbeat_interval_s: float = 2.0,
         suspicion_threshold: float = 3.0,
-        policy: Optional[RecoveryPolicy] = None,
         ladder: Optional[DegradationLadder] = None,
         faults: Optional[FaultSchedule] = None,
         control_policy: Optional[ControlPolicy] = None,
     ) -> None:
         self.faults = faults
         self.metrics = RecoveryMetrics()
-        self.policy = policy or RecoveryPolicy()
+        self.policy = STORM_POLICY
         self.detector = FailureDetector(
             testbed.server,
             scheduler,

@@ -12,10 +12,11 @@ Determinism contract: one scenario-level ``seed`` drives everything.
 ``arrivals`` for the trace and ``faults`` for the random storm — so
 enabling faults can never perturb the arrival trace (and vice versa), and
 the same document always replays byte-identically. A document with
-``arrivals.derive_seed: false`` seeds its trace with the scenario seed
-itself; its faults still draw from the derived stream. A federated
-document draws each request's home cluster and roam from its own
-``"<seed>:home:<id>"`` and ``"<seed>:roam:<id>"`` streams.
+``arrivals.derive_seed: false`` seeds its trace and its storm with the
+scenario seed itself. A load multiplier scales every declared rate: the
+arrivals and the storm alike. A federated document draws each request's
+home cluster and roam from its own ``"<seed>:home:<id>"`` and
+``"<seed>:roam:<id>"`` streams.
 
 The compiled object is cheap and immutable-ish; :meth:`build_testbed`
 constructs a *fresh* environment on every call (two runs never share
@@ -288,20 +289,27 @@ class CompiledScenario:
             )
         )
 
+    def _seed(self, label: str) -> int:
+        """The ``label`` stream's seed (the scenario seed itself when the
+        document opts out of derived streams)."""
+        if self.spec.arrivals.derive_seed:
+            return derive_seed(self.spec.seed, label)
+        return self.spec.seed
+
     def arrival_trace(self, multiplier: float = 1.0) -> ArrivalTrace:
         """The scenario's offered load, scaled by a rate multiplier.
 
         A federation's offered load grows with its member count, so an
         isolated and a federated run of one document see the same trace.
+        A zero rate is an empty trace.
         """
         arrivals = self.spec.arrivals
+        rate_per_s = arrivals.rate_per_s * multiplier * self.spec.clusters
+        if rate_per_s == 0:
+            return ArrivalTrace(events=(), horizon_s=arrivals.horizon_s)
         return arrival_trace(
-            seed=(
-                derive_seed(self.spec.seed, "arrivals")
-                if arrivals.derive_seed
-                else self.spec.seed
-            ),
-            rate_per_s=arrivals.rate_per_s * multiplier * self.spec.clusters,
+            seed=self._seed("arrivals"),
+            rate_per_s=rate_per_s,
             horizon_s=arrivals.horizon_s,
             arrival_process=arrivals.arrival_process,
             duration_process=arrivals.duration_process,
@@ -313,8 +321,13 @@ class CompiledScenario:
             pareto_alpha=arrivals.pareto_alpha,
         )
 
-    def fault_schedule(self) -> Optional[FaultSchedule]:
-        """The fault plan: seeded storm merged with scripted events."""
+    def fault_schedule(
+        self, multiplier: float = 1.0
+    ) -> Optional[FaultSchedule]:
+        """The fault plan: seeded storm merged with scripted events.
+
+        ``multiplier`` scales the storm's rates; scripted events stay put.
+        """
         faults = self.spec.faults
         if faults is None:
             return None
@@ -322,7 +335,7 @@ class CompiledScenario:
         if faults.random is not None:
             rnd = faults.random
             storm = random_fault_schedule(
-                seed=derive_seed(self.spec.seed, "faults"),
+                seed=self._seed("faults"),
                 horizon_s=self.spec.arrivals.horizon_s
                 * rnd.injection_window,
                 crash_targets=self._fault_targets(rnd.crash_targets),
@@ -331,10 +344,10 @@ class CompiledScenario:
                     (pair[0], pair[1]) for pair in rnd.link_pairs
                 ],
                 pressure_targets=self._fault_targets(rnd.pressure_targets),
-                crash_rate_per_min=rnd.crash_rate_per_min,
-                depart_rate_per_min=rnd.depart_rate_per_min,
-                link_rate_per_min=rnd.link_rate_per_min,
-                pressure_rate_per_min=rnd.pressure_rate_per_min,
+                crash_rate_per_min=rnd.crash_rate_per_min * multiplier,
+                depart_rate_per_min=rnd.depart_rate_per_min * multiplier,
+                link_rate_per_min=rnd.link_rate_per_min * multiplier,
+                pressure_rate_per_min=rnd.pressure_rate_per_min * multiplier,
             )
             specs.extend(storm)
         for item in faults.scripted:

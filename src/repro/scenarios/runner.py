@@ -10,9 +10,11 @@ through the serving harness in :mod:`repro.server.drivers` — a
 deterministic :func:`~repro.server.drivers.sim_replay` or a real
 :func:`~repro.server.drivers.thread_burst` — optionally with the
 recovery stack (:mod:`repro.faults.stack`) or the cluster's predictive
-controller alongside, and batched admission on either. Both drivers end
-in the shared ledger audit. One result builder reads the service's or
-the cluster's or the federation's metrics into a
+controller alongside, and batched admission on either. A sim run of one
+service first opens the document's long-lived ``sessions`` and holds
+them to the end, so a fault storm has running sessions to break and
+heal. Both drivers end in the shared ledger audit. One result builder
+reads the service's or the cluster's or the federation's metrics into a
 :class:`ScenarioRunResult` whose ``to_json`` is byte-identical across
 runs of the same document + seed under the sim driver. :func:`run_sweep`
 runs one document at every cluster count × shard count × load
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.control.controller import ControlPolicy
 from repro.faults.stack import RecoveryStack
@@ -98,6 +100,9 @@ class ScenarioRunResult:
     control_actuations: int = 0
     control_reverts: int = 0
     control_rebalanced: int = 0
+    #: A faulted run's recovery registry snapshot plus its recovery
+    #: reports (``as_dict`` carries it only then).
+    recovery: Optional[Dict[str, object]] = None
     #: Member clusters; the three federation keys appear in ``as_dict``
     #: only when the run was federated.
     clusters: int = 1
@@ -109,17 +114,17 @@ class ScenarioRunResult:
     trace_ndjson: str = ""
 
     def as_dict(self) -> Dict[str, object]:
-        federation = (
-            {
-                "clusters": self.clusters,
-                "escalations": self.escalations,
-                "migrations_committed": self.migrations_committed,
-            }
-            if self.clusters > 1
-            else {}
-        )
+        optional: Dict[str, object] = {}
+        if self.clusters > 1:
+            optional.update(
+                clusters=self.clusters,
+                escalations=self.escalations,
+                migrations_committed=self.migrations_committed,
+            )
+        if self.recovery is not None:
+            optional["recovery"] = self.recovery
         return {
-            **federation,
+            **optional,
             "scenario": self.scenario,
             "seed": self.seed,
             "driver": self.driver,
@@ -153,6 +158,13 @@ class ScenarioRunResult:
     def to_json(self) -> str:
         """Deterministic JSON artifact (sorted keys, no whitespace)."""
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+
+    def mean_mttr_ms(self) -> float:
+        """Mean suspicion → recovered time (0.0 without a repair)."""
+        if self.recovery is None:
+            return 0.0
+        mttr = self.recovery["histograms"]["recovery.mttr_ms"]
+        return float(mttr.get("mean", 0.0))
 
     def format_table(self) -> str:
         lines = [
@@ -233,8 +245,8 @@ def run_scenario(
             "single-cluster scenario (federation.clusters == 1)",
         )
     controlled = controlled and driver == "sim"
-    if spec.faults is not None and driver != "sim":
-        raise ValueError("fault schedules require the sim driver")
+    if (spec.faults is not None or spec.sessions) and driver != "sim":
+        raise ValueError("fault schedules and sessions require the sim driver")
     if spec.cluster.shards > 1 and store is not None:
         raise ValueError("durable stores attach to single-shard runs")
 
@@ -305,11 +317,10 @@ def run_scenario(
                         faults.suspicion_threshold if faults else 3.0
                     ),
                     ladder=compiled.ladder(),
-                    faults=compiled.fault_schedule(),
+                    faults=compiled.fault_schedule(multiplier),
                     control_policy=control_policy,
                 )
-                recovery.start(spec.arrivals.horizon_s)
-                teardown = recovery.stop
+            setup, teardown = _held_sessions(compiled, testbed, recovery)
             attributes = dict(
                 scenario=spec.name, seed=spec.seed, multiplier=multiplier
             )
@@ -333,6 +344,50 @@ def run_scenario(
         recovery=recovery,
         trace_ndjson=trace_ndjson,
     )
+
+
+def _held_sessions(
+    compiled: CompiledScenario,
+    testbed: ScenarioTestbed,
+    recovery: Optional[RecoveryStack],
+) -> Tuple[Callable[[], None], Callable[[], None]]:
+    """Setup and teardown around a single-service sim replay.
+
+    Setup opens every declared session at t=0 as ``user-<client>``
+    (raising when one does not admit), then starts the recovery stack;
+    teardown stops the stack, then the sessions, before the audit.
+    """
+    spec = compiled.spec
+    sessions = []
+
+    def setup() -> None:
+        for entry in spec.sessions:
+            session = testbed.configurator.create_session(
+                compiled.composition_request(
+                    testbed, entry.workload, entry.client
+                ),
+                user_id=f"user-{entry.client}",
+            )
+            record = session.start(
+                label=f"start:{entry.client}",
+                skip_downloads=spec.server.skip_downloads,
+            )
+            if not record.success:
+                raise AssertionError(
+                    f"session {entry.workload!r} on {entry.client!r} "
+                    "did not admit"
+                )
+            sessions.append(session)
+        if recovery is not None:
+            recovery.start(spec.arrivals.horizon_s)
+
+    def teardown() -> None:
+        if recovery is not None:
+            recovery.stop()
+        for session in sessions:
+            session.stop()
+
+    return setup, teardown
 
 
 @dataclass
@@ -370,6 +425,7 @@ class ScenarioSweep:
     def format_table(self) -> str:
         first = self.points[0]
         federated = any(point.clusters > 1 for point in self.points)
+        faulted = any(point.faulted for point in self.points)
         lines = [
             f"Scenario {first.scenario!r} "
             f"(seed {first.seed}, driver {first.driver}, "
@@ -379,7 +435,12 @@ class ScenarioSweep:
             + f"{'shards':>7}{'load x':>8}{'submitted':>11}{'admitted':>10}"
             f"{'degraded':>10}{'shed':>7}{'failed':>8}{'thr/min':>9}"
             f"{'shed%':>8}"
-            + (f"{'escal':>7}{'migr':>6}" if federated else ""),
+            + (f"{'escal':>7}{'migr':>6}" if federated else "")
+            + (
+                f"{'faults':>8}{'recovered':>11}{'unrecov':>9}{'MTTR ms':>9}"
+                if faulted
+                else ""
+            ),
         ]
         for p in self.points:
             lines.append(
@@ -391,6 +452,12 @@ class ScenarioSweep:
                 + (
                     f"{p.escalations:>7d}{p.migrations_committed:>6d}"
                     if federated
+                    else ""
+                )
+                + (
+                    f"{p.faults_injected:>8d}{p.recoveries:>11d}"
+                    f"{p.recovery_failures:>9d}{p.mean_mttr_ms():>9.1f}"
+                    if faulted
                     else ""
                 )
             )
@@ -628,8 +695,17 @@ def _result(
             p99_total_ms=metrics.stage("total_ms").percentile(99),
         )
     recovered = recovery.metrics if recovery is not None else None
+    faulted = recovery is not None and recovery.manager is not None
+    storm = (
+        {
+            **recovered.registry.snapshot(),
+            "reports": [report.to_dict() for report in recovery.manager.reports],
+        }
+        if faulted
+        else None
+    )
     metrics_json = target.metrics.to_json(extra=extra)
-    # Read after the export: reading a counter registers it.
+    # Read after the exports: reading a counter registers it.
     if isinstance(target, DomainCluster):
         control = target.registry
     else:
@@ -647,7 +723,7 @@ def _result(
         router=spec.cluster.router,
         controlled=controlled,
         batched=batched,
-        faulted=recovery is not None and recovery.injector is not None,
+        faulted=faulted,
         throughput_per_min=(
             60.0 * counts["admitted"] / horizon_s if horizon_s else 0.0
         ),
@@ -656,6 +732,7 @@ def _result(
         recovery_failures=(
             recovered.count("recovery_failures") if recovered else 0
         ),
+        recovery=storm,
         metrics_json=metrics_json,
         trace_ndjson=trace_ndjson,
         **counts,

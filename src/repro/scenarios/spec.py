@@ -3,11 +3,11 @@
 A scenario is data, not Python: one YAML (or JSON) document declares the
 whole environment — component templates, registry endpoints, device and
 link classes, abstract workload graphs with their relations, the arrival
-mix, an optional fault schedule, the degradation ladder, and the
-server/cluster/controller knobs — plus one top-level ``seed`` that
-reproduces the entire run. :func:`load_scenario` parses and validates;
-:func:`repro.scenarios.compile.compile_scenario` lowers the spec into the
-live objects every harness in this repo builds by hand.
+mix, long-lived sessions, an optional fault schedule, the degradation
+ladder, and the server/cluster/controller knobs — plus one top-level
+``seed`` that reproduces the entire run. :func:`load_scenario` parses
+and validates; :func:`repro.scenarios.compile.compile_scenario` lowers
+the spec into the live objects every harness in this repo builds by hand.
 
 Every section is a :class:`Section` dataclass, and its fields are its
 grammar: the annotation gives the type, and :func:`doc` metadata gives
@@ -22,9 +22,10 @@ Shape checks live in the table (plus a section's ``_check`` hook for
 what one field cannot say); cross-references live in
 :meth:`ScenarioSpec.validate`: endpoint templates must name declared
 components, link endpoints must name declared devices or hubs, workload
-clients and fault targets must resolve to devices, and arrival mixes must
-name declared workloads. Errors carry the spec path
-(``workloads.listen.clients``) so a catalog author can fix the line.
+clients, session clients and fault targets must resolve to devices, and
+arrival mixes and sessions must name declared workloads. Errors carry
+the spec path (``workloads.listen.clients``) so a catalog author can fix
+the line.
 
 QoS vectors are written as plain mappings and coerced on compile:
 a number or string is a single value, a two-element numeric list is a
@@ -456,7 +457,8 @@ class WorkloadSpec(Section):
 class ArrivalSpec(Section):
     """The offered load: rate, horizon, processes, and workload mix."""
 
-    rate_per_s: float = doc(gt=0)
+    #: 0 declares no arrivals at all (a run of held ``sessions`` only).
+    rate_per_s: float = doc(ge=0)
     horizon_s: float = doc(gt=0)
     arrival_process: str = doc(
         "poisson", choices=("process", ARRIVAL_PROCESSES)
@@ -473,8 +475,8 @@ class ArrivalSpec(Section):
     #: Users the requests recycle (``user-{request_id % users}``); None
     #: gives every request its own user.
     users: Optional[int] = doc(None, gt=0)
-    #: False seeds the trace with the scenario seed itself instead of the
-    #: derived ``arrivals`` stream (faults keep their derived stream).
+    #: False seeds the trace and the fault storm with the scenario seed
+    #: itself instead of their derived ``arrivals``/``faults`` streams.
     derive_seed: bool = True
 
     def _check(self, path: str) -> None:
@@ -545,6 +547,14 @@ class FaultsSpec(Section):
             if item.peer is not None:
                 names.append(item.peer)
         return names
+
+
+@dataclass
+class SessionSpec(Section):
+    """One long-lived session, opened at t=0 and held for the whole run."""
+
+    workload: str
+    client: str
 
 
 @dataclass
@@ -626,6 +636,7 @@ class ScenarioSpec(Section):
     domain: str = "domain"
     hubs: List[str] = field(default_factory=list)
     faults: Optional[FaultsSpec] = None
+    sessions: List[SessionSpec] = field(default_factory=list)
     ladder: List[LadderLevelSpec] = field(default_factory=list)
     server: ServerSpec = field(default_factory=ServerSpec)
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
@@ -738,6 +749,21 @@ class ScenarioSpec(Section):
                     f"unknown workload {workload!r} "
                     f"(declared: {', '.join(sorted(self.workloads))})",
                 )
+        for index, session in enumerate(self.sessions):
+            path = f"sessions[{index}]"
+            if session.workload not in self.workloads:
+                raise ScenarioValidationError(
+                    f"{path}.workload",
+                    f"unknown workload {session.workload!r} "
+                    f"(declared: {', '.join(sorted(self.workloads))})",
+                )
+            hosts = self.resolve_device_ref(session.client, f"{path}.client")
+            if len(hosts) != 1:
+                raise ScenarioValidationError(
+                    f"{path}.client",
+                    f"{session.client!r} is a replicated pool; a session "
+                    "runs on exactly one device",
+                )
         if self.faults is not None:
             for target in self.faults.targets():
                 if target not in set(self.hubs) and target not in self.devices:
@@ -750,16 +776,23 @@ class ScenarioSpec(Section):
                             f"unknown fault target {target!r}: not a "
                             f"declared device or hub",
                         )
+        held = (
+            ("faults", self.faults is not None, "fault schedules"),
+            ("sessions", bool(self.sessions), "sessions"),
+        )
+        for section, present, noun in held:
+            if not present:
+                continue
             if self.cluster.shards > 1:
                 raise ScenarioValidationError(
-                    "faults",
-                    "fault schedules require a single-shard scenario "
+                    section,
+                    f"{noun} require a single-shard scenario "
                     "(cluster.shards == 1)",
                 )
             if self.clusters > 1:
                 raise ScenarioValidationError(
-                    "faults",
-                    "fault schedules require a single-cluster scenario "
+                    section,
+                    f"{noun} require a single-cluster scenario "
                     "(federation.clusters == 1)",
                 )
         if self.clusters > 1 and self.control.enabled:

@@ -1,6 +1,7 @@
 """Control bench: gate logic, replay determinism, the committed artifact."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.experiments.bench_control import (
     run_control_bench,
     verify_payload,
 )
-from repro.experiments.chaos_sweep import run_chaos_once
+from repro.scenarios import load_catalog_scenario, run_scenario
 from tests.conftest import audio_lab_point
 
 HORIZON_S = 120.0
@@ -184,14 +185,13 @@ class TestControlledReplayDeterminism:
         assert controlled_point.control_actuations > 0
 
     def test_controlled_chaos_replay_is_deterministic(self):
-        first = run_chaos_once(
-            2.0, seed=42, horizon_s=HORIZON_S, controlled=True
+        storm = load_catalog_scenario("audio_storm")
+        storm = replace(
+            storm, arrivals=replace(storm.arrivals, horizon_s=HORIZON_S)
         )
-        second = run_chaos_once(
-            2.0, seed=42, horizon_s=HORIZON_S, controlled=True
-        )
-        assert first.metrics_json == second.metrics_json
-        assert first.as_dict() == second.as_dict()
+        first = run_scenario(storm, multiplier=2.0, controlled=True)
+        second = run_scenario(storm, multiplier=2.0, controlled=True)
+        assert first.to_json() == second.to_json()
         assert first.controlled
 
 

@@ -3,7 +3,6 @@
 import json
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
-from repro.experiments.chaos_sweep import run_chaos_once
 from repro.observability.report import TraceReport
 from repro.observability.tracing import Tracer, activated
 from repro.server.ledger import ReservationLedger
@@ -69,47 +68,6 @@ class TestConfigureSpanTree:
 
 
 class TestSimTraceDeterminism:
-    def test_chaos_trace_is_byte_identical_per_seed(self):
-        kwargs = dict(seed=42, horizon_s=240.0, driver="sim", trace=True)
-        first = run_chaos_once(4.0, **kwargs)
-        second = run_chaos_once(4.0, **kwargs)
-        assert first.trace_ndjson
-        assert first.trace_ndjson == second.trace_ndjson
-        assert first.metrics_json == second.metrics_json
-
-    def test_chaos_trace_is_one_tree_covering_recovery(self):
-        point = run_chaos_once(4.0, seed=42, horizon_s=240.0, trace=True)
-        report = TraceReport.from_ndjson(point.trace_ndjson)
-        assert len(report.roots) == 1
-        assert report.roots[0].name == "run.chaos"
-        assert report.trace_count == 1
-        names = {span.name for span in report.spans}
-        assert {
-            "configure",
-            "composition.compose",
-            "distribution.search",
-            "deployment.deploy",
-            "recovery.episode",
-            "recovery.attempt",
-        } <= names
-        episodes = [
-            span for span in report.spans if span.name == "recovery.episode"
-        ]
-        attempts = [
-            span for span in report.spans if span.name == "recovery.attempt"
-        ]
-        episode_ids = {span.span_id for span in episodes}
-        assert all(span.parent_id in episode_ids for span in attempts)
-
-    def test_tracing_does_not_perturb_the_golden_metrics(self):
-        kwargs = dict(seed=42, horizon_s=120.0, driver="sim")
-        plain = run_chaos_once(1.0, **kwargs)
-        traced = run_chaos_once(1.0, trace=True, **kwargs)
-        assert plain.trace_ndjson == ""
-        assert traced.trace_ndjson != ""
-        assert plain.metrics_json == traced.metrics_json
-        assert plain.as_dict() == traced.as_dict()
-
     def test_server_sweep_trace_roots_and_determinism(self):
         kwargs = dict(seed=42, horizon_s=60.0, trace=True)
         first = audio_lab_point(1, 1.0, **kwargs)
@@ -121,10 +79,3 @@ class TestSimTraceDeterminism:
         assert "server.batch" in names
         assert "admission.walk" in names
         assert "server.serve" in names
-
-    def test_trace_lines_are_canonical_json(self):
-        point = run_chaos_once(1.0, seed=42, horizon_s=120.0, trace=True)
-        for line in point.trace_ndjson.splitlines():
-            assert line == json.dumps(
-                json.loads(line), sort_keys=True, separators=(",", ":")
-            )

@@ -10,6 +10,7 @@ from repro.scenarios import (
     derive_seed,
     load_catalog_scenario,
 )
+from repro.faults.model import random_fault_schedule
 from repro.workloads.arrivals import arrival_trace
 
 
@@ -104,6 +105,12 @@ class TestCompileMinimal:
     def test_no_faults_means_no_schedule(self, spec):
         assert compile_scenario(spec).fault_schedule() is None
 
+    def test_zero_rate_is_an_empty_trace(self, spec):
+        spec = with_arrivals(spec, rate_per_s=0.0)
+        trace = compile_scenario(spec).arrival_trace(multiplier=4.0)
+        assert list(trace) == []
+        assert trace.horizon_s == spec.arrivals.horizon_s
+
 
 class TestCompileCatalog:
     @pytest.mark.parametrize("name", catalog_scenarios())
@@ -111,7 +118,8 @@ class TestCompileCatalog:
         compiled = compile_scenario(load_catalog_scenario(name))
         testbed = compiled.build_testbed()
         assert testbed.devices
-        assert list(compiled.arrival_trace())
+        # Every document offers work: arrivals, or sessions held throughout.
+        assert list(compiled.arrival_trace()) or compiled.spec.sessions
 
     def test_fault_schedule_is_deterministic(self):
         spec = load_catalog_scenario("vehicular_corridor")
@@ -121,6 +129,32 @@ class TestCompileCatalog:
         assert [
             (f.kind, f.at_s, f.target) for f in first.specs
         ] == [(f.kind, f.at_s, f.target) for f in second.specs]
+
+    def test_multiplier_scales_the_storm(self):
+        compiled = compile_scenario(load_catalog_scenario("audio_storm"))
+        base = compiled.fault_schedule()
+        assert compiled.fault_schedule(multiplier=1.0) == base
+        assert len(compiled.fault_schedule(multiplier=4.0).specs) > len(
+            base.specs
+        )
+
+    def test_direct_seeding_seeds_the_storm(self):
+        spec = load_catalog_scenario("audio_storm")
+        rnd = spec.faults.random
+        horizon_s = spec.arrivals.horizon_s * rnd.injection_window
+        direct = random_fault_schedule(
+            seed=spec.seed,
+            horizon_s=horizon_s,
+            crash_targets=rnd.crash_targets,
+            link_pairs=[tuple(pair) for pair in rnd.link_pairs],
+            pressure_targets=rnd.pressure_targets,
+            crash_rate_per_min=rnd.crash_rate_per_min,
+            link_rate_per_min=rnd.link_rate_per_min,
+            pressure_rate_per_min=rnd.pressure_rate_per_min,
+        )
+        assert compile_scenario(spec).fault_schedule() == direct
+        derived = with_arrivals(spec, derive_seed=True)
+        assert compile_scenario(derived).fault_schedule() != direct
 
     def test_fault_targets_expand_replicas(self):
         spec = load_catalog_scenario("vehicular_corridor")

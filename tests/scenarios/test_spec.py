@@ -133,6 +133,33 @@ class TestValidation:
             ScenarioSpec.from_dict(spec_dict)
         assert excinfo.value.path == "faults"
 
+    def test_sessions_require_single_shard(self, spec_dict):
+        spec_dict["sessions"] = [{"workload": "watch", "client": "kiosk"}]
+        spec_dict["cluster"] = {"shards": 2}
+        with pytest.raises(
+            ScenarioValidationError, match="single-shard"
+        ) as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "sessions"
+
+    def test_sessions_require_single_cluster(self, spec_dict):
+        spec_dict["sessions"] = [{"workload": "watch", "client": "kiosk"}]
+        spec_dict["federation"] = {"clusters": 2}
+        with pytest.raises(
+            ScenarioValidationError, match="single-cluster"
+        ) as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "sessions"
+
+    def test_session_on_a_replicated_pool(self, spec_dict):
+        spec_dict["devices"]["kiosk"]["count"] = 2
+        spec_dict["sessions"] = [{"workload": "watch", "client": "kiosk"}]
+        with pytest.raises(
+            ScenarioValidationError, match="replicated pool"
+        ) as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "sessions[0].client"
+
     def test_control_requires_single_cluster(self, spec_dict):
         spec_dict["control"] = {"enabled": True}
         spec_dict["federation"] = {"clusters": 3}
@@ -193,6 +220,38 @@ class TestArrivalUsersAndSeeding:
         assert excinfo.value.path == "arrivals.derive_seed"
 
 
+class TestSessionsSection:
+    def test_absent_section_is_empty(self, spec):
+        assert spec.sessions == []
+
+    def test_round_trip(self, spec_dict):
+        spec_dict["sessions"] = [
+            {"workload": "watch", "client": "kiosk"},
+            {"workload": "watch", "client": "hub"},
+        ]
+        spec = ScenarioSpec.from_dict(spec_dict)
+        assert [(s.workload, s.client) for s in spec.sessions] == [
+            ("watch", "kiosk"),
+            ("watch", "hub"),
+        ]
+        assert spec.to_dict()["sessions"] == spec_dict["sessions"]
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    def test_zero_rate_is_allowed(self, spec_dict):
+        spec_dict["arrivals"]["rate_per_s"] = 0
+        assert ScenarioSpec.from_dict(spec_dict).arrivals.rate_per_s == 0.0
+
+    def test_audio_storm_holds_three_sessions(self):
+        spec = load_catalog_scenario("audio_storm")
+        assert [(s.workload, s.client) for s in spec.sessions] == [
+            ("listen", "jornada"),
+            ("listen", "desktop2"),
+            ("listen", "desktop3"),
+        ]
+        assert spec.arrivals.rate_per_s == 0
+        assert not spec.arrivals.derive_seed
+
+
 class TestFederationSection:
     def test_absent_section_is_one_cluster_and_omitted(self, spec):
         assert spec.federation is None
@@ -247,9 +306,10 @@ class TestRoundTrip:
 
 
 class TestLoading:
-    def test_catalog_has_the_six_scenarios(self):
+    def test_catalog_has_the_seven_scenarios(self):
         assert catalog_scenarios() == [
             "audio_lab",
+            "audio_storm",
             "conference_mesh",
             "gallery_profiles",
             "smart_home_evening",
@@ -343,6 +403,11 @@ MALFORMED = [
         "workloads.watch.utility_profile",
     ),
     (("arrivals", "rate_per_s"), float("nan"), "arrivals.rate_per_s"),
+    (("arrivals", "rate_per_s"), -0.1, "arrivals.rate_per_s"),
+    (("sessions",), [{"workload": "ghost", "client": "kiosk"}], "sessions[0].workload"),
+    (("sessions",), [{"workload": "watch", "client": "ghost"}], "sessions[0].client"),
+    (("sessions",), [{"workload": "watch"}], "sessions[0].client"),
+    (("sessions",), {"workload": "watch", "client": "kiosk"}, "sessions"),
     (("arrivals", "duration_bounds_s"), [600, 1], "arrivals.duration_bounds_s"),
     (("arrivals", "arrival_process"), "uniform", "arrivals.arrival_process"),
     (("arrivals", "mix"), {"watch": 0}, "arrivals.mix.watch"),

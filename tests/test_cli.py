@@ -57,13 +57,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Load sensitivity" in out
 
-    def test_chaos_sweep_trace_then_report(self, capsys, tmp_path):
-        trace_path = tmp_path / "chaos.ndjson"
+    def test_storm_trace_then_report(self, capsys, tmp_path):
+        trace_path = tmp_path / "storm.ndjson"
         assert (
             main(
                 [
-                    "chaos-sweep",
-                    "--multipliers",
+                    "scenario",
+                    "audio_storm",
+                    "--multiplier",
                     "1.0",
                     "--horizon",
                     "90",
@@ -81,7 +82,7 @@ class TestCommands:
         report = capsys.readouterr().out
         assert "trace report:" in report
         assert "per-phase latency (ms)" in report
-        assert "run.chaos" in report
+        assert "run.scenario" in report
         assert "critical path" in report
 
     def test_cluster_sweep_json_and_trace(self, capsys, tmp_path):
@@ -218,7 +219,12 @@ class TestCommands:
         assert "run.scenario" in trace_path.read_text()
 
     def test_sweep_commands_are_gone(self, capsys):
-        for command in ("server-sweep", "cluster-sweep", "federation-sweep"):
+        for command in (
+            "server-sweep",
+            "cluster-sweep",
+            "federation-sweep",
+            "chaos-sweep",
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
         capsys.readouterr()
@@ -273,16 +279,6 @@ class TestBenchSelfGating:
             )
 
 
-class TestSharedSweepOptions:
-    def test_sweeps_share_defaults(self):
-        for command in ("chaos-sweep",):
-            args = build_parser().parse_args([command])
-            assert args.seed == 42
-            assert args.horizon == 300.0
-            assert args.json is None
-            assert args.trace is None
-
-
 class TestScenarioCommand:
     def test_list(self, capsys):
         assert main(["scenario", "--list"]) == 0
@@ -290,6 +286,7 @@ class TestScenarioCommand:
         assert "built-in scenarios:" in out
         for name in (
             "audio_lab",
+            "audio_storm",
             "conference_mesh",
             "smart_home_evening",
             "stadium_surge",
@@ -420,6 +417,34 @@ class TestScenarioCommand:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert "cluster.shards: must be a positive integer" in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["audio_lab", "--multiplier", "0"], "multiplier must be positive"),
+            (["audio_lab", "--shards", "0"], "at least one shard"),
+            (["audio_lab", "--horizon", "-5"], "horizon must be positive"),
+            (
+                ["conference_mesh", "--crash-restart", "--crash-at", "1.5"],
+                "crash_at_fraction",
+            ),
+            (["audio_storm", "--driver", "thread"], "require the sim driver"),
+        ],
+    )
+    def test_bad_flags_exit_with_one_line(self, argv, message):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "scenario", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"invalid scenario {argv[0]}: ")
+        assert message in done.stderr
+        assert done.stderr.count("\n") == 1
 
     def test_unknown_scenario_errors(self):
         with pytest.raises(KeyError, match="unknown scenario"):
