@@ -169,10 +169,11 @@ class Device:
         # Recompute from the live table rather than decrementing the
         # running sum: repeated add/subtract of scaled vectors accumulates
         # float residue, and a fully drained device must read exactly zero.
-        allocated = ZERO
-        for live in self._allocations.values():
-            allocated = allocated + live.resources
-        self._allocated = allocated
+        # One pass in allocation order: the same floats as folding
+        # ZERO + a1 + a2 + ... (see ResourceVector.sum).
+        self._allocated = ResourceVector.sum(
+            [live.resources for live in self._allocations.values()]
+        )
         self._state_version += 1
 
     def active_allocations(self) -> List[ResourceAllocation]:

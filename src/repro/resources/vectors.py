@@ -13,10 +13,14 @@ catches mismatched resource models early.
 
 Only the public constructor validates amounts (finite, non-negative).
 Results of ``+``, ``-`` and ``*`` are built by a trusted constructor that
-skips the check: their operands were validated already. The arithmetic is
-bit-identical to validating every result — ``+`` and ``-`` iterate the
-``set(a) | set(b)`` union in the same order, so key order and every float
-downstream of it are unchanged.
+skips the check: their operands were validated already.
+
+Key order is part of the value's arithmetic: :func:`weighted_magnitude`
+sums in key order, and a three-name float sum depends on its order. So
+``+`` and ``-`` never iterate a set (whose order follows string hashing
+and so ``PYTHONHASHSEED``): the result holds the left operand's names in
+its order, then the right operand's names the left lacks, in theirs.
+:meth:`ResourceVector.sum` keeps the same first-appearance order.
 """
 
 from __future__ import annotations
@@ -114,13 +118,12 @@ class ResourceVector(Mapping[str, float]):
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        mine, theirs = self._amounts, other._amounts
-        return ResourceVector._trusted(
-            {
-                n: mine.get(n, 0.0) + theirs.get(n, 0.0)
-                for n in set(mine) | set(theirs)
-            }
-        )
+        theirs = other._amounts
+        amounts = {n: v + theirs.get(n, 0.0) for n, v in self._amounts.items()}
+        for n, v in theirs.items():
+            if n not in amounts:
+                amounts[n] = 0.0 + v
+        return ResourceVector._trusted(amounts)
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         """Component-wise difference, clamped at zero.
@@ -131,13 +134,15 @@ class ResourceVector(Mapping[str, float]):
         """
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        mine, theirs = self._amounts, other._amounts
-        return ResourceVector._trusted(
-            {
-                n: max(0.0, mine.get(n, 0.0) - theirs.get(n, 0.0))
-                for n in set(mine) | set(theirs)
-            }
-        )
+        theirs = other._amounts
+        amounts = {
+            n: max(0.0, v - theirs.get(n, 0.0)) for n, v in self._amounts.items()
+        }
+        for n in theirs:
+            if n not in amounts:
+                # max(0.0, 0.0 - v) for any v >= 0.
+                amounts[n] = 0.0
+        return ResourceVector._trusted(amounts)
 
     def __mul__(self, factor: Number) -> "ResourceVector":
         if not isinstance(factor, (int, float)):
@@ -196,11 +201,20 @@ class ResourceVector(Mapping[str, float]):
 
     @staticmethod
     def sum(vectors: Iterable["ResourceVector"]) -> "ResourceVector":
-        """Sum a collection of vectors (Definition 3.1 over the collection)."""
-        total = ZERO
-        for v in vectors:
-            total = total + v
-        return total
+        """Sum a collection of vectors (Definition 3.1 over the collection).
+
+        One pass, one dict: each name's total is ``0.0 + a1 + a2 + ...``
+        over the vectors that hold it, in order, and names keep their
+        first-appearance order. That is bit for bit the fold
+        ``ZERO + a1 + a2 + ...`` (adding the ``0.0`` a vector lacking the
+        name would contribute never changes a non-negative total).
+        """
+        totals: Dict[str, float] = {}
+        get = totals.get
+        for vector in vectors:
+            for n, v in vector._amounts.items():
+                totals[n] = get(n, 0.0) + v
+        return ResourceVector._trusted(totals) if totals else ZERO
 
 
 ZERO = ResourceVector()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.composition.composer import CompositionRequest
 from repro.distribution.pareto import (
@@ -34,7 +34,11 @@ from repro.distribution.pareto import (
 )
 from repro.observability.tracing import get_tracer
 from repro.runtime.configurator import ServiceConfigurator
-from repro.runtime.degradation import DegradationLadder, scale_graph_demand
+from repro.runtime.degradation import (
+    DegradationLadder,
+    ScaledPayloads,
+    scale_graph_demand,
+)
 from repro.runtime.session import (
     ApplicationSession,
     ConfigurationRecord,
@@ -159,27 +163,55 @@ class LadderWalk:
             self.on_done(self.result)
 
 
+class FrontEntry:
+    """One request class's measured points and the walk orders over them.
+
+    ``orders`` maps a utility profile to its
+    :meth:`~repro.runtime.degradation.DegradationLadder.order_for` over
+    ``points``. Both are fixed while the entry lives, so each profile's
+    order is computed once per entry.
+    """
+
+    __slots__ = ("token", "points", "orders")
+
+    def __init__(
+        self, token: object, points: Sequence[Optional[ParetoPoint]]
+    ) -> None:
+        self.token = token
+        self.points: Tuple[Optional[ParetoPoint], ...] = tuple(points)
+        self.orders: Dict[UtilityProfile, Tuple[int, ...]] = {}
+
+    def order_for(
+        self, ladder: DegradationLadder, profile: UtilityProfile
+    ) -> Tuple[int, ...]:
+        order = self.orders.get(profile)
+        if order is None:
+            order = self.orders[profile] = tuple(
+                ladder.order_for(profile, self.points)
+            )
+        return order
+
+
 class FrontCache:
     """Per-domain cache of measured ladder-level objective points.
 
-    One entry per request class — keyed on the class's abstract graph
-    structure key and user QoS — holding the per-level
+    One :class:`FrontEntry` per request class — keyed on the class's
+    abstract graph structure key and user QoS — holding the per-level
     :class:`~repro.distribution.pareto.ParetoPoint` list produced by
-    probing every ladder level once. Each entry is stamped with the
-    registry version it was measured against; a stale stamp invalidates
-    the entry on lookup (the registry version is the only invalidation
-    signal; a grown graph has a new key — ledger churn does *not* evict,
-    because the walk re-validates feasibility per attempt anyway). LRU
-    bounded by ``max_entries``.
+    probing every ladder level once, and each utility profile's walk
+    order over those points. Each entry is stamped with the registry
+    version it was measured against; a stale stamp invalidates the entry,
+    orders included, on lookup (the registry version is the only
+    invalidation signal; a grown graph has a new key — ledger churn does
+    *not* evict, because the walk re-validates feasibility per attempt
+    anyway). LRU bounded by ``max_entries``.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, Tuple[object, Tuple[Optional[ParetoPoint], ...]]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[tuple, FrontEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -187,33 +219,32 @@ class FrontCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self, key: tuple, token: object
-    ) -> Optional[Tuple[Optional[ParetoPoint], ...]]:
+    def get(self, key: tuple, token: object) -> Optional[FrontEntry]:
+        """The live entry for ``key`` (counted as a hit), or None (a miss)."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        stamped, points = entry
-        if stamped != token:
+        if entry.token != token:
             del self._entries[key]
             self.invalidations += 1
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return points
+        return entry
 
     def put(
         self,
         key: tuple,
         token: object,
         points: Sequence[Optional[ParetoPoint]],
-    ) -> None:
-        self._entries[key] = (token, tuple(points))
+    ) -> FrontEntry:
+        entry = self._entries[key] = FrontEntry(token, points)
         self._entries.move_to_end(key)
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
+        return entry
 
 
 class AdmissionController:
@@ -241,6 +272,8 @@ class AdmissionController:
         self.front_cache: Optional[FrontCache] = (
             FrontCache() if front_cache else None
         )
+        #: Rung-scaled graph payloads, each scaled once per demand scale.
+        self.scaled_payloads = ScaledPayloads()
         self._entry_offset = 0
         self._entry_max_priority = 0
 
@@ -334,7 +367,9 @@ class AdmissionController:
                     session,
                     probe_request,
                     label=f"probe@{level.label}",
-                    graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
+                    graph_transform=lambda g, f=scale: scale_graph_demand(
+                        g, f, self.scaled_payloads
+                    ),
                 )
                 if planned is None or planned.distribution.objectives is None:
                     points.append(None)
@@ -361,16 +396,23 @@ class AdmissionController:
         """
         if self.ladder is None:
             raise ValueError("class_points requires a degradation ladder")
+        return self._class_entry(request).points
+
+    def _class_entry(self, request: CompositionRequest) -> FrontEntry:
+        """The request class's front-cache entry, probed on a miss.
+
+        Without a usable cache the entry is fresh and unshared, so its
+        walk orders are computed per request, as the points are.
+        """
         token = self._registry_token()
+        cache = self.front_cache if token is not None else None
+        if cache is None:
+            return FrontEntry(token, self._probe_points(request))
         key = self._class_key(request)
-        if self.front_cache is not None and token is not None:
-            cached = self.front_cache.get(key, token)
-            if cached is not None:
-                return cached
-        points = self._probe_points(request)
-        if self.front_cache is not None and token is not None:
-            self.front_cache.put(key, token, points)
-        return points
+        entry = cache.get(key, token)
+        if entry is None:
+            entry = cache.put(key, token, self._probe_points(request))
+        return entry
 
     def class_front(self, request: CompositionRequest) -> ParetoFront:
         """The request class's Pareto front over its ladder levels.
@@ -404,13 +446,13 @@ class AdmissionController:
         if isinstance(profile, str):
             profile = resolve_utility_profile(profile)
         if profile is None:
-            order = list(range(len(self.ladder.levels)))
+            order = tuple(range(len(self.ladder.levels)))
         else:
-            order = self.ladder.order_for(profile, self.class_points(request))
+            order = self._class_entry(request).order_for(self.ladder, profile)
         offset = self.entry_offset_for(priority)
         if offset:
             order = order[offset:]
-        return tuple(order)
+        return order
 
     # -- the grouped ladder walk ---------------------------------------------------
 
@@ -522,7 +564,9 @@ class AdmissionController:
             session,
             session.request,
             label,
-            graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
+            graph_transform=lambda g, f=scale: scale_graph_demand(
+                g, f, self.scaled_payloads
+            ),
         )
         if failure is None:
             return planned

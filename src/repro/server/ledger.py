@@ -49,6 +49,13 @@ def _pair(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _net(
+    available: ResourceVector, pending: Optional[ResourceVector]
+) -> ResourceVector:
+    """Availability net of a pending hold; the vector itself when none."""
+    return available if pending is None else available - pending
+
+
 class LedgerConflictError(RuntimeError):
     """A transaction lost a race: the capacity it planned for is gone.
 
@@ -263,8 +270,10 @@ class ReservationLedger:
             if not device.online:
                 conflicts.append(f"device {device_id!r} is offline")
                 continue
-            pending = self._pending_device.get(device_id, ZERO)
-            if not load.fits_within(device.available() - pending):
+            available = _net(
+                device.available(), self._pending_device.get(device_id)
+            )
+            if not load.fits_within(available):
                 conflicts.append(
                     f"device {device_id!r}: load {dict(load)!r} exceeds "
                     f"effective availability"
@@ -431,7 +440,8 @@ class ReservationLedger:
     ) -> Tuple[DistributionEnvironment, Dict[str, object]]:
         """A distribution environment net of pending holds.
 
-        Device availability is ``available() - pending`` and the bandwidth
+        Device availability is ``available() - pending`` (``available()``
+        itself, memoized per device, when nothing is pending) and the bandwidth
         callable reads the live topology minus pending link holds, so a
         planner never sees capacity another in-flight transaction has
         already spoken for.
@@ -445,8 +455,7 @@ class ReservationLedger:
             candidates = [
                 CandidateDevice(
                     device_id,
-                    device.available()
-                    - pending_device.get(device_id, ZERO),
+                    _net(device.available(), pending_device.get(device_id)),
                 )
                 for device_id, device in devices.items()
             ]

@@ -77,17 +77,23 @@ class TestWeightedMagnitude:
 # through the validating constructor and read its operands through the
 # Mapping ABC. The fast paths must agree with it exactly: same floats (no
 # approx) and the same key order, since key order fixes every summation
-# order downstream.
+# order downstream. The order is the documented one: the left operand's
+# names, then the right operand's names the left lacks (never a set's
+# hash order).
+
+
+def _names(a, b):
+    return list(a) + [n for n in b if n not in a]
 
 
 def _reference_add(a, b):
-    names = set(a) | set(b)
-    return ResourceVector({n: a.get(n, 0.0) + b.get(n, 0.0) for n in names})
+    return ResourceVector({n: a.get(n, 0.0) + b.get(n, 0.0) for n in _names(a, b)})
 
 
 def _reference_sub(a, b):
-    names = set(a) | set(b)
-    return ResourceVector({n: max(0.0, a.get(n, 0.0) - b.get(n, 0.0)) for n in names})
+    return ResourceVector(
+        {n: max(0.0, a.get(n, 0.0) - b.get(n, 0.0)) for n in _names(a, b)}
+    )
 
 
 def _reference_fits_within(requirement, availability):
@@ -164,9 +170,13 @@ class TestDeviceDrainsToZero:
             device.release(allocation)
             live = allocations[index + 1:]
             expected = ResourceVector()
+            first_seen = []
             for remaining in device.active_allocations():
                 expected = _reference_add(expected, remaining.resources)
+                first_seen += [n for n in remaining.resources if n not in first_seen]
             assert _exact(device.allocated) == _exact(expected)
+            # Names keep the order in which live allocations first hold them.
+            assert list(device.allocated) == first_seen
             assert len(device.active_allocations()) == len(live)
         assert all(amount == 0.0 for amount in device.allocated.values())
         assert device.allocated.is_zero()

@@ -1,5 +1,10 @@
 """Unit tests for resource vectors (Definitions 3.1 and 3.2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.resources.vectors import ResourceVector, weighted_magnitude
@@ -62,6 +67,41 @@ class TestAddition:
 
     def test_sum_of_none(self):
         assert ResourceVector.sum([]) == ResourceVector()
+
+
+class TestKeyOrder:
+    def test_left_names_then_the_right_names_it_lacks(self):
+        a = ResourceVector(memory=1, cpu=2)
+        b = ResourceVector(gpu=3, memory=4)
+        assert list(a + b) == ["memory", "cpu", "gpu"]
+        assert list(a - b) == ["memory", "cpu", "gpu"]
+        assert list(b + a) == ["gpu", "memory", "cpu"]
+        assert list(ResourceVector.sum([b, a])) == ["gpu", "memory", "cpu"]
+
+    def test_three_name_sum_is_independent_of_the_hash_seed(self):
+        # Key order fixes the order weighted_magnitude sums in, and with
+        # three names that order changes the float. It must not follow
+        # string hashing, which PYTHONHASHSEED varies between processes.
+        code = (
+            "from repro.resources.vectors import ResourceVector as RV, "
+            "weighted_magnitude\n"
+            "print(repr(weighted_magnitude("
+            "RV(memory=1) + RV(cpu=1e16) + RV(battery=1))))"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                timeout=60,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        # memory, cpu, battery: (0 + 1 + 1e16) + 1 rounds to 1e16 twice.
+        assert outputs == ["1e+16\n", "1e+16\n"]
 
 
 class TestSubtraction:

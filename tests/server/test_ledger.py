@@ -139,6 +139,16 @@ class TestSnapshots:
         assert availability["d1"]["memory"] == pytest.approx(40.0)
         assert availability["d2"]["memory"] == pytest.approx(40.0)
 
+    def test_environment_reads_availability_where_nothing_is_pending(
+        self, ledger, pair_server
+    ):
+        both_on_d1 = Assignment({"src": "d1", "sink": "d1"})
+        ledger.prepare(ledger.begin(), stream_graph(), both_on_d1)
+        environment, devices = ledger.environment()
+        held, free = environment.device("d1"), environment.device("d2")
+        assert held.available["memory"] == pytest.approx(20.0)
+        assert free.available is devices["d2"].available()
+
     def test_environment_subtracts_pending_bandwidth(self, ledger):
         txn = ledger.begin()
         ledger.prepare(

@@ -18,10 +18,11 @@ from repro.apps.audio_on_demand import (
     build_audio_testbed,
 )
 from repro.discovery.registry import ServiceDescription
-from repro.distribution.pareto import ParetoPoint, dominates
+from repro.distribution.pareto import ParetoPoint, dominates, utility_profile
 from repro.graph.abstract import AbstractServiceGraph
 from repro.graph.service_graph import ServiceComponent
 from repro.resources.vectors import ResourceVector
+from repro.runtime.degradation import DegradationLadder
 from repro.server.admission import FrontCache
 from repro.server.batching import BatchingDomainService, BatchPolicy
 from repro.server.service import (
@@ -86,7 +87,7 @@ class TestFrontCache:
         cache = FrontCache()
         assert cache.get(("k",), 1) is None
         cache.put(("k",), 1, self.probed("full"))
-        assert cache.get(("k",), 1) == self.probed("full")
+        assert cache.get(("k",), 1).points == self.probed("full")
         assert (cache.hits, cache.misses, cache.invalidations) == (1, 1, 0)
 
     def test_stale_token_invalidates(self):
@@ -245,6 +246,83 @@ class TestLevelOrder:
             service.admission.level_order(
                 audio_request(testbed, "desktop1"), profile="nope"
             )
+
+
+class TestWalkOrderMemo:
+    PROFILES = ("fidelity_first", "resource_lean", "battery_saver")
+
+    def counting_order_for(self, monkeypatch):
+        calls = []
+        fresh = DegradationLadder.order_for
+
+        def order_for(ladder, profile, points=None):
+            calls.append(profile.name)
+            return fresh(ladder, profile, points)
+
+        monkeypatch.setattr(DegradationLadder, "order_for", order_for)
+        return calls, fresh
+
+    def test_once_per_class_and_profile_while_the_entry_lives(self, monkeypatch):
+        testbed = build_audio_testbed()
+        service = make_service(testbed)
+        admission = service.admission
+        composition = audio_request(testbed, "desktop1")
+        calls, fresh = self.counting_order_for(monkeypatch)
+        for _round in range(3):
+            for name in self.PROFILES:
+                order = admission.level_order(composition, profile=name)
+                points = admission.class_points(composition)
+                assert order == tuple(
+                    fresh(admission.ladder, utility_profile(name), points)
+                )
+        assert calls == list(self.PROFILES)
+        # One lookup per level_order plus one per check above, as before.
+        cache = admission.front_cache
+        assert (cache.hits, cache.misses, cache.invalidations) == (17, 1, 0)
+
+    def test_registry_bump_recomputes_the_order(self, monkeypatch):
+        testbed = build_audio_testbed()
+        service = make_service(testbed)
+        admission = service.admission
+        composition = audio_request(testbed, "desktop1")
+        calls, _fresh = self.counting_order_for(monkeypatch)
+        before = admission.level_order(composition, profile="resource_lean")
+        admission.level_order(composition, profile="resource_lean")
+        bump_registry(testbed)
+        after = admission.level_order(composition, profile="resource_lean")
+        admission.level_order(composition, profile="resource_lean")
+        assert calls == ["resource_lean", "resource_lean"]
+        assert after == before
+        cache = admission.front_cache
+        assert (cache.hits, cache.misses, cache.invalidations) == (2, 2, 1)
+
+    def test_entry_offset_slices_the_memoized_order(self, monkeypatch):
+        testbed = build_audio_testbed()
+        service = make_service(testbed)
+        admission = service.admission
+        composition = audio_request(testbed, "desktop1")
+        calls, _fresh = self.counting_order_for(monkeypatch)
+        full = admission.level_order(composition, profile="resource_lean")
+        admission.set_entry_offset(1, max_priority=0)
+        assert admission.level_order(
+            composition, priority=0, profile="resource_lean"
+        ) == full[1:]
+        assert admission.level_order(
+            composition, priority=1, profile="resource_lean"
+        ) == full
+        assert calls == ["resource_lean"]
+
+    def test_disabled_cache_orders_every_request(self, monkeypatch):
+        testbed = build_audio_testbed()
+        service = make_service(testbed, front_cache=False)
+        composition = audio_request(testbed, "desktop1")
+        calls, _fresh = self.counting_order_for(monkeypatch)
+        orders = {
+            service.admission.level_order(composition, profile="resource_lean")
+            for _ in range(2)
+        }
+        assert len(orders) == 1
+        assert calls == ["resource_lean", "resource_lean"]
 
 
 class TestProfileDrivenAdmission:
