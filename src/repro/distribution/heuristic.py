@@ -18,11 +18,18 @@ Both "resource availability" and "resource requirement" are measured by the
 weighted sum of the different resources (footnote 3), using the same
 criticality weights as the cost aggregation.
 
-Robustness beyond the paper's sketch: when the chosen component does not
-fit the head device, we fall through the sorted device list to the first
-device that can hold it; if no device can, it is placed on the head anyway
-and the final feasibility check reports the overflow (the request is then
-counted as failed, which is exactly Figure 5's success-rate metric).
+Robustness beyond the paper's sketch:
+
+- Step 1 is a proof as well as a placement. When the pinned components
+  alone overflow their device, Definition 3.4 admits no k-cut (the greedy
+  would only add non-negative load to that device), so the heuristic
+  refuses before the greedy runs. The refusal names each overflowing
+  (device, resource) pair with the pins' demand and the device's supply.
+- When the chosen component does not fit the head device, we fall through
+  the sorted device list to the first device that can hold it; if no
+  device can, it is placed on the head anyway and the final feasibility
+  check reports the overflow (the request is then counted as failed, which
+  is exactly Figure 5's success-rate metric).
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ from typing import Dict, List, Optional, Set
 
 from repro.distribution.cost import CostWeights
 from repro.distribution.distributor import DistributionResult, DistributionStrategy
-from repro.distribution.fit import DistributionEnvironment
-from repro.distribution.incremental import DeltaEvaluator
-from repro.graph.service_graph import ServiceGraph
+from repro.distribution.fit import DistributionEnvironment, FitViolation
+from repro.distribution.incremental import FIT_TOLERANCE, DeltaEvaluator
+from repro.graph.cuts import Assignment
+from repro.graph.service_graph import ServiceComponent, ServiceGraph
 from repro.resources.vectors import ResourceVector, weighted_magnitude
 
 
@@ -56,6 +64,10 @@ class HeuristicDistributor(DistributionStrategy):
         environment: DistributionEnvironment,
         weights: Optional[CostWeights] = None,
     ) -> DistributionResult:
+        pinned = [c for c in graph if c.pinned_to is not None]
+        refusal = self._refuse_at_pins(graph, pinned, environment)
+        if refusal is not None:
+            return refusal
         weights = weights or CostWeights()
         magnitude_weights = self._magnitude_weights(graph, weights, environment)
         remaining: Dict[str, ResourceVector] = {
@@ -70,7 +82,6 @@ class HeuristicDistributor(DistributionStrategy):
             )
 
         # Step 1: pin the components that cannot be instantiated arbitrarily.
-        pinned = [c for c in graph if c.pinned_to is not None]
         pinned.sort(key=lambda c: (-requirement_of(c.component_id), c.component_id))
         for component in pinned:
             placements[component.component_id] = component.pinned_to
@@ -109,6 +120,58 @@ class HeuristicDistributor(DistributionStrategy):
         )
 
     # -- internals --------------------------------------------------------------
+
+    def _refuse_at_pins(
+        self,
+        graph: ServiceGraph,
+        pinned: List[ServiceComponent],
+        environment: DistributionEnvironment,
+    ) -> Optional[DistributionResult]:
+        """Step 1 as a proof: the infeasible result when the pins overflow.
+
+        ``pinned`` lists the graph's pinned components in graph order.
+        Each pinned device's load is summed in that order, the order
+        ``Assignment.device_loads`` uses, and compared as ``fit_violations``
+        compares it. Rounding is monotone and the pinned terms keep their
+        order, so inserting the unpinned (non-negative) terms can only raise
+        the sum: a refusal here is a verdict the full path would reach too.
+        A device with one pin compares that pin's own vector, with no sum
+        built.
+
+        The refused result carries the pins alone as its assignment, an
+        infinite cost, and one ``resource`` violation per overflowing
+        (device, resource) pair, in the order ``fit_violations`` lists the
+        pins' loads. Its ``evaluations`` is the greedy's step count, one
+        per unpinned component, because
+        ``DeploymentCostModel.distribution_time_s`` prices the paper's
+        algorithm from it: the modelled distribution time, and every
+        replay built on it, stay as if the greedy ran.
+        """
+        loads: Dict[str, ResourceVector] = {}
+        for component in pinned:
+            held = loads.get(component.pinned_to)
+            loads[component.pinned_to] = (
+                component.resources if held is None else held + component.resources
+            )
+        violations: List[FitViolation] = []
+        for device_id, load in loads.items():
+            available = environment.device(device_id).available
+            for name, demand in load.items():
+                supply = available.get(name, 0.0)
+                if demand > supply + FIT_TOLERANCE:
+                    violations.append(
+                        FitViolation("resource", device_id, name, demand, supply)
+                    )
+        if not violations:
+            return None
+        return DistributionResult(
+            strategy=self.name,
+            assignment=Assignment({c.component_id: c.pinned_to for c in pinned}),
+            feasible=False,
+            cost=float("inf"),
+            evaluations=len(graph) - len(pinned),
+            violations=tuple(violations),
+        )
 
     @staticmethod
     def _magnitude_weights(

@@ -248,36 +248,6 @@ class DeltaEvaluator:
                 return True
         return False
 
-    def headroom_magnitude(
-        self, device_id: str, magnitude_weights: Mapping[str, float]
-    ) -> float:
-        """Weighted scalar of the device's remaining availability.
-
-        Matches ``weighted_magnitude(available - load)`` with the load
-        clamped at zero per resource (a device cannot have negative
-        headroom).
-        """
-        load = self.loads[device_id]
-        total = 0.0
-        for name, supply in self._avail[device_id].items():
-            weight = magnitude_weights.get(name, 0.0)
-            if weight == 0.0:
-                continue
-            total += weight * max(0.0, supply - load.get(name, 0.0))
-        return total
-
-    def fits_device(self, resources: ResourceVector, device_id: str) -> bool:
-        """Strict Definition 3.2 check against the remaining availability."""
-        available = self._avail[device_id]
-        load = self.loads[device_id]
-        for name, required in resources.items():
-            if required <= 0.0:
-                continue
-            remaining = max(0.0, available.get(name, 0.0) - load.get(name, 0.0))
-            if required > remaining:
-                return False
-        return True
-
     # -- mutation --------------------------------------------------------------
 
     def place(self, component_id: str, device_id: str) -> None:

@@ -4,9 +4,15 @@ import random
 
 import pytest
 
-from repro.distribution.cost import CostWeights
-from repro.distribution.fit import CandidateDevice, DistributionEnvironment
+from repro.distribution.cost import CostWeights, cost_aggregation
+from repro.distribution.fit import (
+    CandidateDevice,
+    DistributionEnvironment,
+    FitViolation,
+)
 from repro.distribution.heuristic import HeuristicDistributor
+from repro.distribution.local_search import LocalSearchDistributor
+from repro.graph.cuts import Assignment
 from repro.graph.generators import RandomGraphConfig, random_service_graph
 from repro.graph.service_graph import ServiceEdge, ServiceGraph
 from repro.resources.vectors import CPU, MEMORY, ResourceVector
@@ -135,3 +141,96 @@ class TestWeightsDrivePlacement:
         graph = chain_graph("a", "b", "c")
         result = HeuristicDistributor().distribute(graph, two_device_env)
         assert result.evaluations == 3  # one loop iteration per component
+
+
+def _pinned_chain(pin_memory: float) -> ServiceGraph:
+    """a -> b -> c with ``a`` pinned to the small device."""
+    graph = ServiceGraph(name="pinned")
+    graph.add_component(make_component("a", memory=pin_memory, pinned_to="small"))
+    graph.add_component(make_component("b"))
+    graph.add_component(make_component("c"))
+    graph.connect("a", "b", 1.0)
+    graph.connect("b", "c", 1.0)
+    return graph
+
+
+def _full_path(monkeypatch, graph, env):
+    """The result with the refusal switched off: the greedy always runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(HeuristicDistributor, "_refuse_at_pins", lambda *args: None)
+        return HeuristicDistributor().distribute(graph, env)
+
+
+class TestRefusalAtThePins:
+    def test_pinned_overflow_refuses_before_the_greedy(self, two_device_env):
+        graph = _pinned_chain(pin_memory=40.0)  # small holds 32 MB
+        result = HeuristicDistributor().distribute(graph, two_device_env)
+        assert not result.feasible
+        assert result.assignment == Assignment({"a": "small"})
+        assert result.cost == float("inf")
+        assert result.evaluations == 2  # the greedy's steps: b and c
+        assert result.violations == (
+            FitViolation("resource", "small", MEMORY, 40.0, 32.0),
+        )
+
+    def test_refusal_keeps_the_greedy_evaluation_count(
+        self, monkeypatch, two_device_env
+    ):
+        graph = _pinned_chain(pin_memory=40.0)
+        refused = HeuristicDistributor().distribute(graph, two_device_env)
+        full = _full_path(monkeypatch, graph, two_device_env)
+        assert not full.feasible
+        assert refused.evaluations == full.evaluations
+        assert full.violations[0].subject == "small"
+        assert full.violations[0].demand >= refused.violations[0].demand
+
+    def test_pins_sum_per_device_in_graph_order(self):
+        # Each pin fits its device alone; the two on d2 overflow together,
+        # on both resources, and d1's single pin overflows on CPU.
+        graph = ServiceGraph()
+        graph.add_component(make_component("x", memory=30.0, cpu=0.6, pinned_to="d2"))
+        graph.add_component(make_component("y", memory=5.0, cpu=2.0, pinned_to="d1"))
+        graph.add_component(make_component("z", memory=30.0, cpu=0.6, pinned_to="d2"))
+        graph.add_component(make_component("free"))
+        env = DistributionEnvironment(
+            [
+                CandidateDevice("d1", ResourceVector(memory=100.0, cpu=1.0)),
+                CandidateDevice("d2", ResourceVector(memory=50.0, cpu=1.0)),
+            ],
+            default_bandwidth=float("inf"),
+        )
+        result = HeuristicDistributor().distribute(graph, env)
+        assert result.assignment == Assignment({"x": "d2", "y": "d1", "z": "d2"})
+        assert result.evaluations == 1
+        assert result.violations == (
+            FitViolation("resource", "d2", MEMORY, 60.0, 50.0),
+            FitViolation("resource", "d2", CPU, 1.2, 1.0),
+            FitViolation("resource", "d1", CPU, 2.0, 1.0),
+        )
+
+    @pytest.mark.parametrize("pin_memory", [32.0, 32.0 + 5e-10])
+    def test_pin_at_capacity_runs_the_full_path(
+        self, monkeypatch, two_device_env, pin_memory
+    ):
+        # Exactly full, and over by less than the 1e-9 slack fit_violations
+        # allows: the pins do not prove infeasibility, so the greedy runs
+        # and places the rest on the big device.
+        graph = _pinned_chain(pin_memory)
+        result = HeuristicDistributor().distribute(graph, two_device_env)
+        assert result.feasible
+        assert result.assignment == Assignment({"a": "small", "b": "big", "c": "big"})
+        assert result.evaluations == 2
+        assert result.cost == pytest.approx(
+            cost_aggregation(graph, result.assignment, two_device_env, CostWeights())
+        )
+        assert result == _full_path(monkeypatch, graph, two_device_env)
+
+    def test_local_search_inherits_the_refusal(self, two_device_env):
+        graph = _pinned_chain(pin_memory=40.0)
+        seed = HeuristicDistributor().distribute(graph, two_device_env)
+        result = LocalSearchDistributor().distribute(graph, two_device_env)
+        assert result.strategy == "local-search"
+        assert not result.feasible
+        assert result.assignment == seed.assignment
+        assert result.violations == seed.violations
+        assert result.evaluations == seed.evaluations

@@ -10,11 +10,14 @@ from repro.distribution.cost import CostWeights, cost_aggregation
 from repro.distribution.fit import (
     CandidateDevice,
     DistributionEnvironment,
+    fit_violations,
     fits_into,
 )
 from repro.distribution.heuristic import HeuristicDistributor
 from repro.distribution.optimal import OptimalDistributor
+from repro.graph.cuts import Assignment
 from repro.graph.generators import RandomGraphConfig, random_service_graph
+from repro.graph.service_graph import ServiceComponent, ServiceGraph
 from repro.resources.vectors import ResourceVector
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -109,3 +112,68 @@ class TestOptimalityContract:
         roomy_result = OptimalDistributor().distribute(graph, roomy)
         if tight_result.feasible:
             assert roomy_result.feasible
+
+
+DEVICES = ("d0", "d1", "d2")
+
+
+@st.composite
+def pinned_instances(draw):
+    """A small graph, some of it pinned, over a tight random environment."""
+    amounts = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    device_count = draw(st.integers(min_value=1, max_value=len(DEVICES)))
+    devices = DEVICES[:device_count]
+    env = DistributionEnvironment(
+        [
+            CandidateDevice(
+                device_id,
+                ResourceVector(memory=draw(amounts) * 40.0, cpu=draw(amounts)),
+            )
+            for device_id in devices
+        ],
+        default_bandwidth=draw(st.sampled_from([0.0, 1.0, float("inf")])),
+    )
+    graph = ServiceGraph(name="pinned")
+    count = draw(st.integers(min_value=1, max_value=5))
+    for index in range(count):
+        graph.add_component(
+            ServiceComponent(
+                component_id=f"c{index}",
+                service_type="test",
+                resources=ResourceVector(
+                    memory=draw(amounts) * 30.0, cpu=draw(amounts)
+                ),
+                pinned_to=draw(st.sampled_from((None,) + devices)),
+            )
+        )
+    for index in range(1, count):
+        graph.connect(f"c{draw(st.integers(0, index - 1))}", f"c{index}", 0.5)
+    return graph, env
+
+
+class TestRefusalAtThePins:
+    @given(pinned_instances(), seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_refusal_is_a_proof_of_infeasibility(self, instance, seed):
+        graph, env = instance
+        result = HeuristicDistributor().distribute(graph, env)
+        if result.assignment.covers(graph):
+            return  # the greedy ran: the pins alone fit
+        assert not result.feasible
+        assert result.violations
+        assert not OptimalDistributor().distribute(graph, env).feasible
+        # Whatever the greedy would have added, every refused pair stays
+        # overflowed, with at least the pins' demand.
+        rng = random.Random(seed)
+        for _ in range(5):
+            completion = {
+                c.component_id: c.pinned_to or rng.choice(env.device_ids())
+                for c in graph
+            }
+            found = {
+                (v.subject, v.detail): v.demand
+                for v in fit_violations(graph, Assignment(completion), env)
+                if v.kind == "resource"
+            }
+            for refused in result.violations:
+                assert found[(refused.subject, refused.detail)] >= refused.demand

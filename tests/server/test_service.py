@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
+from repro.distribution.heuristic import HeuristicDistributor
 from repro.resources.vectors import ResourceVector
 from repro.server.admission import OverloadPolicy
 from repro.server.queue import QueuePolicy
@@ -105,6 +106,35 @@ class TestAdmission:
         assert service.outcome("r1").status is RequestStatus.ADMITTED
         assert service.outcome("missing") is None
         assert len(service.outcomes()) == 1
+
+    def test_full_client_fails_each_rung_at_its_pin(self, monkeypatch):
+        def failed_rungs():
+            testbed = build_audio_testbed()
+            client = testbed.devices["jornada"]
+            client.allocate(client.available())
+            service = make_service(testbed)
+            service.submit(request(testbed, "r1", client="jornada"))
+            outcome = service.drain()[0]
+            assert outcome.status is RequestStatus.FAILED
+            return outcome.attempts
+
+        refused = failed_rungs()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                HeuristicDistributor, "_refuse_at_pins", lambda *args: None
+            )
+            full = failed_rungs()
+        assert [r.label for r in refused] == [r.label for r in full]
+        for record, reference in zip(refused, full):
+            binding = {
+                (v.subject, v.detail) for v in record.distribution.violations
+            }
+            assert binding == {("jornada", "memory"), ("jornada", "cpu")}
+            # Refused at the pins: the greedy placed nothing.
+            assert len(record.distribution.assignment) < len(
+                reference.distribution.assignment
+            )
+            assert record.timing.distribution_ms == reference.timing.distribution_ms
 
 
 class TestShedding:
