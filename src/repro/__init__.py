@@ -39,32 +39,20 @@ Public API tour (see README.md for the full quickstart):
 - :mod:`repro.apps`, :mod:`repro.workloads`, :mod:`repro.experiments` —
   the prototype applications and the drivers regenerating every table and
   figure of the paper's evaluation.
+
+The top level re-exports only the names README.md and ``examples/``
+import from it; everything else is imported from its subpackage.
 """
 
-from repro.qos import (
-    QoSVector,
-    RangeValue,
-    SetValue,
-    SingleValue,
-    satisfies,
-)
+from repro.qos import QoSVector
 from repro.resources import ResourceVector
 from repro.graph import (
     AbstractComponentSpec,
     AbstractServiceGraph,
-    Assignment,
     PinConstraint,
     ServiceComponent,
-    ServiceEdge,
-    ServiceGraph,
 )
-from repro.composition import (
-    CompositionRequest,
-    CompositionResult,
-    CorrectionPolicy,
-    ServiceComposer,
-    ordered_coordination,
-)
+from repro.composition import CompositionRequest, CorrectionPolicy, ServiceComposer
 from repro.distribution import (
     CandidateDevice,
     CostWeights,
@@ -74,93 +62,26 @@ from repro.distribution import (
     OptimalDistributor,
     RandomDistributor,
     ServiceDistributor,
-    cost_aggregation,
-    fits_into,
 )
 from repro.discovery import DiscoveryService, ServiceDescription, ServiceRegistry
-from repro.domain import Device, Domain, DomainServer, SmartSpace
-from repro.events import Event, EventBus, Topics
-from repro.faults import (
-    FailureDetector,
-    FaultInjector,
-    RecoveryManager,
-    RecoveryMetrics,
-    RecoveryPolicy,
-)
-from repro.federation import (
-    ClusterDigest,
-    FederatedRequest,
-    FederationMember,
-    FederationTier,
-    SessionMigrator,
-)
-from repro.observability import (
-    MetricsRegistry,
-    Span,
-    TraceReport,
-    Tracer,
-    activated,
-    get_tracer,
-    set_tracer,
-)
-from repro.runtime import (
-    ApplicationSession,
-    Scheduler,
-    ServiceConfigurator,
-    SimScheduler,
-    WallClockScheduler,
-)
-from repro.server import (
-    ClusterMetrics,
-    ConsistentHashRouter,
-    DomainCluster,
-    DomainConfigurationService,
-    LeastLoadedRouter,
-    ReservationLedger,
-    ServerMetrics,
-    ServerRequest,
-    ShardRouter,
-)
+from repro.domain import Device, SmartSpace
+from repro.observability import TraceReport, Tracer, activated
+from repro.runtime import ServiceConfigurator, SimScheduler
 from repro.sim import Simulator
-from repro.scenarios import (
-    CompiledScenario,
-    ScenarioRunResult,
-    ScenarioSpec,
-    ScenarioValidationError,
-    compile_scenario,
-    load_scenario,
-    run_crash_restart,
-    run_scenario,
-)
-from repro.store import (
-    InMemoryRecordStore,
-    RecordStore,
-    SessionRecord,
-    SqliteRecordStore,
-    readopt_sessions,
-)
+from repro.scenarios import compile_scenario, load_scenario, run_scenario
 
 __version__ = "1.0.0"
 
 __all__ = [
     "QoSVector",
-    "RangeValue",
-    "SetValue",
-    "SingleValue",
-    "satisfies",
     "ResourceVector",
     "AbstractComponentSpec",
     "AbstractServiceGraph",
-    "Assignment",
     "PinConstraint",
     "ServiceComponent",
-    "ServiceEdge",
-    "ServiceGraph",
     "CompositionRequest",
-    "CompositionResult",
     "CorrectionPolicy",
     "ServiceComposer",
-    "ordered_coordination",
     "CandidateDevice",
     "CostWeights",
     "DistributionEnvironment",
@@ -169,62 +90,19 @@ __all__ = [
     "OptimalDistributor",
     "RandomDistributor",
     "ServiceDistributor",
-    "cost_aggregation",
-    "fits_into",
     "DiscoveryService",
     "ServiceDescription",
     "ServiceRegistry",
     "Device",
-    "Domain",
-    "DomainServer",
     "SmartSpace",
-    "Event",
-    "EventBus",
-    "Topics",
-    "FailureDetector",
-    "FaultInjector",
-    "RecoveryManager",
-    "RecoveryMetrics",
-    "RecoveryPolicy",
-    "ClusterDigest",
-    "FederatedRequest",
-    "FederationMember",
-    "FederationTier",
-    "SessionMigrator",
-    "MetricsRegistry",
-    "Span",
     "TraceReport",
     "Tracer",
     "activated",
-    "get_tracer",
-    "set_tracer",
-    "ApplicationSession",
-    "Scheduler",
     "ServiceConfigurator",
     "SimScheduler",
-    "WallClockScheduler",
-    "ClusterMetrics",
-    "ConsistentHashRouter",
-    "DomainCluster",
-    "DomainConfigurationService",
-    "LeastLoadedRouter",
-    "ReservationLedger",
-    "ServerMetrics",
-    "ServerRequest",
-    "ShardRouter",
     "Simulator",
-    "CompiledScenario",
-    "ScenarioRunResult",
-    "ScenarioSpec",
-    "ScenarioValidationError",
     "compile_scenario",
     "load_scenario",
-    "run_crash_restart",
     "run_scenario",
-    "InMemoryRecordStore",
-    "RecordStore",
-    "SessionRecord",
-    "SqliteRecordStore",
-    "readopt_sessions",
     "__version__",
 ]

@@ -11,7 +11,6 @@ discovery service facade.
 from repro.discovery.registry import ServiceDescription, ServiceRegistry
 from repro.discovery.matching import DiscoveryContext, MatchScorer, MatchWeights
 from repro.discovery.service import DiscoveryService
-from repro.discovery.federation import FederatedDiscoveryService
 
 __all__ = [
     "ServiceDescription",
@@ -20,5 +19,4 @@ __all__ = [
     "MatchScorer",
     "MatchWeights",
     "DiscoveryService",
-    "FederatedDiscoveryService",
 ]

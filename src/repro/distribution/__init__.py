@@ -22,10 +22,7 @@ from repro.distribution.incremental import DeltaEvaluator, SearchState
 from repro.distribution.heuristic import HeuristicDistributor
 from repro.distribution.optimal import OptimalDistributor
 from repro.distribution.baselines import FixedDistributor, RandomDistributor
-from repro.distribution.local_search import (
-    FallbackDistributor,
-    LocalSearchDistributor,
-)
+from repro.distribution.local_search import LocalSearchDistributor
 from repro.distribution.distributor import (
     DistributionResult,
     DistributionStrategy,
@@ -56,7 +53,6 @@ __all__ = [
     "OptimalDistributor",
     "FixedDistributor",
     "RandomDistributor",
-    "FallbackDistributor",
     "LocalSearchDistributor",
     "DistributionResult",
     "DistributionStrategy",

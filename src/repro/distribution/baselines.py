@@ -59,13 +59,12 @@ class RandomDistributor(DistributionStrategy):
         self.attempts = attempts
         self.mode = mode
 
-    def distribute(
+    def _distribute(
         self,
         graph: ServiceGraph,
         environment: DistributionEnvironment,
-        weights: Optional[CostWeights] = None,
+        weights: CostWeights,
     ) -> DistributionResult:
-        weights = weights or CostWeights()
         last: Optional[Dict[str, str]] = None
         for attempt in range(1, self.attempts + 1):
             if self.mode == "uniform":
@@ -148,16 +147,15 @@ class FixedDistributor(DistributionStrategy):
         else:
             self._cache.pop(graph_key, None)
 
-    def distribute(
+    def _distribute(
         self,
         graph: ServiceGraph,
         environment: DistributionEnvironment,
-        weights: Optional[CostWeights] = None,
+        weights: CostWeights,
     ) -> DistributionResult:
-        weights = weights or CostWeights()
         cached = self._cache.get(graph.name)
         if cached is None:
-            initial = self.base.distribute(graph, environment, weights)
+            initial = self.base._distribute(graph, environment, weights)
             if initial.assignment is None or not initial.assignment.covers(graph):
                 return DistributionResult(
                     strategy=self.name,

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.distribution.cost import CostWeights, cost_aggregation
 from repro.distribution.fit import (
-    CandidateDevice,
     DistributionEnvironment,
     FitViolation,
     fit_violations,
@@ -62,19 +61,35 @@ class DistributionStrategy(ABC):
     """Interface of the k-cut search algorithms.
 
     Strategies read placement pins from the graph's components
-    (``ServiceComponent.pinned_to``) and must honour them.
+    (``ServiceComponent.pinned_to``) and must honour them. Each strategy
+    implements :meth:`_distribute`; :meth:`distribute` checks the pins
+    first, so every strategy rejects a pin on an unknown device alike.
     """
 
     name: str = "strategy"
 
-    @abstractmethod
     def distribute(
         self,
         graph: ServiceGraph,
         environment: DistributionEnvironment,
         weights: Optional[CostWeights] = None,
     ) -> DistributionResult:
-        """Search for a k-cut of ``graph`` over the environment's devices."""
+        """Search for a k-cut of ``graph`` over the environment's devices.
+
+        Raises ValueError when a component is pinned to a device the
+        environment lacks.
+        """
+        validate_pins(graph, environment)
+        return self._distribute(graph, environment, weights or CostWeights())
+
+    @abstractmethod
+    def _distribute(
+        self,
+        graph: ServiceGraph,
+        environment: DistributionEnvironment,
+        weights: CostWeights,
+    ) -> DistributionResult:
+        """The strategy's search, on a graph whose pins are known devices."""
 
     def _finalize(
         self,
@@ -189,34 +204,7 @@ class ServiceDistributor:
             components=len(graph),
         ) as span:
             graph.validate()
-            validate_pins(graph, environment)
             result = self.strategy.distribute(graph, environment, self.weights)
             span.set("feasible", result.feasible)
             span.set("evaluations", result.evaluations)
             return result
-
-    def distribute_on_devices(
-        self,
-        graph: ServiceGraph,
-        devices: Iterable,
-        topology=None,
-    ) -> DistributionResult:
-        """Run against live Device objects (and optionally a topology).
-
-        ``devices`` may be :class:`repro.domain.Device` instances or
-        :class:`CandidateDevice` snapshots; Devices are snapshotted at their
-        current availability.
-        """
-        candidates: List[CandidateDevice] = []
-        for device in devices:
-            if isinstance(device, CandidateDevice):
-                candidates.append(device)
-            else:
-                candidates.append(
-                    CandidateDevice(device.device_id, device.available())
-                )
-        if topology is not None:
-            environment = DistributionEnvironment.from_topology(candidates, topology)
-        else:
-            environment = DistributionEnvironment(candidates)
-        return self.distribute(graph, environment)

@@ -58,17 +58,16 @@ class HeuristicDistributor(DistributionStrategy):
     def __init__(self, prefer_neighbors: bool = True) -> None:
         self.prefer_neighbors = prefer_neighbors
 
-    def distribute(
+    def _distribute(
         self,
         graph: ServiceGraph,
         environment: DistributionEnvironment,
-        weights: Optional[CostWeights] = None,
+        weights: CostWeights,
     ) -> DistributionResult:
         pinned = [c for c in graph if c.pinned_to is not None]
         refusal = self._refuse_at_pins(graph, pinned, environment)
         if refusal is not None:
             return refusal
-        weights = weights or CostWeights()
         magnitude_weights = self._magnitude_weights(graph, weights, environment)
         remaining: Dict[str, ResourceVector] = {
             d.device_id: d.available for d in environment.devices

@@ -63,16 +63,15 @@ class LocalSearchDistributor(DistributionStrategy):
         self.use_swaps = use_swaps
         self.verify = verify
 
-    def distribute(
+    def _distribute(
         self,
         graph: ServiceGraph,
         environment: DistributionEnvironment,
-        weights: Optional[CostWeights] = None,
+        weights: CostWeights,
     ) -> DistributionResult:
-        weights = weights or CostWeights()
         tracer = get_tracer()
         with tracer.span("distribution.greedy_seed", base=self.base.name) as seed_span:
-            seed = self.base.distribute(graph, environment, weights)
+            seed = self.base._distribute(graph, environment, weights)
             seed_span.set("feasible", seed.feasible)
             seed_span.set("evaluations", seed.evaluations)
         if not seed.feasible or seed.assignment is None:
@@ -236,37 +235,3 @@ class LocalSearchDistributor(DistributionStrategy):
                     best_cost = min(best_cost, candidate)
                     best_pair = (first, second)
         return best_pair, best_cost, tried
-
-
-class FallbackDistributor(DistributionStrategy):
-    """Try strategies in order; return the first feasible result.
-
-    The practical deployment pattern: run the cheap heuristic first and
-    fall back to a costlier search (local search, or exact optimal on
-    small graphs) only when the heuristic fails to find a feasible cut.
-    When nothing succeeds, the *first* strategy's (infeasible) result is
-    returned for diagnostics.
-    """
-
-    name = "fallback"
-
-    def __init__(self, strategies: List[DistributionStrategy]) -> None:
-        if not strategies:
-            raise ValueError("need at least one strategy")
-        self.strategies = list(strategies)
-
-    def distribute(
-        self,
-        graph: ServiceGraph,
-        environment: DistributionEnvironment,
-        weights: Optional[CostWeights] = None,
-    ) -> DistributionResult:
-        first_result: Optional[DistributionResult] = None
-        for strategy in self.strategies:
-            result = strategy.distribute(graph, environment, weights)
-            if first_result is None:
-                first_result = result
-            if result.feasible:
-                return result
-        assert first_result is not None
-        return first_result

@@ -30,15 +30,6 @@ from repro.graph.service_graph import ServiceGraph
 from repro.observability.tracing import get_tracer
 from repro.resources.vectors import weighted_magnitude
 
-# Backwards-compatible alias: the search state now lives in
-# repro.distribution.incremental so the other distributors can share it.
-_SearchState = SearchState
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when the node budget runs out before the search completes."""
-
-
 class OptimalDistributor(DistributionStrategy):
     """Branch-and-bound exhaustive search for the minimum-cost feasible k-cut.
 
@@ -59,13 +50,12 @@ class OptimalDistributor(DistributionStrategy):
             raise ValueError("max_nodes must be positive or None")
         self.max_nodes = max_nodes
 
-    def distribute(
+    def _distribute(
         self,
         graph: ServiceGraph,
         environment: DistributionEnvironment,
-        weights: Optional[CostWeights] = None,
+        weights: CostWeights,
     ) -> DistributionResult:
-        weights = weights or CostWeights()
         with get_tracer().span(
             "distribution.optimal", components=len(graph)
         ) as span:

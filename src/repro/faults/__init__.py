@@ -21,7 +21,6 @@ from repro.faults.model import (
     random_fault_schedule,
 )
 from repro.faults.recovery import RecoveryManager, RecoveryPolicy, RecoveryReport
-from repro.runtime.clock import Scheduler, SimScheduler, WallClockScheduler
 
 __all__ = [
     "FailureDetector",
@@ -33,8 +32,5 @@ __all__ = [
     "RecoveryMetrics",
     "RecoveryPolicy",
     "RecoveryReport",
-    "Scheduler",
-    "SimScheduler",
-    "WallClockScheduler",
     "random_fault_schedule",
 ]

@@ -32,9 +32,6 @@ from repro.observability.metrics import (
     stable_round as _round,
 )
 
-#: Backwards-compatible alias (the historical import path for recorders).
-LatencyRecorder = Histogram
-
 #: Every counter the recovery subsystem maintains, in reporting order.
 COUNTER_NAMES = (
     "faults_injected",

@@ -22,7 +22,6 @@ from repro.graph.abstract import (
 )
 from repro.graph.cuts import Assignment
 from repro.graph.generators import RandomGraphConfig, random_service_graph
-from repro.graph import qosl, serialization
 
 __all__ = [
     "CycleError",
@@ -36,6 +35,4 @@ __all__ = [
     "Assignment",
     "RandomGraphConfig",
     "random_service_graph",
-    "qosl",
-    "serialization",
 ]

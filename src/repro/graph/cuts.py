@@ -177,8 +177,3 @@ class Assignment(Mapping[str, str]):
                 if placed != component.pinned_to:
                     return False
         return True
-
-
-def colocated(assignment: Assignment, first: str, second: str) -> bool:
-    """True when two components are placed on the same device."""
-    return assignment.device_of(first) == assignment.device_of(second)

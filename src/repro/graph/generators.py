@@ -68,11 +68,6 @@ class RandomGraphConfig:
             raise ValueError("out-degree cannot be negative")
 
 
-def table1_config() -> RandomGraphConfig:
-    """The Table 1 workload: 10–20 components, 3–6 outbound edges."""
-    return RandomGraphConfig()
-
-
 def figure5_config() -> RandomGraphConfig:
     """The Figure 5 workload: 50–100 nodes, 5–10 outbound edges.
 
@@ -143,45 +138,4 @@ def random_service_graph(
                 graph.add_edge(
                     ServiceEdge(parent, cid, rng.uniform(*config.throughput_mbps))
                 )
-    return graph
-
-
-def random_linear_graph(
-    rng: random.Random,
-    length: int,
-    config: Optional[RandomGraphConfig] = None,
-    name: str = "random-chain",
-) -> ServiceGraph:
-    """Generate a linear (chain) service graph of the given length.
-
-    Useful for exercising the degenerate case prior work was limited to and
-    for composition-tier micro-benchmarks.
-    """
-    if length < 1:
-        raise ValueError("chain length must be at least 1")
-    if config is None:
-        config = RandomGraphConfig()
-    graph = ServiceGraph(name=name)
-    previous: Optional[str] = None
-    for i in range(length):
-        cid = f"{name}/c{i}"
-        graph.add_component(
-            ServiceComponent(
-                component_id=cid,
-                service_type=config.service_type,
-                resources=ResourceVector(
-                    {
-                        MEMORY: rng.uniform(*config.memory_mb),
-                        CPU: rng.uniform(*config.cpu_fraction),
-                    }
-                ),
-                code_size_kb=rng.uniform(*config.code_size_kb),
-                state_size_kb=rng.uniform(*config.state_size_kb),
-            )
-        )
-        if previous is not None:
-            graph.add_edge(
-                ServiceEdge(previous, cid, rng.uniform(*config.throughput_mbps))
-            )
-        previous = cid
     return graph

@@ -33,7 +33,6 @@ from repro.observability.tracing import (
     Tracer,
     activated,
     get_tracer,
-    instrument_bus,
     set_tracer,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "Tracer",
     "activated",
     "get_tracer",
-    "instrument_bus",
     "load_spans",
     "set_tracer",
     "stable_round",

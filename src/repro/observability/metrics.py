@@ -108,9 +108,8 @@ class Gauge:
 class Histogram:
     """Collects samples for one distribution (milliseconds by convention).
 
-    Exact nearest-rank percentile semantics; the summary shape matches
-    the historical ``LatencyRecorder`` (of which this class is the
-    successor — ``LatencyRecorder`` is now an alias).
+    Exact nearest-rank percentile semantics. The service and recovery
+    metrics keep one histogram per stage.
     """
 
     __slots__ = ("name", "_samples", "_times", "_clock", "_max_samples", "_dropped")

@@ -378,29 +378,3 @@ def activated(tracer: Union[Tracer, NullTracer]) -> Iterator[Union[Tracer, NullT
         yield tracer
     finally:
         set_tracer(previous)
-
-
-def instrument_bus(bus: object, pattern: str = "*") -> object:
-    """Mirror EventBus traffic onto the current span as span events.
-
-    Subscribes to ``pattern`` on ``bus`` (an
-    :class:`~repro.events.bus.EventBus`); each published event is
-    attached to whichever span is open on the publishing thread when it
-    fires, with its scalar payload fields as attributes. Returns the
-    subscription, which the caller owns (``bus.unsubscribe(...)``).
-    """
-
-    def _record(event: object) -> None:
-        tracer = get_tracer()
-        span = tracer.current()
-        if span is None:
-            return
-        payload = getattr(event, "payload", {}) or {}
-        attrs = {
-            key: value
-            for key, value in payload.items()
-            if isinstance(value, (str, int, float, bool)) or value is None
-        }
-        span.event(getattr(event, "topic", "event"), tracer.now, **attrs)
-
-    return bus.subscribe(pattern, _record)

@@ -1,16 +1,12 @@
-"""Plain-text rendering of graphs, placements and overhead breakdowns.
+"""Plain-text rendering of the paper's overhead and success-rate figures.
 
-Terminal-friendly reporting used by the examples and the CLI: an indented
-tree view of a service graph, a placement table grouped by device, and the
-stacked horizontal bars of a Figure 4-style overhead breakdown.
+Terminal-friendly reporting used by the CLI: the stacked horizontal bars
+of a Figure 4-style overhead breakdown and a coarse Figure 5-style chart.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
-
-from repro.graph.cuts import Assignment
-from repro.graph.service_graph import ServiceGraph
+from typing import List, Mapping, Sequence
 
 BAR_SEGMENTS = (
     ("composition_ms", "#"),
@@ -18,52 +14,6 @@ BAR_SEGMENTS = (
     ("download_ms", "D"),
     ("init_or_handoff_ms", "+"),
 )
-
-
-def render_graph(graph: ServiceGraph, assignment: Optional[Assignment] = None) -> str:
-    """An indented, topologically ordered tree view of a service graph.
-
-    Each node shows its successors; with an assignment, the hosting device
-    is appended, and cut edges are marked ``~>`` instead of ``->``.
-    """
-    lines: List[str] = [f"{graph.name} ({len(graph)} components, "
-                        f"{len(graph.edges())} edges)"]
-    for component_id in graph.topological_order():
-        device = ""
-        if assignment is not None and component_id in assignment:
-            device = f" @ {assignment[component_id]}"
-        lines.append(f"  {component_id}{device}")
-        for successor in graph.successors(component_id):
-            edge = graph.edge(component_id, successor)
-            arrow = "->"
-            if (
-                assignment is not None
-                and component_id in assignment
-                and successor in assignment
-                and assignment[component_id] != assignment[successor]
-            ):
-                arrow = "~>"  # crosses a device boundary
-            lines.append(
-                f"    {arrow} {successor} ({edge.throughput_mbps:g} Mbps)"
-            )
-    return "\n".join(lines)
-
-
-def render_placement(graph: ServiceGraph, assignment: Assignment) -> str:
-    """A per-device summary table of one k-cut."""
-    lines: List[str] = [f"{'device':<16}{'components':>12}{'memory':>10}{'cpu':>8}"]
-    loads = assignment.device_loads(graph)
-    for device_id, members in sorted(assignment.partition().items()):
-        load = loads.get(device_id)
-        memory = load.get("memory", 0.0) if load else 0.0
-        cpu = load.get("cpu", 0.0) if load else 0.0
-        lines.append(
-            f"{device_id:<16}{len(members):>12}{memory:>10.1f}{cpu:>8.2f}"
-        )
-    cut = assignment.cut_edges(graph)
-    cut_mbps = sum(e.throughput_mbps for e in cut)
-    lines.append(f"cut edges: {len(cut)} ({cut_mbps:g} Mbps total)")
-    return "\n".join(lines)
 
 
 def render_overhead_bars(

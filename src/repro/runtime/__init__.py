@@ -18,11 +18,10 @@ from repro.runtime.deployment import (
     DeploymentReport,
 )
 from repro.runtime.session import ApplicationSession, SessionState
-from repro.runtime.configurator import ConfigurationOutcome, ServiceConfigurator
+from repro.runtime.configurator import ServiceConfigurator
 from repro.runtime.roaming import RoamingReport, SessionRoamer
 from repro.runtime.degradation import (
     DegradationLadder,
-    DegradingConfigurator,
     QoSLevel,
     scale_graph_demand,
 )
@@ -39,12 +38,10 @@ __all__ = [
     "DeploymentReport",
     "ApplicationSession",
     "SessionState",
-    "ConfigurationOutcome",
     "ServiceConfigurator",
     "RoamingReport",
     "SessionRoamer",
     "DegradationLadder",
-    "DegradingConfigurator",
     "QoSLevel",
     "scale_graph_demand",
 ]

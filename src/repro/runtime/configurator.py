@@ -38,15 +38,6 @@ from repro.runtime.repository import ComponentRepository
 from repro.runtime.session import ApplicationSession, ConfigurationRecord
 
 
-@dataclass(frozen=True)
-class ConfigurationOutcome:
-    """Summary of a configure/reconfigure call for external reporting."""
-
-    success: bool
-    timing: ConfigurationTiming
-    label: str
-
-
 @dataclass
 class PlannedConfiguration:
     """Tiers 1+2 done, resources not yet acquired.

@@ -7,20 +7,20 @@ levels rather than reject ("the user can continue his or her tasks with
 minimum QoS degradations").
 
 A :class:`DegradationLadder` is an ordered list of user-QoS vectors, best
-first. :class:`DegradingConfigurator` wraps a
-:class:`~repro.runtime.configurator.ServiceConfigurator` and walks the
-ladder: each level re-composes the application with that user QoS (the
-composer's corrections then tune adjustable outputs / pick lighter
-components) and attempts distribution; the first level that deploys wins.
+first. The admission controller
+(:class:`~repro.server.admission.AdmissionController`) walks it: each
+level re-composes the application with that user QoS (the composer's
+corrections then tune adjustable outputs / pick lighter components) and
+attempts distribution with demand scaled by :func:`scale_graph_demand`;
+the first level that deploys wins.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.composition.composer import CompositionRequest
 from repro.distribution.pareto import (
     ParetoPoint,
     UtilityProfile,
@@ -28,8 +28,6 @@ from repro.distribution.pareto import (
 )
 from repro.graph.service_graph import ServiceEdge
 from repro.qos.vectors import QoSVector
-from repro.runtime.configurator import ServiceConfigurator
-from repro.runtime.session import ApplicationSession, ConfigurationRecord
 
 
 @dataclass(frozen=True)
@@ -205,81 +203,3 @@ class ScaledPayloads:
                 entries.clear()
             entry = entries[key] = (payload, scale(payload, factor))
         return entry[1]
-
-
-@dataclass
-class DegradedOutcome:
-    """Which level (if any) was admitted, and the attempts made."""
-
-    session: ApplicationSession
-    admitted_level: Optional[str]
-    attempts: List[ConfigurationRecord] = field(default_factory=list)
-
-    @property
-    def success(self) -> bool:
-        return self.admitted_level is not None
-
-    @property
-    def degraded(self) -> bool:
-        """True when admission happened below the top level."""
-        return self.success and bool(self.attempts) and (
-            self.attempts[0].label != self.attempts[-1].label
-        )
-
-
-class DegradingConfigurator:
-    """Walks a degradation ladder until a level is admitted."""
-
-    def __init__(
-        self,
-        configurator: ServiceConfigurator,
-        ladder: DegradationLadder,
-    ) -> None:
-        self.configurator = configurator
-        self.ladder = ladder
-
-    def start_with_degradation(
-        self,
-        request: CompositionRequest,
-        user_id: Optional[str] = None,
-        skip_downloads: bool = False,
-        utility_profile: Optional[UtilityProfile] = None,
-    ) -> DegradedOutcome:
-        """Try ladder levels in preference order; stop at first admission.
-
-        Without a ``utility_profile`` the walk is the classic best-first
-        descent. With one, levels are tried in the profile's utility
-        order over their prior objective points (a battery-saver profile
-        tries the cheapest level first and *ascends* in its preference
-        order), so the front point a class values most is attempted
-        before less-preferred trade-offs.
-
-        The returned outcome's session is RUNNING at the admitted level, or
-        FAILED (having tried every level). Each attempt appears in the
-        session's timeline with the level's label.
-        """
-        session = self.configurator.create_session(request, user_id=user_id)
-        outcome = DegradedOutcome(session=session, admitted_level=None)
-        order = self.ladder.order_for(utility_profile)
-        for index in order:
-            level = self.ladder.levels[index]
-            session.request = dataclasses.replace(
-                session.request, user_qos=level.user_qos
-            )
-            # Reset a failed previous attempt so start() may run again.
-            from repro.runtime.session import SessionState
-
-            if session.state is SessionState.FAILED:
-                session.state = SessionState.NEW
-            record = session.start(
-                label=f"admit@{level.label}",
-                skip_downloads=skip_downloads,
-                graph_transform=lambda g, f=level.demand_scale: scale_graph_demand(
-                    g, f
-                ),
-            )
-            outcome.attempts.append(record)
-            if record.success:
-                outcome.admitted_level = level.label
-                break
-        return outcome

@@ -42,7 +42,7 @@ from repro.server.queue import (
     QueuedRequest,
     QueuePolicy,
 )
-from repro.server.metrics import LatencyRecorder, ServerMetrics
+from repro.server.metrics import ServerMetrics
 from repro.server.admission import (
     AdmissionController,
     AdmissionResult,
@@ -80,7 +80,6 @@ __all__ = [
     "PutResult",
     "QueuedRequest",
     "QueuePolicy",
-    "LatencyRecorder",
     "ServerMetrics",
     "AdmissionController",
     "AdmissionResult",

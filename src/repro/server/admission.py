@@ -1,11 +1,10 @@
 """Admission control: degradation under contention, shedding under load.
 
 The controller walks a :class:`~repro.runtime.degradation.DegradationLadder`
-like the single-session ``DegradingConfigurator`` — try the preferred QoS
-first, walk down — but for a whole chunk of requests at once:
-:meth:`AdmissionController.walk` plans every member against one shared
-snapshot, then prepares and commits the round's plans under one ledger
-lock each. A single admission is a walk of one. A failure caused by a
+— try the preferred QoS first, walk down — for a whole chunk of requests
+at once: :meth:`AdmissionController.walk` plans every member against one
+shared snapshot, then prepares and commits the round's plans under one
+ledger lock each. A single admission is a walk of one. A failure caused by a
 *reservation conflict* (a walk mate or a concurrent walk committed the
 capacity between this plan and its prepare) is retried at the same level
 against a fresh snapshot instead of being treated as genuine

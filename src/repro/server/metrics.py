@@ -28,10 +28,6 @@ from repro.observability.metrics import (
     stable_round as _round,
 )
 
-#: Backwards-compatible alias: the stage recorder is now the registry's
-#: histogram type (identical record/percentile/summary semantics).
-LatencyRecorder = Histogram
-
 #: Every counter the service maintains, in reporting order.
 COUNTER_NAMES = (
     "submitted",

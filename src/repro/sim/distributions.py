@@ -47,10 +47,3 @@ def poisson_arrival_times(
         raise ValueError("horizon must be positive")
     times = sorted(rng.uniform(0.0, horizon) for _ in range(count))
     return times
-
-
-def uniform_vector(
-    rng: random.Random, names: List[str], low: float, high: float
-) -> dict:
-    """A dict of uniform variates keyed by the given names."""
-    return {name: rng.uniform(low, high) for name in names}

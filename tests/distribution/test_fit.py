@@ -9,6 +9,8 @@ from repro.distribution.fit import (
     fits_into,
 )
 from repro.graph.cuts import Assignment
+from repro.network.links import LinkClass
+from repro.network.topology import NetworkTopology
 from repro.resources.vectors import ResourceVector
 from tests.conftest import chain_graph, make_component
 
@@ -29,6 +31,25 @@ class TestEnvironment:
 
     def test_same_device_bandwidth_unbounded(self, two_device_env):
         assert two_device_env.bandwidth("big", "big") == float("inf")
+
+    def test_from_topology_reads_link_bandwidth(self):
+        topology = NetworkTopology()
+        topology.connect("d1", "d2", LinkClass.WLAN)  # 5 Mbps
+        env = DistributionEnvironment.from_topology(
+            [
+                CandidateDevice("d1", ResourceVector(memory=12.0, cpu=1.0)),
+                CandidateDevice("d2", ResourceVector(memory=12.0, cpu=1.0)),
+            ],
+            topology,
+        )
+        assert env.bandwidth("d1", "d2") == 5.0
+        # Neither device holds both 10 MB components, and the 50 Mbps
+        # edge overflows the link once they are split.
+        graph = chain_graph("a", "b", throughput=50.0)
+        split = Assignment({"a": "d1", "b": "d2"})
+        assert [v.kind for v in fit_violations(graph, split, env)] == [
+            "bandwidth"
+        ]
 
     def test_missing_pair_has_zero_bandwidth(self):
         env = DistributionEnvironment(

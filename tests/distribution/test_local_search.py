@@ -1,4 +1,4 @@
-"""Unit tests for local-search refinement and the fallback chain."""
+"""Unit tests for local-search refinement."""
 
 import random
 
@@ -11,10 +11,7 @@ from repro.distribution.fit import (
     fits_into,
 )
 from repro.distribution.heuristic import HeuristicDistributor
-from repro.distribution.local_search import (
-    FallbackDistributor,
-    LocalSearchDistributor,
-)
+from repro.distribution.local_search import LocalSearchDistributor
 from repro.distribution.optimal import OptimalDistributor
 from repro.graph.generators import RandomGraphConfig, random_service_graph
 from repro.resources.vectors import ResourceVector
@@ -115,51 +112,3 @@ class TestLocalSearch:
     def test_invalid_rounds(self):
         with pytest.raises(ValueError):
             LocalSearchDistributor(max_rounds=0)
-
-
-class TestFallback:
-    def test_first_feasible_wins(self):
-        graph = chain_graph("a", "b")
-        fallback = FallbackDistributor(
-            [HeuristicDistributor(), OptimalDistributor()]
-        )
-        result = fallback.distribute(graph, env())
-        assert result.feasible
-        assert result.strategy == "heuristic"
-
-    def test_falls_through_on_infeasibility(self):
-        # A strategy that always fails, then one that succeeds.
-        class AlwaysFails(HeuristicDistributor):
-            name = "broken"
-
-            def distribute(self, graph, environment, weights=None):
-                from repro.distribution.distributor import DistributionResult
-
-                return DistributionResult(
-                    strategy=self.name,
-                    assignment=None,
-                    feasible=False,
-                    cost=float("inf"),
-                )
-
-        graph = chain_graph("a", "b")
-        fallback = FallbackDistributor([AlwaysFails(), HeuristicDistributor()])
-        result = fallback.distribute(graph, env())
-        assert result.feasible
-        assert result.strategy == "heuristic"
-
-    def test_all_fail_returns_first_diagnostics(self):
-        graph = chain_graph("a")
-        tiny = DistributionEnvironment(
-            [CandidateDevice("tiny", ResourceVector(memory=0.5, cpu=0.01))]
-        )
-        fallback = FallbackDistributor(
-            [HeuristicDistributor(), OptimalDistributor()]
-        )
-        result = fallback.distribute(graph, tiny)
-        assert not result.feasible
-        assert result.strategy == "heuristic"
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            FallbackDistributor([])

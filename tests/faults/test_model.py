@@ -41,6 +41,18 @@ class TestFaultSpec:
         assert "a<->b" in text and "t=5s" in text and "20%" in text
 
 
+    def test_empty_target_rejected(self):
+        with pytest.raises(ValueError, match="target"):
+            FaultSpec(FaultKind.DEVICE_CRASH, 1.0, "")
+
+    def test_describe_pressure_names_its_share(self):
+        spec = FaultSpec(
+            FaultKind.RESOURCE_PRESSURE, 3.0, "d1", magnitude=0.4, duration_s=5.0
+        )
+        text = spec.describe()
+        assert "d1" in text and "40% availability" in text
+
+
 class TestFaultSchedule:
     def test_specs_are_time_ordered(self):
         schedule = FaultSchedule.of(
@@ -98,3 +110,18 @@ class TestRandomSchedule:
 
     def test_zero_rates_yield_empty_schedule(self):
         assert len(random_fault_schedule(seed=1, horizon_s=10.0)) == 0
+
+    def test_non_positive_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            random_fault_schedule(seed=1, horizon_s=0.0)
+
+    def test_depart_targets_consumed_at_most_once(self):
+        schedule = random_fault_schedule(
+            seed=2,
+            horizon_s=600.0,
+            depart_targets=("a", "b", "c"),
+            depart_rate_per_min=10.0,
+        )
+        departures = schedule.by_kind(FaultKind.DEVICE_DEPART)
+        assert [d.target for d in departures] == ["a", "b", "c"]
+        assert len(schedule) == 3

@@ -187,3 +187,45 @@ class TestManagerLifecycle:
         assert len(reports) == 1
         assert not reports[0].recovered
         assert ledger.audit() == []
+
+
+class TestRecoveryPolicy:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_attempts": 0}, "at least one attempt"),
+            ({"backoff_base_s": -0.1}, "cannot be negative"),
+            ({"max_backoff_s": -1.0}, "cannot be negative"),
+            ({"backoff_factor": 0.5}, "factor must be >= 1"),
+        ],
+        ids=["no-attempts", "negative-base", "negative-cap", "shrinking-factor"],
+    )
+    def test_invalid_policy_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RecoveryPolicy(**kwargs)
+
+    def test_backoff_grows_geometrically_up_to_the_cap(self):
+        policy = RecoveryPolicy(
+            backoff_base_s=0.5, backoff_factor=2.0, max_backoff_s=3.0
+        )
+        delays = [policy.backoff_s(n) for n in range(6)]
+        assert delays == [0.5, 0.5, 1.0, 2.0, 3.0, 3.0]
+
+
+class TestRecoveryMetricsRates:
+    def test_success_rate_is_one_when_nothing_was_affected(self):
+        metrics = RecoveryMetrics()
+        metrics.incr("recoveries")  # a stray success cannot lift it above 1
+        assert metrics.recovery_success_rate() == 1.0
+
+    def test_success_rate_matches_the_snapshot(self):
+        metrics = RecoveryMetrics()
+        metrics.incr("sessions_affected", by=4)
+        metrics.incr("recoveries", by=3)
+        assert metrics.recovery_success_rate() == 0.75
+        derived = metrics.snapshot()["derived"]
+        assert derived["recovery_success_rate"] == 0.75
+
+    def test_unknown_counter_rejected(self):
+        with pytest.raises(KeyError, match="unknown counter"):
+            RecoveryMetrics().incr("nope")

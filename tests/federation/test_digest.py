@@ -124,6 +124,29 @@ class TestFabric:
             "a", "b", 64.0
         )
 
+    def test_connect_overrides_the_defaults(self):
+        fabric = FederationFabric(default_bandwidth_mbps=25.0)
+        link = fabric.connect("b", "a", latency_ms=5.0)
+        assert (link.a, link.b) == ("a", "b")
+        assert (link.bandwidth_mbps, link.latency_ms) == (25.0, 5.0)
+        assert fabric.link("a", "b") is link
+
+    def test_connect_replaces_a_partitioned_link(self):
+        fabric = FederationFabric()
+        fabric.set_partition("a", "b")
+        fabric.connect("a", "b", bandwidth_mbps=10.0)
+        assert fabric.reachable("a", "b")
+        assert fabric.link("a", "b").bandwidth_mbps == 10.0
+
+    def test_connect_rejects_self_links_and_bad_figures(self):
+        fabric = FederationFabric()
+        with pytest.raises(ValueError, match="itself"):
+            fabric.connect("a", "a")
+        with pytest.raises(ValueError, match="latency"):
+            fabric.connect("a", "b", latency_ms=-1.0)
+        with pytest.raises(ValueError, match="bandwidth"):
+            fabric.connect("a", "b", bandwidth_mbps=0.0)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             FederationFabric(default_bandwidth_mbps=0.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.cuts import Assignment, colocated
+from repro.graph.cuts import Assignment
 from tests.conftest import make_component
 
 
@@ -93,8 +93,3 @@ class TestCutDerivedQuantities:
         )
         assert good.respects_pins(diamond_graph)
         assert not bad.respects_pins(diamond_graph)
-
-    def test_colocated_helper(self):
-        assignment = Assignment({"a": "d1", "b": "d1", "c": "d2"})
-        assert colocated(assignment, "a", "b")
-        assert not colocated(assignment, "a", "c")

@@ -7,9 +7,7 @@ import pytest
 from repro.graph.generators import (
     RandomGraphConfig,
     figure5_config,
-    random_linear_graph,
     random_service_graph,
-    table1_config,
 )
 
 
@@ -23,7 +21,7 @@ class TestConfig:
             RandomGraphConfig(node_count=(0, 5))
 
     def test_paper_workload_shapes(self):
-        assert table1_config().node_count == (10, 20)
+        assert RandomGraphConfig().node_count == (10, 20)
         assert figure5_config().node_count == (50, 100)
         assert figure5_config().out_degree == (5, 10)
 
@@ -80,15 +78,3 @@ class TestRandomGraph:
     def test_custom_name_prefixes_ids(self):
         graph = random_service_graph(random.Random(0), name="myapp")
         assert all(cid.startswith("myapp/") for cid in graph.component_ids())
-
-
-class TestLinearGraph:
-    def test_chain_structure(self):
-        graph = random_linear_graph(random.Random(0), 5)
-        assert graph.is_linear()
-        assert len(graph) == 5
-        assert len(graph.edges()) == 4
-
-    def test_invalid_length(self):
-        with pytest.raises(ValueError):
-            random_linear_graph(random.Random(0), 0)

@@ -19,6 +19,10 @@ class TestComponent:
         with pytest.raises(ValueError):
             ServiceComponent(component_id="", service_type="x")
 
+    def test_empty_service_type_rejected(self):
+        with pytest.raises(ValueError, match="service_type"):
+            ServiceComponent(component_id="c", service_type="")
+
     def test_adjustable_without_capability_rejected(self):
         with pytest.raises(ValueError):
             ServiceComponent(
@@ -84,6 +88,12 @@ class TestGraphConstruction:
         graph.remove_edge("a", "b")
         assert not graph.has_edge("a", "b")
 
+    def test_remove_missing_edge_raises(self):
+        graph = chain_graph("a", "b")
+        with pytest.raises(KeyError):
+            graph.remove_edge("b", "a")
+        assert graph.has_edge("a", "b")
+
     def test_update_component_requires_same_id(self):
         graph = chain_graph("a")
         with pytest.raises(KeyError):
@@ -139,6 +149,9 @@ class TestGraphQueries:
     def test_is_linear(self, diamond_graph):
         assert chain_graph("a", "b", "c").is_linear()
         assert not diamond_graph.is_linear()
+
+    def test_empty_graph_is_linear(self):
+        assert ServiceGraph().is_linear()
 
 
 class TestTopologicalOrder:

@@ -69,6 +69,35 @@ class TestPathComputation:
         assert lan.pair_capacity("pc2", "pc1") == 42.0
 
 
+class TestEdgeCases:
+    def test_remove_unknown_device_rejected(self, lan):
+        with pytest.raises(KeyError):
+            lan.remove_device("ghost")
+
+    def test_negative_pair_capacity_rejected(self, lan):
+        with pytest.raises(ValueError):
+            lan.set_pair_capacity("pc1", "pc2", -1.0)
+
+    def test_unknown_endpoint_has_zero_capacity(self, lan):
+        assert lan.pair_capacity("pc1", "ghost") == 0.0
+
+    def test_partitioned_direct_link_keeps_its_latency(self, lan):
+        lan.set_link_health("pda", "ap", 0.0)
+        assert lan.path_latency_ms("pda", "ap") == pytest.approx(
+            LinkClass.WLAN.default_latency_ms
+        )
+
+    def test_unreachable_pair_falls_back_to_a_nominal_hop(self, lan):
+        lan.add_device("island")
+        assert lan.path_latency_ms("pc1", "island") == pytest.approx(
+            LinkClass.FAST_ETHERNET.default_latency_ms
+        )
+
+    def test_listing_is_sorted_and_complete(self, lan):
+        assert lan.devices() == ["ap", "pc1", "pc2", "pc3", "pda", "switch"]
+        assert len(lan.links()) == 5
+
+
 class TestReservations:
     def test_reserve_reduces_availability(self, lan):
         lan.reserve("pc1", "pc2", 30.0)

@@ -12,7 +12,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     stable_round,
 )
-from repro.server.metrics import LatencyRecorder, ServerMetrics
+from repro.server.metrics import ServerMetrics
 
 
 class TestInstruments:
@@ -49,9 +49,6 @@ class TestInstruments:
             histogram.percentile(0)
         with pytest.raises(ValueError):
             histogram.percentile(101)
-
-    def test_latency_recorder_is_histogram_alias(self):
-        assert LatencyRecorder is Histogram
 
 
 class TestRegistry:

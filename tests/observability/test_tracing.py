@@ -10,7 +10,6 @@ from repro.observability.tracing import (
     Tracer,
     activated,
     get_tracer,
-    instrument_bus,
     set_tracer,
 )
 
@@ -186,28 +185,79 @@ class TestActiveTracer:
         assert NULL_SPAN not in tracer.finished_spans
 
 
-class TestInstrumentBus:
-    def test_bus_events_land_on_current_span(self):
-        from repro.events import Event, EventBus
+class TestTracerEvent:
+    def test_event_lands_on_current_span(self):
+        clock = FakeClock()
+        tracer = Tracer(clock)
+        with tracer.span("listening") as span:
+            clock.advance(0.5)
+            tracer.event("qos.violation", device="d1", n=2)
+        assert span.events == [
+            {"name": "qos.violation", "timestamp_s": 0.5, "device": "d1", "n": 2}
+        ]
 
-        bus = EventBus()
-        subscription = instrument_bus(bus)
+    def test_event_lands_on_innermost_span(self):
         tracer = Tracer(FakeClock())
-        with activated(tracer):
-            with tracer.span("listening") as span:
-                bus.publish(
-                    Event(topic="qos.violation", payload={"device": "d1", "n": 2})
-                )
-        names = [event["name"] for event in span.events]
-        assert "qos.violation" in names
-        recorded = span.events[0]
-        assert recorded["device"] == "d1"
-        assert recorded["n"] == 2
-        bus.unsubscribe(subscription)
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
+                tracer.event("tick")
+        assert [event["name"] for event in inner.events] == ["tick"]
+        assert outer.events == []
 
     def test_no_span_open_is_a_noop(self):
-        from repro.events import Event, EventBus
+        tracer = Tracer(FakeClock())
+        tracer.event("qos.violation", x=1)  # no raise
+        assert tracer.current() is None
+        assert tracer.finished_spans == []
 
-        bus = EventBus()
-        instrument_bus(bus)
-        bus.publish(Event(topic="qos.violation", payload={"x": 1}))  # no raise
+
+class TestClockResolution:
+    def test_object_with_now_property_is_read_live(self):
+        class SimLike:
+            now = 2.0
+
+        sim = SimLike()
+        tracer = Tracer(sim)
+        span = tracer.begin("s")
+        sim.now = 3.5
+        tracer.finish(span)
+        assert span.start_s == 2.0
+        assert span.duration_ms == pytest.approx(1500.0)
+
+    def test_clock_without_now_is_rejected(self):
+        with pytest.raises(TypeError, match="now"):
+            Tracer(object())
+
+    def test_default_clock_is_monotonic(self):
+        tracer = Tracer()
+        first = tracer.now
+        assert tracer.now >= first
+
+
+class TestOpenAndNullSpans:
+    def test_open_span_is_unfinished_with_zero_duration(self):
+        clock = FakeClock()
+        tracer = Tracer(clock)
+        span = tracer.begin("open")
+        clock.advance(1.0)
+        assert not span.finished
+        assert span.duration_ms == 0.0
+        assert span.to_dict()["end_s"] is None
+
+    def test_null_span_exposes_an_empty_surface(self):
+        assert NULL_SPAN.finished
+        assert NULL_SPAN.duration_ms == 0.0
+        assert NULL_SPAN.attributes == {}
+        assert NULL_SPAN.events == []
+        assert NULL_SPAN.to_dict() == {}
+        assert NULL_SPAN.event("e", 1.0, k=1) is None
+
+    def test_null_tracer_event_and_clock_are_inert(self):
+        assert NULL_TRACER.event("e", k=1) is None
+        assert NULL_TRACER.now == 0.0
+
+    def test_null_tracer_writes_an_empty_trace_file(self, tmp_path):
+        path = tmp_path / "trace.ndjson"
+        path.write_text("stale\n")
+        NULL_TRACER.write_ndjson(str(path))
+        assert path.read_text() == ""

@@ -184,6 +184,26 @@ class TestEquality:
         )
 
 
+class TestForeignOperands:
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda v: v + 1.0,
+            lambda v: v - {"memory": 1.0},
+            lambda v: v * "2",
+        ],
+        ids=["add-number", "subtract-mapping", "scale-by-string"],
+    )
+    def test_arithmetic_with_foreign_types_raises(self, operation):
+        with pytest.raises(TypeError):
+            operation(ResourceVector(memory=10.0))
+
+    def test_not_equal_to_a_plain_mapping(self):
+        vector = ResourceVector(memory=10.0)
+        assert vector != {"memory": 10.0}
+        assert vector != 10.0
+
+
 class TestWeightedMagnitude:
     def test_unweighted_sums_all(self):
         assert weighted_magnitude(ResourceVector(memory=3, cpu=2)) == 5

@@ -5,18 +5,14 @@ import threading
 
 import pytest
 
-from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.distribution.pareto import ParetoPoint, utility_profile
 from repro.qos.vectors import QoSVector
-from repro.resources.vectors import ResourceVector
 from repro.runtime.degradation import (
     DegradationLadder,
-    DegradingConfigurator,
     QoSLevel,
     ScaledPayloads,
     scale_graph_demand,
 )
-from repro.runtime.session import SessionState
 from tests.conftest import chain_graph
 
 
@@ -198,67 +194,3 @@ class TestScaledPayloads:
             sys.setswitchinterval(interval)
         assert errors == []
         assert len(memo) <= 2
-
-
-class TestDegradingAdmission:
-    def ladder(self):
-        return DegradationLadder.rate_ladder("frame_rate", [40.0, 20.0, 10.0])
-
-    def test_admits_at_top_level_when_space_is_free(self):
-        testbed = build_audio_testbed()
-        degrading = DegradingConfigurator(testbed.configurator, self.ladder())
-        outcome = degrading.start_with_degradation(
-            audio_request(testbed, "desktop2"), user_id="alice"
-        )
-        assert outcome.success
-        assert outcome.admitted_level == "frame_rate=40"
-        assert not outcome.degraded
-        assert len(outcome.attempts) == 1
-
-    def test_degrades_under_load(self):
-        testbed = build_audio_testbed()
-        # Eat most of every device: full-rate demand no longer fits, but
-        # quarter-rate demand does.
-        for device in testbed.devices.values():
-            available = device.available()
-            headroom = ResourceVector(
-                memory=available["memory"] * 0.12,
-                cpu=available["cpu"] * 0.12,
-            )
-            device.allocate(available - headroom, owner="background")
-        degrading = DegradingConfigurator(testbed.configurator, self.ladder())
-        outcome = degrading.start_with_degradation(
-            audio_request(testbed, "desktop2"), user_id="alice"
-        )
-        assert outcome.success
-        assert outcome.admitted_level != "frame_rate=40"
-        assert outcome.degraded
-        assert outcome.session.state is SessionState.RUNNING
-
-    def test_total_exhaustion_fails_every_level(self):
-        testbed = build_audio_testbed()
-        for device in testbed.devices.values():
-            device.allocate(device.available(), owner="background")
-        degrading = DegradingConfigurator(testbed.configurator, self.ladder())
-        outcome = degrading.start_with_degradation(
-            audio_request(testbed, "desktop2")
-        )
-        assert not outcome.success
-        assert outcome.admitted_level is None
-        assert len(outcome.attempts) == 3
-        assert outcome.session.state is SessionState.FAILED
-
-    def test_timeline_records_every_attempt(self):
-        testbed = build_audio_testbed()
-        for device in testbed.devices.values():
-            device.allocate(device.available(), owner="background")
-        degrading = DegradingConfigurator(testbed.configurator, self.ladder())
-        outcome = degrading.start_with_degradation(
-            audio_request(testbed, "desktop2")
-        )
-        labels = [record.label for record in outcome.session.timeline]
-        assert labels == [
-            "admit@frame_rate=40",
-            "admit@frame_rate=20",
-            "admit@frame_rate=10",
-        ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.events.types import Topics
-from repro.runtime.session import SessionState
+from repro.runtime.session import ApplicationSession, SessionState
 
 
 @pytest.fixture
@@ -18,6 +18,22 @@ def start_session(testbed, client="desktop2"):
     )
     session.start()
     return session
+
+
+class TestBeforeStart:
+    def test_empty_session_id_rejected(self, testbed):
+        with pytest.raises(ValueError, match="session_id"):
+            ApplicationSession(
+                "", testbed.configurator, audio_request(testbed, "desktop2")
+            )
+
+    def test_new_session_uses_no_devices_and_has_no_rate(self, testbed):
+        session = testbed.configurator.create_session(
+            audio_request(testbed, "desktop2")
+        )
+        assert session.state is SessionState.NEW
+        assert session.devices_in_use() == []
+        assert session.delivered_rate() is None
 
 
 class TestStart:

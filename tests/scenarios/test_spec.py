@@ -458,3 +458,98 @@ def test_malformed_document_names_its_path(spec_dict, where, value, path):
     with pytest.raises(ScenarioValidationError) as excinfo:
         ScenarioSpec.from_dict(spec_dict)
     assert excinfo.value.path == path
+
+
+#: (where, value, expected error path, id): shape errors the grammar
+#: raises before or during cross-validation, set like ``MALFORMED``.
+SHAPES = [
+    (("components",), ["src", "sink"], "components", "section-not-a-mapping"),
+    (
+        ("workloads", "watch", "user_qos"),
+        {1: [10.0, 40.0]},
+        "workloads.watch.user_qos",
+        "non-string-key",
+    ),
+    (
+        ("workloads", "watch", "user_qos", "frame_rate"),
+        {"low": 10.0},
+        "workloads.watch.user_qos.frame_rate",
+        "qos-value-mapping",
+    ),
+    (
+        ("workloads", "watch", "relations"),
+        [["a", "b"]],
+        "workloads.watch.relations[0]",
+        "relation-too-short",
+    ),
+    (
+        ("workloads", "watch", "relations"),
+        ["a"],
+        "workloads.watch.relations[0]",
+        "relation-not-a-list",
+    ),
+    (("workloads", "watch", "nodes"), {}, "workloads.watch.nodes", "no-nodes"),
+    (("devices",), {}, "devices", "no-devices"),
+    (("workloads",), {}, "workloads", "no-workloads"),
+    (("arrivals", "horizon_s"), 10**400, "arrivals.horizon_s", "float-overflow"),
+    (
+        ("faults",),
+        {"scripted": [{"kind": "device_crash", "at_s": 1.0, "target": "ghost"}]},
+        "faults",
+        "scripted-unknown-target",
+    ),
+    (
+        ("faults",),
+        {
+            "scripted": [
+                {
+                    "kind": "link_degrade",
+                    "at_s": 1.0,
+                    "target": "hub",
+                    "peer": "ghost",
+                }
+            ]
+        },
+        "faults",
+        "scripted-unknown-peer",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "where, value, path", [row[:3] for row in SHAPES], ids=[row[3] for row in SHAPES]
+)
+def test_malformed_shape_names_its_path(spec_dict, where, value, path):
+    *parents, leaf = where
+    node = spec_dict
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        ScenarioSpec.from_dict(spec_dict)
+    assert excinfo.value.path == path
+
+
+class TestCrossReferences:
+    def test_endpoint_hosted_on_a_replicated_pool(self, spec_dict):
+        spec_dict["devices"]["hub"]["count"] = 2
+        with pytest.raises(ScenarioValidationError, match="replicated pool") as excinfo:
+            ScenarioSpec.from_dict(spec_dict)
+        assert excinfo.value.path == "endpoints.src@hub.hosted_on"
+
+    def test_scripted_link_fault_names_both_ends(self, spec_dict):
+        spec_dict["faults"] = {
+            "scripted": [
+                {"kind": "link_degrade", "at_s": 2.0, "target": "hub", "peer": "kiosk"}
+            ]
+        }
+        spec = ScenarioSpec.from_dict(spec_dict)
+        assert spec.faults.targets() == ["hub", "kiosk"]
+
+    def test_fault_target_may_name_a_replica(self, spec_dict):
+        spec_dict["devices"]["kiosk"]["count"] = 2
+        spec_dict["faults"] = {
+            "scripted": [{"kind": "device_crash", "at_s": 1.0, "target": "kiosk-2"}]
+        }
+        spec = ScenarioSpec.from_dict(spec_dict)
+        assert spec.faults.targets() == ["kiosk-2"]

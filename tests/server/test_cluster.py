@@ -113,6 +113,39 @@ class TestLeastLoadedRouter:
         assert shard_load(cluster.shards[0]) > shard_load(cluster.shards[1])
 
 
+class TestRouterWeights:
+    @pytest.mark.parametrize(
+        "index, weight, message",
+        [(0, 0.0, "positive"), (0, -2.0, "positive"), (-1, 2.0, "negative")],
+        ids=["zero-weight", "negative-weight", "negative-index"],
+    )
+    def test_invalid_weight_rejected(self, index, weight, message):
+        with pytest.raises(ValueError, match=message):
+            LeastLoadedRouter().set_weight(index, weight)
+
+    def test_neutral_weight_and_clear_restore_the_default(self):
+        router = LeastLoadedRouter()
+        router.set_weight(0, 3.0)
+        router.set_weight(1, 0.5)
+        router.set_weight(0, 1.0)
+        assert (router.weight(0), router.weight(1)) == (1.0, 0.5)
+        router.clear_weights()
+        assert router.weight(1) == 1.0
+
+
+class TestClusterGuards:
+    def test_least_loaded_with_every_shard_excluded(self):
+        cluster, _ = make_cluster(2)
+        assert cluster.least_loaded(exclude={0}) == 1
+        with pytest.raises(ValueError, match="no candidate shards"):
+            cluster.least_loaded(exclude={0, 1})
+
+    def test_rebalance_onto_itself_rejected(self):
+        cluster, _ = make_cluster(2)
+        with pytest.raises(ValueError, match="onto itself"):
+            cluster.rebalance_queued(0, 0, max_items=1)
+
+
 class TestRouterRegistry:
     def test_make_router(self):
         assert isinstance(make_router("hash", 2), ConsistentHashRouter)

@@ -316,6 +316,58 @@ class TestMemosUnderThreads:
         assert ledger.audit() == []
 
 
+class TestAudit:
+    """The no-over-booking audit reports each kind of breach it checks."""
+
+    def _commit(self, ledger, **graph_kwargs):
+        txn = ledger.begin(owner="s1")
+        ledger.prepare(txn, stream_graph(**graph_kwargs), split_assignment())
+        ledger.commit(txn)
+        return txn
+
+    def test_shrunken_device_capacity_is_reported(self, pair_server, ledger):
+        self._commit(ledger)
+        pair_server.domain.device("d1").capacity = ResourceVector(
+            memory=30.0, cpu=2.0
+        )
+        problems = ledger.audit()
+        assert any(p.startswith("device 'd1' over-booked") for p in problems)
+        assert any(
+            p.startswith("ledger over-committed device 'd1'") for p in problems
+        )
+        assert not any("'d2'" in p for p in problems)
+
+    def test_degraded_link_below_committed_bandwidth_is_reported(
+        self, pair_server, ledger
+    ):
+        self._commit(ledger, throughput=10.0)
+        pair_server.network.set_link_health("d1", "d2", 0.05)  # 100 -> 5 Mbps
+        (problem,) = ledger.audit()
+        assert problem.startswith("link d1<->d2 over-booked")
+        pair_server.network.clear_link_health("d1", "d2")
+        assert ledger.audit() == []
+
+    def test_departed_device_is_skipped(self, pair_server, ledger):
+        self._commit(ledger)
+        pair_server.leave("d2")
+        assert ledger.audit() == []
+
+    def test_release_after_a_device_left_frees_the_rest(self, pair_server, ledger):
+        txn = self._commit(ledger)
+        pair_server.leave("d2")
+        ledger.release(txn)
+        assert txn.state is TransactionState.RELEASED
+        assert pair_server.domain.device("d1").allocated.is_zero()
+        assert ledger.audit() == []
+
+    def test_prepare_on_a_departed_device_conflicts(self, pair_server, ledger):
+        pair_server.leave("d2")
+        txn = ledger.begin()
+        with pytest.raises(LedgerConflictError) as info:
+            ledger.prepare(txn, stream_graph(), split_assignment())
+        assert "device 'd2' left the domain" in info.value.conflicts
+
+
 class TestColocation:
     def test_colocated_edge_needs_no_bandwidth(self, pair_server, ledger):
         from repro.graph.cuts import Assignment

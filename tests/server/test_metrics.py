@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.server.metrics import LatencyRecorder, ServerMetrics
+from repro.observability.metrics import Histogram
+from repro.server.metrics import ServerMetrics
 
 
-class TestLatencyRecorder:
+class TestHistogram:
     def test_nearest_rank_percentiles(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         for value in range(1, 101):
             recorder.record(float(value))
         assert recorder.percentile(50) == 50.0
@@ -18,16 +19,16 @@ class TestLatencyRecorder:
         assert recorder.percentile(100) == 100.0
 
     def test_single_sample(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         recorder.record(7.0)
         assert recorder.percentile(1) == 7.0
         assert recorder.percentile(99) == 7.0
 
     def test_empty_percentile_is_zero(self):
-        assert LatencyRecorder().percentile(50) == 0.0
+        assert Histogram().percentile(50) == 0.0
 
     def test_invalid_percentile_rejected(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         recorder.record(1.0)
         with pytest.raises(ValueError):
             recorder.percentile(0)
@@ -35,7 +36,7 @@ class TestLatencyRecorder:
             recorder.percentile(101)
 
     def test_summary_shape(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         recorder.record(10.0)
         recorder.record(20.0)
         summary = recorder.summary()
@@ -44,7 +45,7 @@ class TestLatencyRecorder:
         assert summary["max"] == pytest.approx(20.0)
 
     def test_empty_summary(self):
-        assert LatencyRecorder().summary() == {"count": 0}
+        assert Histogram().summary() == {"count": 0}
 
 
 class TestServerMetrics:

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.distribution.heuristic import HeuristicDistributor
 from repro.resources.vectors import ResourceVector
+from repro.runtime.session import SessionState
 from repro.server.admission import OverloadPolicy
 from repro.server.queue import QueuePolicy
 from repro.server.service import (
@@ -50,6 +51,7 @@ class TestAdmission:
         assert outcome.status is RequestStatus.ADMITTED
         assert outcome.level == "admit@full"
         assert outcome.session.running
+        assert [record.label for record in outcome.attempts] == ["admit@full"]
         assert service.ledger.audit() == []
         assert service.metrics.count("admitted") == 1
 
@@ -70,6 +72,7 @@ class TestAdmission:
         outcome = service.drain()[0]
         assert outcome.status is RequestStatus.DEGRADED
         assert outcome.level == "admit@reduced"
+        assert outcome.session.state is SessionState.RUNNING
         assert service.metrics.count("admitted_degraded") == 1
         assert service.ledger.audit() == []
 
@@ -81,7 +84,13 @@ class TestAdmission:
         service.submit(request(testbed, "r1"))
         outcome = service.drain()[0]
         assert outcome.status is RequestStatus.FAILED
+        assert outcome.level is None
+        assert outcome.session.state is SessionState.FAILED
         assert service.metrics.count("failed") == 1
+        # One attempt per rung, each labelled in the session's timeline.
+        labels = ["admit@full", "admit@reduced", "admit@economy"]
+        assert [record.label for record in outcome.attempts] == labels
+        assert [record.label for record in outcome.session.timeline] == labels
 
     def test_stop_session_frees_capacity(self):
         testbed = build_audio_testbed()

@@ -1,5 +1,7 @@
 """Unit tests for the pluggable durable record store."""
 
+import json
+
 import pytest
 
 from repro.store import (
@@ -119,6 +121,53 @@ class TestLedgerEvents:
         store.reconcile_transaction(1, 2, at_s=2.0, note="crash recovery")
         assert store.open_transactions(1) == []
         assert store.ledger_balance(1)["balanced"]
+
+
+class TestRecordValues:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"session_id": ""}, "session_id"),
+            ({"epoch": -1}, "epoch"),
+        ],
+        ids=["empty-session-id", "negative-epoch"],
+    )
+    def test_invalid_record_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            _record(**kwargs)
+
+    def test_with_status_stamps_time_and_keeps_identity(self):
+        record = _record(created_s=1.0, updated_s=1.0)
+        assert record.active
+        closed = record.with_status(SessionStatus.UNRECOVERABLE, 4.5)
+        assert not closed.active
+        assert (closed.updated_s, closed.created_s) == (4.5, 1.0)
+        assert closed.session_id == record.session_id
+        assert record.status == SessionStatus.ACTIVE  # frozen original
+
+    def test_session_to_dict_rounds_times(self):
+        record = _record(created_s=1.0000004, updated_s=2.5, level="full")
+        payload = record.to_dict()
+        assert payload["created_s"] == 1.0
+        assert payload["level"] == "full"
+        assert payload["readopted_from"] is None
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_ledger_event_to_dict_unpacks_holds(self):
+        event = LedgerEvent(
+            epoch=1,
+            txn_id=3,
+            kind=LedgerEventKind.COMMITTED,
+            at_s=2.0,
+            device_holds=LedgerEvent.pack_devices(
+                {"hub": {"memory": 32.0, "cpu": 0.5}}
+            ),
+            link_holds=LedgerEvent.pack_links({("a", "b"): 1.5}),
+        ).with_seq(7)
+        payload = event.to_dict()
+        assert payload["seq"] == 7
+        assert payload["device_holds"] == {"hub": {"cpu": 0.5, "memory": 32.0}}
+        assert payload["link_holds"] == {"a<->b": 1.5}
 
 
 class TestSqlitePersistence:

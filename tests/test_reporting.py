@@ -2,45 +2,7 @@
 
 import pytest
 
-from repro.graph.cuts import Assignment
-from repro.reporting import (
-    render_graph,
-    render_overhead_bars,
-    render_placement,
-    render_success_series,
-)
-from tests.conftest import chain_graph
-
-
-class TestRenderGraph:
-    def test_lists_components_in_topological_order(self, diamond_graph):
-        text = render_graph(diamond_graph)
-        assert text.index("src") < text.index("sink")
-        assert "4 components" in text
-
-    def test_marks_cut_edges(self, diamond_graph):
-        assignment = Assignment(
-            {"src": "d1", "left": "d1", "right": "d2", "sink": "d2"}
-        )
-        text = render_graph(diamond_graph, assignment)
-        assert "~>" in text  # cross-device edge
-        assert "@ d1" in text and "@ d2" in text
-
-    def test_colocated_graph_has_no_cut_marks(self, diamond_graph):
-        assignment = Assignment(
-            {cid: "d1" for cid in diamond_graph.component_ids()}
-        )
-        assert "~>" not in render_graph(diamond_graph, assignment)
-
-
-class TestRenderPlacement:
-    def test_per_device_rows_and_cut_summary(self, diamond_graph):
-        assignment = Assignment(
-            {"src": "d1", "left": "d1", "right": "d2", "sink": "d2"}
-        )
-        text = render_placement(diamond_graph, assignment)
-        assert "d1" in text and "d2" in text
-        assert "cut edges: 2" in text
+from repro.reporting import render_overhead_bars, render_success_series
 
 
 class TestRenderOverheadBars:
