@@ -57,7 +57,6 @@ from repro.experiments.bench_serving import (
 from repro.experiments.figure3 import run_prototype_scenario
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure5 import run_figure5
-from repro.experiments.load_sweep import run_load_sweep
 from repro.experiments.table1 import run_table1
 from repro.observability.report import TraceReport
 from repro.reporting import render_overhead_bars, render_success_series
@@ -102,13 +101,6 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
     for result in run_all_ablations(case_count=args.cases):
         print(result.format_table())
         print()
-
-
-def _cmd_load_sweep(args: argparse.Namespace) -> None:
-    result = run_load_sweep(
-        base_requests=args.requests, horizon_h=args.horizon
-    )
-    print(result.format_table())
 
 
 def _cmd_control_sweep(args: argparse.Namespace) -> None:
@@ -386,13 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablations.add_argument("--cases", type=int, default=60)
     ablations.set_defaults(handler=_cmd_ablations)
 
-    load_sweep = subparsers.add_parser(
-        "load-sweep", help="success rate vs offered load (extension)"
-    )
-    load_sweep.add_argument("--requests", type=int, default=600)
-    load_sweep.add_argument("--horizon", type=float, default=120.0)
-    load_sweep.set_defaults(handler=_cmd_load_sweep)
-
     control_sweep = subparsers.add_parser(
         "control-sweep",
         help="predictive control plane: controlled vs reactive (extension)",
@@ -489,14 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="sqlite file backing the durable session record store "
-        "(default: in-memory, byte-identical to storeless)",
+        help="sqlite file backing the durable session record store of a "
+        "one-shard, one-cluster run (default: in-memory, byte-identical "
+        "to storeless)",
     )
     scenario.add_argument(
         "--crash-restart",
         action="store_true",
         help="crash mid-horizon and recover a successor epoch from the "
-        "store, asserting a balanced ledger",
+        "store, asserting a balanced ledger (one shard of one cluster, "
+        "no faults or sessions)",
     )
     scenario.add_argument(
         "--crash-at",

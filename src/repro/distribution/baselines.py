@@ -110,8 +110,7 @@ class RandomDistributor(DistributionStrategy):
                     else self.rng.choice(environment.device_ids())
                 )
             placements[component.component_id] = device_id
-            if device_id in remaining:
-                remaining[device_id] = remaining[device_id] - component.resources
+            remaining[device_id] = remaining[device_id] - component.resources
         return placements
 
 

@@ -84,10 +84,9 @@ class HeuristicDistributor(DistributionStrategy):
         pinned.sort(key=lambda c: (-requirement_of(c.component_id), c.component_id))
         for component in pinned:
             placements[component.component_id] = component.pinned_to
-            if component.pinned_to in remaining:
-                remaining[component.pinned_to] = (
-                    remaining[component.pinned_to] - component.resources
-                )
+            remaining[component.pinned_to] = (
+                remaining[component.pinned_to] - component.resources
+            )
 
         unplaced: Set[str] = {
             c.component_id for c in graph if c.component_id not in placements

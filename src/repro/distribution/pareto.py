@@ -27,7 +27,7 @@ monotone in the weights).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Dominance tolerance: objective gaps smaller than this are float noise.

@@ -11,7 +11,6 @@ from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.figure3 import PrototypeScenarioResult, run_prototype_scenario
 from repro.experiments.figure4 import OverheadBreakdown, run_figure4
 from repro.experiments.figure5 import Figure5Result, run_figure5
-from repro.experiments.load_sweep import LoadSweepResult, run_load_sweep
 
 __all__ = [
     "Table1Result",
@@ -22,6 +21,4 @@ __all__ = [
     "run_figure4",
     "Figure5Result",
     "run_figure5",
-    "LoadSweepResult",
-    "run_load_sweep",
 ]

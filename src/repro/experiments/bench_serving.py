@@ -39,7 +39,6 @@ from repro.apps.audio_on_demand import (
 from repro.distribution.cost import CostWeights
 from repro.distribution.heuristic import HeuristicDistributor
 from repro.graph.generators import RandomGraphConfig, random_service_graph
-from repro.observability.metrics import summarize_samples
 from repro.server.batching import BatchPolicy
 from repro.server.drivers import audit_or_raise
 from repro.server.service import ServerRequest

@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.apps.audio_on_demand import (
-    AudioTestbed,
-    audio_request,
-    build_audio_testbed,
-)
+from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.apps.media import MediaPipeline
 from repro.apps.video_conferencing import (
     build_conferencing_testbed,

@@ -7,10 +7,10 @@ control/federation knobs, one seed — and this package turns it into a run:
 - :mod:`repro.scenarios.spec` — strict parse/validate/round-trip;
 - :mod:`repro.scenarios.compile` — lowering into testbeds, ladders,
   seeded traces, fault schedules, and request factories;
-- :mod:`repro.scenarios.runner` — end-to-end execution (sim or thread
-  driver, cluster, federation, chaos, control, batching, durable
-  stores), sweeps over load multipliers, shard counts and cluster
-  counts, and the crash-restart recovery harness;
+- :mod:`repro.scenarios.runner` — end-to-end execution of the serving
+  tree (domains, clusters, federations; faults, sessions, control and
+  batching at every shape), sweeps over load multipliers, shard counts
+  and cluster counts, and the crash-restart recovery harness;
 - ``catalog/`` — the built-in scenarios behind ``python -m repro
   scenario <name>``.
 """

@@ -222,18 +222,8 @@ class CompiledScenario:
         for hub in spec.hubs:
             net.add_device(hub)
         for link in spec.links:
-            firsts = (
-                spec.expand_device(link.first)
-                if link.first in spec.devices
-                else [link.first]
-            )
-            seconds = (
-                spec.expand_device(link.second)
-                if link.second in spec.devices
-                else [link.second]
-            )
-            for first in firsts:
-                for second in seconds:
+            for first in self._concrete(link.first):
+                for second in self._concrete(link.second):
                     net.connect(
                         first,
                         second,
@@ -364,13 +354,13 @@ class CompiledScenario:
         return FaultSchedule.of(*specs)
 
     def _fault_targets(self, refs: List[str]) -> List[str]:
-        out: List[str] = []
-        for ref in refs:
-            if ref in self.spec.devices:
-                out.extend(self.spec.expand_device(ref))
-            else:
-                out.append(ref)
-        return out
+        return [target for ref in refs for target in self._concrete(ref)]
+
+    def _concrete(self, ref: str) -> List[str]:
+        """A device's concrete ids (replicas expanded); a hub is itself."""
+        if ref in self.spec.devices:
+            return self.spec.expand_device(ref)
+        return [ref]
 
     # -- per-request factories ----------------------------------------
 
@@ -514,30 +504,6 @@ class CompiledScenario:
                 )
             )
         return roams
-
-    def federated_request_factory(
-        self, testbeds: Dict[str, List[ScenarioTestbed]]
-    ):
-        """``ArrivalEvent -> FederatedRequest``, for a federation tier.
-
-        Composition is decentralized: whichever member serves a request
-        composes it against that member's own first testbed.
-        """
-        from repro.federation.tier import FederatedRequest
-
-        factories = {
-            name: self.request_factory(member_testbeds[0])
-            for name, member_testbeds in testbeds.items()
-        }
-
-        def to_request(event: ArrivalEvent) -> "FederatedRequest":
-            return FederatedRequest(
-                request_id=f"req-{event.request_id}",
-                home=self.home_for(event),
-                make_request=lambda member: factories[member.name](event),
-            )
-
-        return to_request
 
     def recovery_request_factory(
         self, testbed: ScenarioTestbed

@@ -1,47 +1,56 @@
 """Running compiled scenarios end to end.
 
 :func:`run_scenario` is the one execution path behind ``python -m repro
-scenario``. It lowers the spec (testbed, ladder, trace, faults) and
-builds one target: a single service when ``cluster.shards == 1``, a
-:class:`~repro.server.cluster.DomainCluster` otherwise, and a
-:class:`~repro.federation.tier.FederationTier` of such clusters when
-``federation.clusters > 1`` (:func:`build_federation`). That target goes
-through the serving harness in :mod:`repro.server.drivers` — a
-deterministic :func:`~repro.server.drivers.sim_replay` or a real
-:func:`~repro.server.drivers.thread_burst` — optionally with the
-recovery stack (:mod:`repro.faults.stack`) or the cluster's predictive
-controller alongside, and batched admission on either. A sim run of one
-service first opens the document's long-lived ``sessions`` and holds
-them to the end, so a fault storm has running sessions to break and
-heal. Both drivers end in the shared ledger audit. One result builder
-reads the service's or the cluster's or the federation's metrics into a
-:class:`ScenarioRunResult` whose ``to_json`` is byte-identical across
-runs of the same document + seed under the sim driver. :func:`run_sweep`
-runs one document at every cluster count × shard count × load
-multiplier, one :func:`run_scenario` per point.
+scenario``. It lowers the spec and plans it into a serving tree. Each
+node builds its own runtime, adds its own setup and teardown hooks and
+reads its own part of the :class:`ScenarioRunResult`:
+
+- a **domain** is one testbed plus its
+  :class:`~repro.server.batching.BatchingDomainService`, and a full
+  instance of the document: it holds the document's ``sessions`` from
+  t=0 to the end and runs its fault storm through its own
+  :class:`~repro.faults.stack.RecoveryStack` on its own copies of the
+  devices, so a fault named on a device hits every domain's copy;
+- a **cluster** groups ``cluster.shards`` domains behind the router of a
+  :class:`~repro.server.cluster.DomainCluster` and adds its controller;
+- a **federation** groups ``federation.clusters`` clusters under a
+  :class:`~repro.federation.tier.FederationTier` and adds its
+  :class:`~repro.federation.migration.MigrationSchedule` of roams.
+
+The root is a lone domain for one shard of one cluster (controlled by
+its recovery stack's detector-driven controller), a cluster for several
+shards, and a federation for several clusters. It goes through one
+deterministic :func:`~repro.server.drivers.sim_replay` with the tree's
+hooks, or a real :func:`~repro.server.drivers.thread_burst`; both end in
+the ledger audit, and ``to_json`` is byte-identical across sim runs of
+one document + seed. :func:`run_sweep` runs one document at every
+cluster count × shard count × load multiplier.
 
 :func:`run_crash_restart` is the durability counterpart: phase one runs
-the scenario against a shared (sqlite) record store and stops abruptly
-mid-horizon — no teardown, exactly like a process crash; phase two boots
-a *fresh* service on the same store, re-adopts the dead epoch's persisted
-sessions through normal admission, reconciles its dangling ledger holds,
-and replays the rest of the trace. The returned report asserts both
-ledgers balanced.
+a lone domain against a shared (sqlite) record store and stops abruptly
+mid-horizon, exactly like a process crash; phase two boots a *fresh*
+service on the same store, re-adopts the dead epoch's persisted sessions
+through normal admission, reconciles its dangling ledger holds, and
+replays the rest of the trace. Both ledgers must balance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.control.controller import ControlPolicy
 from repro.faults.stack import RecoveryStack
 from repro.federation.migration import MigrationSchedule
-from repro.federation.tier import FederationMember, FederationTier
+from repro.federation.tier import (
+    FederatedRequest,
+    FederationMember,
+    FederationTier,
+)
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.clock import SimScheduler
+from repro.runtime.session import ApplicationSession
 from repro.server.batching import BatchingDomainService
 from repro.server.cluster import DomainCluster, make_router
 from repro.server.drivers import (
@@ -67,6 +76,11 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     ScenarioValidationError,
 )
+from repro.workloads.arrivals import ArrivalEvent
+
+#: Result fields that ``as_dict`` emits only for some runs.
+_OPTIONAL = ("recovery", "domains", "clusters", "escalations", "migrations_committed")
+_ROUNDED = ("throughput_per_min", "shed_rate", "p50_total_ms", "p99_total_ms")
 
 
 @dataclass
@@ -93,6 +107,7 @@ class ScenarioRunResult:
     shed_rate: float = 0.0
     p50_total_ms: float = 0.0
     p99_total_ms: float = 0.0
+    #: Summed over every domain of the tree.
     faults_injected: int = 0
     recoveries: int = 0
     recovery_failures: int = 0
@@ -100,9 +115,13 @@ class ScenarioRunResult:
     control_actuations: int = 0
     control_reverts: int = 0
     control_rebalanced: int = 0
-    #: A faulted run's recovery registry snapshot plus its recovery
-    #: reports (``as_dict`` carries it only then).
+    #: A faulted lone domain's recovery registry snapshot plus its
+    #: recovery reports (``as_dict`` carries it only then).
     recovery: Optional[Dict[str, object]] = None
+    #: Per domain (``shard<i>``, ``cluster<j>.shard<i>``): ``sessions``,
+    #: each held user's running sessions at teardown, and a faulted
+    #: domain's ``recovery`` block; in ``as_dict`` for several domains.
+    domains: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: Member clusters; the three federation keys appear in ``as_dict``
     #: only when the run was federated.
     clusters: int = 1
@@ -114,57 +133,42 @@ class ScenarioRunResult:
     trace_ndjson: str = ""
 
     def as_dict(self) -> Dict[str, object]:
-        optional: Dict[str, object] = {}
+        payload = {
+            item.name: getattr(self, item.name)
+            for item in fields(self)
+            if item.name not in _OPTIONAL
+        }
+        for name in _ROUNDED:
+            payload[name] = round(payload[name], 6)
+        del payload["trace_ndjson"]
+        payload["metrics"] = json.loads(payload.pop("metrics_json"))
         if self.clusters > 1:
-            optional.update(
+            payload.update(
                 clusters=self.clusters,
                 escalations=self.escalations,
                 migrations_committed=self.migrations_committed,
             )
         if self.recovery is not None:
-            optional["recovery"] = self.recovery
-        return {
-            **optional,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "driver": self.driver,
-            "multiplier": self.multiplier,
-            "horizon_s": self.horizon_s,
-            "shards": self.shards,
-            "router": self.router,
-            "controlled": self.controlled,
-            "batched": self.batched,
-            "faulted": self.faulted,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "failed": self.failed,
-            "conflict_retries": self.conflict_retries,
-            "throughput_per_min": round(self.throughput_per_min, 6),
-            "shed_rate": round(self.shed_rate, 6),
-            "p50_total_ms": round(self.p50_total_ms, 6),
-            "p99_total_ms": round(self.p99_total_ms, 6),
-            "faults_injected": self.faults_injected,
-            "recoveries": self.recoveries,
-            "recovery_failures": self.recovery_failures,
-            "control_forecasts": self.control_forecasts,
-            "control_actuations": self.control_actuations,
-            "control_reverts": self.control_reverts,
-            "control_rebalanced": self.control_rebalanced,
-            "metrics": json.loads(self.metrics_json),
-        }
+            payload["recovery"] = self.recovery
+        if len(self.domains) > 1 and any(self.domains.values()):
+            payload["domains"] = self.domains
+        return payload
 
     def to_json(self) -> str:
         """Deterministic JSON artifact (sorted keys, no whitespace)."""
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
     def mean_mttr_ms(self) -> float:
-        """Mean suspicion → recovered time (0.0 without a repair)."""
-        if self.recovery is None:
-            return 0.0
-        mttr = self.recovery["histograms"]["recovery.mttr_ms"]
-        return float(mttr.get("mean", 0.0))
+        """Mean suspicion → recovered time over every domain's repairs
+        (0.0 without a repair)."""
+        mttr = [
+            reading["recovery"]["histograms"]["recovery.mttr_ms"]
+            for reading in self.domains.values()
+            if "recovery" in reading
+        ]
+        count = sum(summary["count"] for summary in mttr)
+        total = sum(summary.get("mean", 0.0) * summary["count"] for summary in mttr)
+        return total / count if count else 0.0
 
     def format_table(self) -> str:
         lines = [
@@ -202,6 +206,24 @@ def _as_compiled(
     return compile_scenario(scenario)
 
 
+def _single_domain(spec: ScenarioSpec, feature: str, held: bool = False) -> None:
+    """Refuse ``feature`` (a store or a crash-restart) unless the document
+    plans to one lone domain: :func:`~repro.store.readopt_sessions`
+    re-adopts every active session of an earlier epoch, so a store shared
+    by live domains would re-adopt a sibling's sessions. ``held`` also
+    refuses the faults and sessions the crash-restart replay does not run.
+    """
+    rules = [
+        ("federation.clusters", spec.clusters > 1, "a single-cluster scenario"),
+        ("cluster.shards", spec.cluster.shards > 1, "a single-shard scenario"),
+        ("faults", held and spec.faults is not None, "a document without faults"),
+        ("sessions", held and bool(spec.sessions), "a document without sessions"),
+    ]
+    for path, broken, needs in rules:
+        if broken:
+            raise ScenarioValidationError(path, f"{feature} requires {needs}")
+
+
 def run_scenario(
     scenario: Union[ScenarioSpec, CompiledScenario],
     driver: str = "sim",
@@ -212,18 +234,12 @@ def run_scenario(
     store: Optional[RecordStore] = None,
     thread_timeout_s: float = 60.0,
 ) -> ScenarioRunResult:
-    """Run one scenario end to end and audit every ledger.
+    """Run one scenario's serving tree end to end and audit every ledger.
 
-    The target is one service when ``cluster.shards == 1``, a
-    :class:`~repro.server.cluster.DomainCluster` otherwise, and a
-    federation of such clusters when ``federation.clusters > 1``; all go
-    through the same sim replay or thread burst. ``controlled=None``
-    follows the spec's ``control.enabled`` knob; an explicit boolean
-    overrides it (the thread driver never controls: the control plane
-    needs a logical clock). ``store`` plugs a durable record store into
-    the (single-shard) service; the default in-memory store keeps the
-    run's behaviour byte-identical to a storeless one. A federation runs
-    without the control plane and without a store.
+    ``controlled=None`` follows the spec's ``control.enabled`` knob; an
+    explicit boolean overrides it (the thread driver never controls: the
+    control plane needs a logical clock). Faults and sessions need the sim
+    driver. ``store`` plugs a durable record store into a lone domain.
 
     The thread driver is a time-compressed open loop: arrival times are
     ignored and every request is submitted at once, so dispositions are
@@ -236,135 +252,184 @@ def run_scenario(
         raise ValueError(f"unknown driver {driver!r} (choose sim or thread)")
     if multiplier <= 0:
         raise ValueError("load multiplier must be positive")
-    if controlled is None:
-        controlled = spec.control.enabled
-    if spec.clusters > 1 and (controlled or store is not None):
-        raise ScenarioValidationError(
-            "federation.clusters",
-            f"{'--controlled' if controlled else '--store'} requires a "
-            "single-cluster scenario (federation.clusters == 1)",
-        )
-    controlled = controlled and driver == "sim"
+    if store is not None:
+        _single_domain(spec, "--store")
     if (spec.faults is not None or spec.sessions) and driver != "sim":
         raise ValueError("fault schedules and sessions require the sim driver")
-    if spec.cluster.shards > 1 and store is not None:
-        raise ValueError("durable stores attach to single-shard runs")
+    if controlled is None:
+        controlled = spec.control.enabled
+    controlled = controlled and driver == "sim"
 
     simulator = Simulator() if driver == "sim" else None
-    clock = SimulatedServerDriver.clock(simulator) if simulator else None
-    if spec.clusters > 1:
-        target, testbeds = build_federation(compiled, clock, batched)
-        to_request = compiled.federated_request_factory(testbeds)
-    else:
-        target, testbed = _build_target(
-            compiled, clock, controlled, batched, store
-        )
-        to_request = compiled.request_factory(testbed)
     arrivals = compiled.arrival_trace(multiplier=multiplier)
-    recovery: Optional[RecoveryStack] = None
+    control = ControlPolicy(
+        tick_interval_s=spec.control.tick_interval_s,
+        window_s=spec.control.window_s,
+    )
+    build = _Build(
+        compiled,
+        simulator,
+        batched=batched,
+        multiplier=multiplier,
+        arrivals=arrivals,
+        control=control if controlled else None,
+    )
+    root = _plan(build, store)
     trace_ndjson = ""
     if simulator is None:
         thread_burst(
-            target,
-            (to_request(event) for event in arrivals),
+            root.target,
+            map(root.to_request, arrivals),
             max(2, spec.server.workers),
             thread_timeout_s,
             "scenario run",
         )
     else:
-        replay = _sim_driver(compiled, target, simulator)
-        control_policy = (
-            ControlPolicy(
-                tick_interval_s=spec.control.tick_interval_s,
-                window_s=spec.control.window_s,
-            )
-            if controlled
-            else None
-        )
-        setup = teardown = None
-        if isinstance(target, FederationTier):
-            roams = MigrationSchedule(target, simulator)
-            for roam in compiled.roams(arrivals):
-                roams.schedule(*roam)
-            attributes = dict(
-                scenario=spec.name,
-                seed=spec.seed,
-                clusters=target.member_count,
-                multiplier=multiplier,
-            )
-        elif isinstance(target, DomainCluster):
-            if control_policy is not None:
-                controller = target.attach_controller(
-                    SimScheduler(simulator), policy=control_policy
-                )
-                setup = partial(
-                    controller.start, horizon_s=spec.arrivals.horizon_s
-                )
-                teardown = controller.stop
-            attributes = dict(
-                scenario=spec.name, seed=spec.seed, shards=target.shard_count
-            )
-        else:
-            faults = spec.faults
-            if faults is not None or controlled:
-                recovery = RecoveryStack(
-                    testbed,
-                    SimScheduler(simulator),
-                    heartbeat_interval_s=(
-                        faults.heartbeat_interval_s if faults else 2.0
-                    ),
-                    suspicion_threshold=(
-                        faults.suspicion_threshold if faults else 3.0
-                    ),
-                    ladder=compiled.ladder(),
-                    faults=compiled.fault_schedule(multiplier),
-                    control_policy=control_policy,
-                )
-            setup, teardown = _held_sessions(compiled, testbed, recovery)
-            attributes = dict(
-                scenario=spec.name, seed=spec.seed, multiplier=multiplier
-            )
+        attributes = dict(scenario=spec.name, seed=spec.seed, **root.attributes)
         trace_ndjson = sim_replay(
-            replay,
+            build.driver(root.target),
             arrivals,
-            to_request,
+            root.to_request,
             "scenario run",
             root_span=("run.scenario", attributes) if trace else None,
-            setup=setup,
-            teardown=teardown,
+            setup=root.setup,
+            teardown=root.teardown,
         )
-    return _result(
-        compiled,
-        target,
-        arrivals.horizon_s,
-        driver=driver + ("-batched" if batched else ""),
-        multiplier=multiplier,
-        controlled=controlled,
-        batched=batched,
-        recovery=recovery,
-        trace_ndjson=trace_ndjson,
-    )
+    return _read(root, build, arrivals.horizon_s, trace_ndjson)
 
 
-def _held_sessions(
-    compiled: CompiledScenario,
-    testbed: ScenarioTestbed,
-    recovery: Optional[RecoveryStack],
-) -> Tuple[Callable[[], None], Callable[[], None]]:
-    """Setup and teardown around a single-service sim replay.
+# ---------------------------------------------------------------------------
+# the serving tree
+# ---------------------------------------------------------------------------
 
-    Setup opens every declared session at t=0 as ``user-<client>``
-    (raising when one does not admit), then starts the recovery stack;
-    teardown stops the stack, then the sessions, before the audit.
+
+@dataclass
+class _Build:
+    """What every node of one run's serving tree is built from."""
+
+    compiled: CompiledScenario
+    simulator: Optional[Simulator] = None
+    batched: bool = False
+    multiplier: float = 1.0
+    arrivals: Sequence[ArrivalEvent] = ()
+    #: Taken by the lone domain or by each cluster.
+    control: Optional[ControlPolicy] = None
+    clock: Optional[Callable[[], float]] = None
+
+    def __post_init__(self) -> None:
+        if self.simulator is not None:
+            self.clock = SimulatedServerDriver.clock(self.simulator)
+
+    def service_kwargs(self) -> Dict[str, object]:
+        """The spec's server knobs, shared by lone-domain and shard builds."""
+        spec = self.compiled.spec
+        return dict(
+            ladder=self.compiled.ladder(),
+            queue_capacity=spec.server.queue_capacity,
+            clock=self.clock,
+            skip_downloads=spec.server.skip_downloads,
+            max_conflict_retries=spec.server.max_conflict_retries,
+            scenario=spec.name,
+        )
+
+    def driver(self, target) -> SimulatedServerDriver:
+        server = self.compiled.spec.server
+        return SimulatedServerDriver(
+            target,
+            self.simulator,
+            workers=server.workers,
+            min_service_s=server.min_service_s,
+        )
+
+
+class _Node:
+    """One level of the serving tree.
+
+    A driver drives its ``target`` (a service, cluster or federation
+    tier), whose ``metrics`` export the level's JSON. ``to_request``
+    builds the target's requests, ``attributes`` label the root span and
+    ``read`` gives the dispositions and extra metrics keys. Setups run
+    the children first, teardowns run them last.
     """
-    spec = compiled.spec
-    sessions = []
 
-    def setup() -> None:
+    children: Sequence["_Node"] = ()
+
+    def domains(self) -> List["_Domain"]:
+        return [domain for child in self.children for domain in child.domains()]
+
+    def registries(self) -> List[MetricsRegistry]:
+        """The registries this subtree's ``control.*`` counters live in."""
+        return [
+            registry for child in self.children for registry in child.registries()
+        ]
+
+    def setup(self) -> None:
+        for child in self.children:
+            child.setup()
+
+    def teardown(self) -> None:
+        for child in reversed(self.children):
+            child.teardown()
+
+
+class _Domain(_Node):
+    """One testbed and its service: a full instance of the document."""
+
+    def __init__(
+        self,
+        build: _Build,
+        name: str,
+        testbed: ScenarioTestbed,
+        service: BatchingDomainService,
+        control: Optional[ControlPolicy] = None,
+    ) -> None:
+        self.compiled = compiled = build.compiled
+        self.name = name
+        self.testbed = testbed
+        self.target = service
+        self.to_request = compiled.request_factory(testbed)
+        self.attributes = {"multiplier": build.multiplier}
+        self.held: List[ApplicationSession] = []
+        self.active: Dict[str, int] = {}
+        self.recovery: Optional[RecoveryStack] = None
+        faults = compiled.spec.faults
+        if faults is not None or control is not None:
+            self.recovery = RecoveryStack(
+                testbed,
+                SimScheduler(build.simulator),
+                heartbeat_interval_s=faults.heartbeat_interval_s if faults else 2.0,
+                suspicion_threshold=faults.suspicion_threshold if faults else 3.0,
+                ladder=compiled.ladder(),
+                faults=compiled.fault_schedule(build.multiplier),
+                control_policy=control,
+            )
+
+    @classmethod
+    def lone(cls, build: _Build, store: Optional[RecordStore] = None) -> "_Domain":
+        """The whole tree of a one-shard, one-cluster document."""
+        testbed = build.compiled.build_testbed(clock=build.clock)
+        service = BatchingDomainService(
+            testbed.configurator,
+            store=store,
+            batch=BatchPolicy() if build.batched else UNBATCHED,
+            **build.service_kwargs(),
+        )
+        return cls(build, "shard0", testbed, service, control=build.control)
+
+    def domains(self) -> List["_Domain"]:
+        return [self]
+
+    def registries(self) -> List[MetricsRegistry]:
+        return [self.recovery.metrics.registry] if self.recovery else []
+
+    def setup(self) -> None:
+        """Open every held session at t=0 as ``user-<client>`` (raising
+        when one does not admit), then start the recovery stack."""
+        spec = self.compiled.spec
         for entry in spec.sessions:
-            session = testbed.configurator.create_session(
-                compiled.composition_request(
-                    testbed, entry.workload, entry.client
+            session = self.testbed.configurator.create_session(
+                self.compiled.composition_request(
+                    self.testbed, entry.workload, entry.client
                 ),
                 user_id=f"user-{entry.client}",
             )
@@ -377,17 +442,256 @@ def _held_sessions(
                     f"session {entry.workload!r} on {entry.client!r} "
                     "did not admit"
                 )
-            sessions.append(session)
-        if recovery is not None:
-            recovery.start(spec.arrivals.horizon_s)
+            self.held.append(session)
+        if self.recovery is not None:
+            self.recovery.start(spec.arrivals.horizon_s)
 
-    def teardown() -> None:
-        if recovery is not None:
-            recovery.stop()
-        for session in sessions:
+    def teardown(self) -> None:
+        """Stop the recovery stack, count, then stop the held sessions."""
+        if self.recovery is not None:
+            self.recovery.stop()
+        if not self.held:
+            return
+        running = [
+            session.user_id
+            for session in self.testbed.configurator.sessions.values()
+            if session.running
+        ]
+        for session in self.held:
+            self.active[session.user_id] = running.count(session.user_id)
             session.stop()
 
-    return setup, teardown
+    def read(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        metrics = self.target.metrics
+        submitted = metrics.count("submitted")
+        counts = dict(
+            shards=1,
+            submitted=submitted,
+            admitted=metrics.count("admitted"),
+            degraded=metrics.count("admitted_degraded"),
+            shed=metrics.shed_total,
+            failed=metrics.count("failed"),
+            conflict_retries=metrics.count("conflict_retries"),
+            shed_rate=metrics.shed_total / submitted if submitted else 0.0,
+            p50_total_ms=metrics.stage("total_ms").percentile(50),
+            p99_total_ms=metrics.stage("total_ms").percentile(99),
+        )
+        return counts, {}
+
+    def reading(self) -> Dict[str, object]:
+        """This domain's entry in the result's ``domains``."""
+        reading: Dict[str, object] = {}
+        if self.held:
+            reading["sessions"] = self.active
+        recovery = self.recovery
+        if recovery is not None and recovery.manager is not None:
+            reading["recovery"] = {
+                **recovery.metrics.registry.snapshot(),
+                "reports": [report.to_dict() for report in recovery.manager.reports],
+            }
+        return reading
+
+
+class _Cluster(_Node):
+    """``cluster.shards`` domains behind one router, plus the cluster's
+    controller in a controlled run. The first domain's testbed composes
+    every request; the serving shard's own configurator deploys it.
+    """
+
+    def __init__(self, build: _Build, name: str = "") -> None:
+        compiled = build.compiled
+        control = build.control
+        spec = compiled.spec
+        shards = spec.cluster.shards
+        testbeds = [compiled.build_testbed(clock=build.clock) for _ in range(shards)]
+        self.name = name
+        self.horizon_s = spec.arrivals.horizon_s
+        self.target = DomainCluster.build(
+            [testbed.configurator for testbed in testbeds],
+            router=make_router(spec.cluster.router, shards),
+            registry=MetricsRegistry(clock=build.clock if control else None),
+            batched=build.batched,
+            **build.service_kwargs(),
+        )
+        prefix = f"{name}." if name else ""
+        self.children = [
+            _Domain(build, f"{prefix}shard{index}", testbed, service)
+            for index, (testbed, service) in enumerate(
+                zip(testbeds, self.target.shards)
+            )
+        ]
+        self.to_request = self.children[0].to_request
+        self.attributes = {"shards": shards}
+        self.controller = None
+        if control is not None:
+            self.controller = self.target.attach_controller(
+                SimScheduler(build.simulator), policy=control
+            )
+
+    def registries(self) -> List[MetricsRegistry]:
+        return [self.target.registry] + super().registries()
+
+    def setup(self) -> None:
+        super().setup()
+        if self.controller is not None:
+            self.controller.start(horizon_s=self.horizon_s)
+
+    def teardown(self) -> None:
+        if self.controller is not None:
+            self.controller.stop()
+        super().teardown()
+
+    def read(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        whole = self.target.metrics.snapshot()["cluster"]
+        shards = self.target.shard_count
+        return _whole_counts(whole, shards), {"shard_count": shards}
+
+
+class _Federation(_Node):
+    """``federation.clusters`` member clusters under one tier, plus its
+    roams. Each member keeps its own metrics registry, so the members'
+    shard counters never alias; whichever member serves a request
+    composes it against its own first testbed.
+    """
+
+    def __init__(self, build: _Build) -> None:
+        compiled = build.compiled
+        self.build = build
+        self.children = [
+            _Cluster(build, name) for name in compiled.member_names()
+        ]
+        self.target = FederationTier(
+            [
+                FederationMember.with_ladder(
+                    member.name, member.target, compiled.ladder()
+                )
+                for member in self.children
+            ],
+            escalation=(compiled.spec.federation or FederationSpec()).escalation,
+        )
+        self.attributes = {
+            "clusters": self.target.member_count,
+            "multiplier": build.multiplier,
+        }
+        factories = {member.name: member.to_request for member in self.children}
+
+        def to_request(event: ArrivalEvent) -> FederatedRequest:
+            return FederatedRequest(
+                request_id=f"req-{event.request_id}",
+                home=compiled.home_for(event),
+                make_request=lambda member: factories[member.name](event),
+            )
+
+        self.to_request = to_request
+
+    def setup(self) -> None:
+        roams = MigrationSchedule(self.target, self.build.simulator)
+        for roam in self.build.compiled.roams(self.build.arrivals):
+            roams.schedule(*roam)
+        super().setup()
+
+    def read(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        snapshot = self.target.metrics.snapshot()
+        shards = self.build.compiled.spec.cluster.shards
+        counts = _whole_counts(snapshot["federation"], shards)
+        counts.update(
+            clusters=self.target.member_count,
+            escalations=snapshot["routing"]["escalations"],
+            migrations_committed=snapshot["migration"]["committed"],
+        )
+        return counts, {"clusters": self.target.member_count, "shard_count": shards}
+
+
+def _plan(build: _Build, store: Optional[RecordStore] = None) -> _Node:
+    """The document's serving tree (``store`` goes to a lone domain)."""
+    spec = build.compiled.spec
+    if spec.clusters > 1:
+        return _Federation(build)
+    if spec.cluster.shards > 1:
+        return _Cluster(build)
+    return _Domain.lone(build, store)
+
+
+def build_federation(
+    compiled: Union[ScenarioSpec, CompiledScenario],
+    clock=None,
+    batched: bool = False,
+) -> Tuple[FederationTier, Dict[str, List[ScenarioTestbed]]]:
+    """The federation node of the serving tree, outside a run, as
+    ``(tier, testbeds_by_member)``: requests are composed against the
+    serving member's own testbeds."""
+    root = _Federation(_Build(_as_compiled(compiled), batched=batched, clock=clock))
+    return root.target, {
+        member.name: [domain.testbed for domain in member.children]
+        for member in root.children
+    }
+
+
+def _whole_counts(whole: Dict[str, object], shards: int) -> Dict[str, object]:
+    """A cluster's or a federation's dispositions, from its merged view."""
+    latency = whole["latency"]["total_ms"]
+    return dict(
+        shards=shards,
+        submitted=whole["submitted"],
+        admitted=whole["admitted"],
+        degraded=whole["degraded"],
+        shed=whole["shed_final"],
+        failed=whole["failed"],
+        conflict_retries=whole["conflict_retries"],
+        shed_rate=whole["derived"]["shed_rate"],
+        p50_total_ms=latency.get("p50", 0.0),
+        p99_total_ms=latency.get("p99", 0.0),
+    )
+
+
+def _read(
+    root: _Node, build: _Build, horizon_s: float, trace_ndjson: str = ""
+) -> ScenarioRunResult:
+    """The run's result: the root's dispositions and metrics, every
+    domain's reading, and the control counters summed over the tree."""
+    spec = build.compiled.spec
+    counts, extra = root.read()
+    domains = root.domains()
+    readings = {domain.name: domain.reading() for domain in domains}
+    metrics_json = root.target.metrics.to_json(
+        extra={
+            "scenario": spec.name,
+            "seed": spec.seed,
+            "multiplier": build.multiplier,
+            "horizon_s": horizon_s,
+            **extra,
+        }
+    )
+    # Read after the exports: reading a counter registers it.
+    for name in ("forecasts", "actuations", "reverts", "rebalanced"):
+        counts[f"control_{name}"] = sum(
+            registry.counter(f"control.{name}").value
+            for registry in root.registries()
+        )
+    recovered = [domain.recovery.metrics for domain in domains if domain.recovery]
+    return ScenarioRunResult(
+        scenario=spec.name,
+        seed=spec.seed,
+        driver=("sim" if build.simulator else "thread")
+        + ("-batched" if build.batched else ""),
+        multiplier=build.multiplier,
+        horizon_s=horizon_s,
+        router=spec.cluster.router,
+        controlled=build.control is not None,
+        batched=build.batched,
+        faulted=any("recovery" in reading for reading in readings.values()),
+        throughput_per_min=(
+            60.0 * counts["admitted"] / horizon_s if horizon_s else 0.0
+        ),
+        faults_injected=sum(m.count("faults_injected") for m in recovered),
+        recoveries=sum(m.count("recoveries") for m in recovered),
+        recovery_failures=sum(m.count("recovery_failures") for m in recovered),
+        recovery=readings["shard0"].get("recovery") if len(domains) == 1 else None,
+        domains=readings,
+        metrics_json=metrics_json,
+        trace_ndjson=trace_ndjson,
+        **counts,
+    )
 
 
 @dataclass
@@ -426,40 +730,35 @@ class ScenarioSweep:
         first = self.points[0]
         federated = any(point.clusters > 1 for point in self.points)
         faulted = any(point.faulted for point in self.points)
+        columns = [
+            (federated, "clusters", 9, lambda p: p.clusters),
+            (True, "shards", 7, lambda p: p.shards),
+            (True, "load x", 8, lambda p: f"{p.multiplier:.2f}"),
+            (True, "submitted", 11, lambda p: p.submitted),
+            (True, "admitted", 10, lambda p: p.admitted),
+            (True, "degraded", 10, lambda p: p.degraded),
+            (True, "shed", 7, lambda p: p.shed),
+            (True, "failed", 8, lambda p: p.failed),
+            (True, "thr/min", 9, lambda p: f"{p.throughput_per_min:.2f}"),
+            (True, "shed%", 8, lambda p: f"{100.0 * p.shed_rate:.1f}%"),
+            (federated, "escal", 7, lambda p: p.escalations),
+            (federated, "migr", 6, lambda p: p.migrations_committed),
+            (faulted, "faults", 8, lambda p: p.faults_injected),
+            (faulted, "recovered", 11, lambda p: p.recoveries),
+            (faulted, "unrecov", 9, lambda p: p.recovery_failures),
+            (faulted, "MTTR ms", 9, lambda p: f"{p.mean_mttr_ms():.1f}"),
+        ]
+        shown = [column[1:] for column in columns if column[0]]
         lines = [
             f"Scenario {first.scenario!r} "
             f"(seed {first.seed}, driver {first.driver}, "
             f"horizon {first.horizon_s:g}s, router {first.router})",
             "",
-            (f"{'clusters':>9}" if federated else "")
-            + f"{'shards':>7}{'load x':>8}{'submitted':>11}{'admitted':>10}"
-            f"{'degraded':>10}{'shed':>7}{'failed':>8}{'thr/min':>9}"
-            f"{'shed%':>8}"
-            + (f"{'escal':>7}{'migr':>6}" if federated else "")
-            + (
-                f"{'faults':>8}{'recovered':>11}{'unrecov':>9}{'MTTR ms':>9}"
-                if faulted
-                else ""
-            ),
+            "".join(f"{name:>{width}}" for name, width, _ in shown),
         ]
-        for p in self.points:
+        for point in self.points:
             lines.append(
-                (f"{p.clusters:>9d}" if federated else "")
-                + f"{p.shards:>7d}{p.multiplier:>8.2f}{p.submitted:>11d}"
-                f"{p.admitted:>10d}{p.degraded:>10d}{p.shed:>7d}"
-                f"{p.failed:>8d}{p.throughput_per_min:>9.2f}"
-                f"{100.0 * p.shed_rate:>7.1f}%"
-                + (
-                    f"{p.escalations:>7d}{p.migrations_committed:>6d}"
-                    if federated
-                    else ""
-                )
-                + (
-                    f"{p.faults_injected:>8d}{p.recoveries:>11d}"
-                    f"{p.recovery_failures:>9d}{p.mean_mttr_ms():>9.1f}"
-                    if faulted
-                    else ""
-                )
+                "".join(f"{cell(point):>{width}}" for _, width, cell in shown)
             )
         return "\n".join(lines)
 
@@ -507,7 +806,6 @@ def run_sweep(
             point_spec = replace(
                 spec, cluster=replace(spec.cluster, shards=shard_count)
             )
-            point_spec.validate()
             compiled = compile_scenario(point_spec)
             for multiplier in multipliers:
                 sweep.points.append(
@@ -515,228 +813,6 @@ def run_sweep(
                 )
     return sweep
 
-
-def _build_service(
-    compiled: CompiledScenario,
-    clock,
-    batched: bool,
-    store: Optional[RecordStore],
-) -> Tuple[BatchingDomainService, ScenarioTestbed]:
-    """One testbed and the service over it, with the spec's server knobs."""
-    testbed = compiled.build_testbed(clock=clock)
-    service = BatchingDomainService(
-        testbed.configurator,
-        store=store,
-        batch=BatchPolicy() if batched else UNBATCHED,
-        **_service_kwargs(compiled, clock),
-    )
-    return service, testbed
-
-
-def _build_cluster(
-    compiled: CompiledScenario,
-    clock,
-    batched: bool,
-    registry: MetricsRegistry,
-) -> Tuple[DomainCluster, List[ScenarioTestbed]]:
-    """``cluster.shards`` spec-built testbeds behind one cluster.
-
-    Shards share devices and registries, so the first testbed composes
-    every request; the serving shard's own configurator deploys it.
-    """
-    spec = compiled.spec
-    shard_count = spec.cluster.shards
-    testbeds = [compiled.build_testbed(clock=clock) for _ in range(shard_count)]
-    cluster = DomainCluster.build(
-        [testbed.configurator for testbed in testbeds],
-        router=make_router(spec.cluster.router, shard_count),
-        registry=registry,
-        batched=batched,
-        **_service_kwargs(compiled, clock),
-    )
-    return cluster, testbeds
-
-
-def _build_target(
-    compiled: CompiledScenario,
-    clock,
-    controlled: bool,
-    batched: bool,
-    store: Optional[RecordStore],
-) -> Tuple[Union[BatchingDomainService, DomainCluster], ScenarioTestbed]:
-    """The run's target and the testbed its requests are composed against."""
-    if compiled.spec.cluster.shards == 1:
-        return _build_service(compiled, clock, batched, store)
-    cluster, testbeds = _build_cluster(
-        compiled,
-        clock,
-        batched,
-        MetricsRegistry(clock=clock if controlled else None),
-    )
-    return cluster, testbeds[0]
-
-
-def build_federation(
-    compiled: Union[ScenarioSpec, CompiledScenario],
-    clock=None,
-    batched: bool = False,
-) -> Tuple[FederationTier, Dict[str, List[ScenarioTestbed]]]:
-    """``federation.clusters`` member clusters under one federation tier.
-
-    Each member is a :class:`~repro.server.cluster.DomainCluster` of
-    ``cluster.shards`` spec-built testbeds with its *own* metrics
-    registry (the shard namespace is per cluster, so two members sharing
-    one would alias each other's counters); the tier keeps a separate
-    registry for the ``federation.*`` series. A member's ladder headroom
-    comes from the spec's ladder. Returns ``(tier, testbeds_by_member)``:
-    requests are composed against the serving member's own testbeds.
-    """
-    compiled = _as_compiled(compiled)
-    federation = compiled.spec.federation or FederationSpec()
-    members: List[FederationMember] = []
-    testbeds: Dict[str, List[ScenarioTestbed]] = {}
-    for name in compiled.member_names():
-        cluster, testbeds[name] = _build_cluster(
-            compiled, clock, batched, MetricsRegistry()
-        )
-        members.append(
-            FederationMember.with_ladder(name, cluster, compiled.ladder())
-        )
-    return FederationTier(members, escalation=federation.escalation), testbeds
-
-
-def _service_kwargs(compiled: CompiledScenario, clock) -> Dict[str, object]:
-    """The spec's server knobs, shared by single-domain and shard builds."""
-    spec = compiled.spec
-    return dict(
-        ladder=compiled.ladder(),
-        queue_capacity=spec.server.queue_capacity,
-        clock=clock,
-        skip_downloads=spec.server.skip_downloads,
-        max_conflict_retries=spec.server.max_conflict_retries,
-        scenario=spec.name,
-    )
-
-
-def _sim_driver(
-    compiled: CompiledScenario, target, simulator: Simulator
-) -> SimulatedServerDriver:
-    server = compiled.spec.server
-    return SimulatedServerDriver(
-        target,
-        simulator,
-        workers=server.workers,
-        min_service_s=server.min_service_s,
-    )
-
-
-def _result(
-    compiled: CompiledScenario,
-    target,
-    horizon_s: float,
-    driver: str,
-    multiplier: float,
-    controlled: bool,
-    batched: bool,
-    recovery: Optional[RecoveryStack],
-    trace_ndjson: str,
-) -> ScenarioRunResult:
-    """The run's aggregate result, read from a service's, a cluster's or
-    a federation's metrics."""
-    spec = compiled.spec
-    extra: Dict[str, object] = {
-        "scenario": spec.name,
-        "seed": spec.seed,
-        "multiplier": multiplier,
-        "horizon_s": horizon_s,
-    }
-    counts: Dict[str, object] = {}
-    whole: Optional[Dict[str, object]] = None
-    if isinstance(target, FederationTier):
-        extra["clusters"] = target.member_count
-        extra["shard_count"] = spec.cluster.shards
-        snapshot = target.metrics.snapshot()
-        whole = snapshot["federation"]
-        counts.update(
-            clusters=target.member_count,
-            escalations=snapshot["routing"]["escalations"],
-            migrations_committed=snapshot["migration"]["committed"],
-        )
-    elif isinstance(target, DomainCluster):
-        extra["shard_count"] = target.shard_count
-        whole = target.metrics.snapshot()["cluster"]
-    if whole is not None:
-        latency = whole["latency"]["total_ms"]
-        counts.update(
-            shards=spec.cluster.shards,
-            submitted=whole["submitted"],
-            admitted=whole["admitted"],
-            degraded=whole["degraded"],
-            shed=whole["shed_final"],
-            failed=whole["failed"],
-            conflict_retries=whole["conflict_retries"],
-            shed_rate=whole["derived"]["shed_rate"],
-            p50_total_ms=latency.get("p50", 0.0),
-            p99_total_ms=latency.get("p99", 0.0),
-        )
-    else:
-        metrics = target.metrics
-        submitted = metrics.count("submitted")
-        counts.update(
-            shards=1,
-            submitted=submitted,
-            admitted=metrics.count("admitted"),
-            degraded=metrics.count("admitted_degraded"),
-            shed=metrics.shed_total,
-            failed=metrics.count("failed"),
-            conflict_retries=metrics.count("conflict_retries"),
-            shed_rate=metrics.shed_total / submitted if submitted else 0.0,
-            p50_total_ms=metrics.stage("total_ms").percentile(50),
-            p99_total_ms=metrics.stage("total_ms").percentile(99),
-        )
-    recovered = recovery.metrics if recovery is not None else None
-    faulted = recovery is not None and recovery.manager is not None
-    storm = (
-        {
-            **recovered.registry.snapshot(),
-            "reports": [report.to_dict() for report in recovery.manager.reports],
-        }
-        if faulted
-        else None
-    )
-    metrics_json = target.metrics.to_json(extra=extra)
-    # Read after the exports: reading a counter registers it.
-    if isinstance(target, DomainCluster):
-        control = target.registry
-    else:
-        control = recovered.registry if recovered else None
-    for name in ("forecasts", "actuations", "reverts", "rebalanced"):
-        counts[f"control_{name}"] = (
-            control.counter(f"control.{name}").value if control else 0
-        )
-    return ScenarioRunResult(
-        scenario=spec.name,
-        seed=spec.seed,
-        driver=driver,
-        multiplier=multiplier,
-        horizon_s=horizon_s,
-        router=spec.cluster.router,
-        controlled=controlled,
-        batched=batched,
-        faulted=faulted,
-        throughput_per_min=(
-            60.0 * counts["admitted"] / horizon_s if horizon_s else 0.0
-        ),
-        faults_injected=recovered.count("faults_injected") if recovered else 0,
-        recoveries=recovered.count("recoveries") if recovered else 0,
-        recovery_failures=(
-            recovered.count("recovery_failures") if recovered else 0
-        ),
-        recovery=storm,
-        metrics_json=metrics_json,
-        trace_ndjson=trace_ndjson,
-        **counts,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -763,21 +839,15 @@ class CrashRestartResult:
         return self.report.balanced
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "crash_at_s": self.crash_at_s,
-            "crashed_epoch": self.crashed_epoch,
-            "resumed_epoch": self.resumed_epoch,
-            "active_at_crash": self.active_at_crash,
-            "pre_crash_admitted": self.pre_crash_admitted,
-            "balanced": self.balanced,
-            "recovery": self.report.to_dict(),
-            "resumed": self.resumed.as_dict(),
-        }
+        payload = {item.name: getattr(self, item.name) for item in fields(self)}
+        payload["balanced"] = self.balanced
+        payload["recovery"] = payload.pop("report").to_dict()
+        payload["resumed"] = self.resumed.as_dict()
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+
 
 
 def run_crash_restart(
@@ -795,18 +865,14 @@ def run_crash_restart(
     behind. Phase two boots a fresh testbed and service (same store, new
     epoch), re-adopts the dead epoch's persisted sessions, reconciles its
     dangling committed holds, and replays the remaining arrivals shifted
-    to the new service's time origin.
+    to the new service's time origin. Both phases are one lone domain
+    without faults or sessions; anything else is refused.
     """
     compiled = _as_compiled(scenario)
     spec = compiled.spec
     if not 0.0 < crash_at_fraction < 1.0:
         raise ValueError("crash_at_fraction must be in (0, 1)")
-    if spec.clusters > 1:
-        raise ScenarioValidationError(
-            "federation.clusters",
-            "--crash-restart requires a single-cluster scenario "
-            "(federation.clusters == 1)",
-        )
+    _single_domain(spec, "--crash-restart", held=True)
     if store is None:
         store = SqliteRecordStore(store_path or ":memory:")
     crash_at_s = spec.arrivals.horizon_s * crash_at_fraction
@@ -814,12 +880,12 @@ def run_crash_restart(
 
     # -- phase one: run to the crash point, then vanish ----------------
     sim1 = Simulator()
-    service1, testbed1 = _build_service(
-        compiled, SimulatedServerDriver.clock(sim1), False, store
-    )
+    build1 = _Build(compiled, sim1)
+    domain1 = _Domain.lone(build1, store)
+    service1 = domain1.target
     crashed_epoch = service1.epoch
-    driver1 = _sim_driver(compiled, service1, sim1)
-    driver1.schedule_trace(arrivals, compiled.request_factory(testbed1))
+    driver1 = build1.driver(service1)
+    driver1.schedule_trace(arrivals, domain1.to_request)
     driver1.run(until=crash_at_s)
     pre_crash_admitted = service1.metrics.count("admitted")
     # Deliberately no teardown: service1's sessions, holds and queue die
@@ -827,11 +893,10 @@ def run_crash_restart(
 
     # -- phase two: fresh boot on the same store -----------------------
     sim2 = Simulator()
-    service2, testbed2 = _build_service(
-        compiled, SimulatedServerDriver.clock(sim2), False, store
-    )
+    build2 = _Build(compiled, sim2, multiplier=multiplier)
+    domain2 = _Domain.lone(build2, store)
     report = readopt_sessions(
-        service2, compiled.recovery_request_factory(testbed2)
+        domain2.target, compiled.recovery_request_factory(domain2.testbed)
     )
     # The rest of the trace, shifted to the new service's time origin.
     remainder = [
@@ -840,28 +905,18 @@ def run_crash_restart(
         if event.arrival_s >= crash_at_s
     ]
     sim_replay(
-        _sim_driver(compiled, service2, sim2),
+        build2.driver(domain2.target),
         remainder,
-        compiled.request_factory(testbed2),
+        domain2.to_request,
         "re-adoption",
     )
-    resumed = _result(
-        compiled,
-        service2,
-        spec.arrivals.horizon_s - crash_at_s,
-        driver="sim",
-        multiplier=multiplier,
-        controlled=False,
-        batched=False,
-        recovery=None,
-        trace_ndjson="",
-    )
+    resumed = _read(domain2, build2, spec.arrivals.horizon_s - crash_at_s)
     return CrashRestartResult(
         scenario=spec.name,
         seed=spec.seed,
         crash_at_s=crash_at_s,
         crashed_epoch=crashed_epoch,
-        resumed_epoch=service2.epoch,
+        resumed_epoch=domain2.target.epoch,
         active_at_crash=report.persisted_active,
         report=report,
         resumed=resumed,

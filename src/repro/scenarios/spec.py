@@ -526,7 +526,10 @@ class RandomFaultsSpec(Section):
 
 @dataclass
 class FaultsSpec(Section):
-    """The scenario's fault plan: a seeded storm, scripted events, or both."""
+    """The scenario's fault plan: a seeded storm, scripted events, or both.
+
+    A fault on a device hits every domain's copy of that device.
+    """
 
     random: Optional[RandomFaultsSpec] = None
     scripted: List[ScriptedFaultSpec] = field(default_factory=list)
@@ -551,7 +554,8 @@ class FaultsSpec(Section):
 
 @dataclass
 class SessionSpec(Section):
-    """One long-lived session, opened at t=0 and held for the whole run."""
+    """One long-lived session, opened at t=0 and held for the whole run
+    in every domain of the serving tree."""
 
     workload: str
     client: str
@@ -764,43 +768,13 @@ class ScenarioSpec(Section):
                     f"{session.client!r} is a replicated pool; a session "
                     "runs on exactly one device",
                 )
-        if self.faults is not None:
-            for target in self.faults.targets():
-                if target not in set(self.hubs) and target not in self.devices:
-                    concrete = set()
-                    for name in self.devices:
-                        concrete.update(self.expand_device(name))
-                    if target not in concrete:
-                        raise ScenarioValidationError(
-                            "faults",
-                            f"unknown fault target {target!r}: not a "
-                            f"declared device or hub",
-                        )
-        held = (
-            ("faults", self.faults is not None, "fault schedules"),
-            ("sessions", bool(self.sessions), "sessions"),
-        )
-        for section, present, noun in held:
-            if not present:
-                continue
-            if self.cluster.shards > 1:
+        for target in self.faults.targets() if self.faults else ():
+            if target not in attach_points:
                 raise ScenarioValidationError(
-                    section,
-                    f"{noun} require a single-shard scenario "
-                    "(cluster.shards == 1)",
+                    "faults",
+                    f"unknown fault target {target!r}: not a declared device "
+                    "or hub",
                 )
-            if self.clusters > 1:
-                raise ScenarioValidationError(
-                    section,
-                    f"{noun} require a single-cluster scenario "
-                    "(federation.clusters == 1)",
-                )
-        if self.clusters > 1 and self.control.enabled:
-            raise ScenarioValidationError(
-                "control.enabled",
-                "the control plane requires a single-cluster scenario "
-                "(federation.clusters == 1)",
-            )
         labels = [level.label for level in self.ladder]
         if len(labels) != len(set(labels)):
             raise ScenarioValidationError("ladder", "duplicate level labels")

@@ -1,7 +1,5 @@
 """Unit tests for the video-conferencing application testbed."""
 
-import pytest
-
 from repro.apps.video_conferencing import (
     build_conferencing_testbed,
     conferencing_abstract_graph,

@@ -1,11 +1,9 @@
 """Unit tests for the automatic-correction policy."""
 
-import pytest
-
 from repro.composition.corrections import CorrectionPolicy
-from repro.composition.ordered_coordination import ConsistencyIssue, check_edge
+from repro.composition.ordered_coordination import check_edge
 from repro.graph.service_graph import ServiceComponent, ServiceEdge, ServiceGraph
-from repro.qos.parameters import Preference, RangeValue, SingleValue
+from repro.qos.parameters import Preference, SingleValue
 from repro.qos.translation import Transcoding, TranscoderCatalog
 from repro.qos.vectors import QoSVector
 from tests.conftest import make_component

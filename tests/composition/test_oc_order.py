@@ -2,7 +2,7 @@
 
 from repro.composition.corrections import CorrectionPolicy
 from repro.composition.ordered_coordination import ordered_coordination
-from repro.graph.service_graph import ServiceComponent, ServiceGraph
+from repro.graph.service_graph import ServiceGraph
 from repro.qos.vectors import QoSVector
 from tests.conftest import make_component
 

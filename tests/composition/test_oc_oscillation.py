@@ -6,8 +6,6 @@ the final graph necessarily violates one of the edges. The report must
 say so.
 """
 
-import pytest
-
 from repro.composition.corrections import CorrectionPolicy
 from repro.composition.ordered_coordination import (
     consistency_sweep,

@@ -1,7 +1,5 @@
 """Unit tests for recursive composition (decomposition of missing services)."""
 
-import pytest
-
 from repro.composition.recursion import (
     DEFAULT_RECURSION_LIMIT,
     DecompositionRegistry,

@@ -1,7 +1,5 @@
 """Soft QoS matching: discovery returns the *closest* instance, not exact."""
 
-import pytest
-
 from repro.composition.composer import CompositionRequest, ServiceComposer
 from repro.composition.corrections import CorrectionPolicy
 from repro.discovery.registry import ServiceDescription, ServiceRegistry

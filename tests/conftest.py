@@ -9,7 +9,6 @@ import pytest
 
 from repro.distribution.fit import CandidateDevice, DistributionEnvironment
 from repro.graph.service_graph import ServiceComponent, ServiceEdge, ServiceGraph
-from repro.qos.vectors import QoSVector
 from repro.resources.vectors import ResourceVector
 from repro.scenarios import load_catalog_scenario, run_sweep
 

@@ -7,7 +7,6 @@ from repro.discovery.registry import ServiceDescription
 from repro.graph.abstract import AbstractComponentSpec, PinConstraint
 from repro.graph.service_graph import ServiceComponent
 from repro.qos.vectors import QoSVector
-from tests.conftest import make_component
 
 
 def describe(

@@ -8,7 +8,7 @@ from repro.distribution.baselines import FixedDistributor, RandomDistributor
 from repro.distribution.fit import CandidateDevice, DistributionEnvironment
 from repro.distribution.heuristic import HeuristicDistributor
 from repro.resources.vectors import ResourceVector
-from tests.conftest import chain_graph, make_component
+from tests.conftest import chain_graph
 
 
 class TestRandomDistributor:

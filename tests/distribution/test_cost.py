@@ -7,12 +7,11 @@ from repro.distribution.cost import (
     cost_aggregation,
     marginal_cost,
     network_cost,
-    resource_cost,
 )
 from repro.distribution.fit import CandidateDevice, DistributionEnvironment
 from repro.graph.cuts import Assignment
 from repro.resources.vectors import CPU, MEMORY, ResourceVector
-from tests.conftest import chain_graph, make_component
+from tests.conftest import chain_graph
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from repro.distribution.fit import (
 from repro.distribution.heuristic import HeuristicDistributor
 from repro.distribution.local_search import LocalSearchDistributor
 from repro.graph.cuts import Assignment
-from repro.graph.generators import RandomGraphConfig, random_service_graph
-from repro.graph.service_graph import ServiceEdge, ServiceGraph
+from repro.graph.generators import random_service_graph
+from repro.graph.service_graph import ServiceGraph
 from repro.resources.vectors import CPU, MEMORY, ResourceVector
 from tests.conftest import chain_graph, make_component
 

@@ -1,7 +1,5 @@
 """Tests for the ablation drivers (reduced budgets)."""
 
-import pytest
-
 from repro.experiments.ablations import (
     ablate_corrections,
     ablate_local_search,

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.distribution.fit import CandidateDevice
 from repro.experiments.figure5 import _SystemState, paper_bandwidths, paper_devices
 from repro.graph.cuts import Assignment
-from repro.resources.vectors import ResourceVector
 from tests.conftest import chain_graph
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graph.cuts import Assignment
-from tests.conftest import make_component
 
 
 class TestAssignmentBasics:

@@ -10,7 +10,6 @@ from repro.graph.service_graph import (
     ServiceGraph,
 )
 from repro.qos.vectors import QoSVector
-from repro.resources.vectors import ResourceVector
 from tests.conftest import chain_graph, make_component
 
 

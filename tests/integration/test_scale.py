@@ -3,8 +3,6 @@
 import random
 import time
 
-import pytest
-
 from repro.composition.corrections import CorrectionPolicy
 from repro.composition.ordered_coordination import ordered_coordination
 from repro.distribution.cost import CostWeights

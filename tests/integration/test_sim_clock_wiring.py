@@ -1,7 +1,5 @@
 """Wiring the domain substrate onto the simulation clock."""
 
-import pytest
-
 from repro.domain.device import Device
 from repro.domain.space import SmartSpace
 from repro.events.types import Topics

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mobility.checkpoint import Checkpoint, CheckpointStore, ComponentState
+from repro.mobility.checkpoint import CheckpointStore, ComponentState
 
 
 class TestComponentState:

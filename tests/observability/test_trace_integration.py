@@ -1,7 +1,5 @@
 """End-to-end traces: one rooted tree per run, byte-identical per seed."""
 
-import json
-
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.observability.report import TraceReport
 from repro.observability.tracing import Tracer, activated

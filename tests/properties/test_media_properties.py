@@ -1,7 +1,5 @@
 """Property-based tests for the media pipeline's rate behaviour."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

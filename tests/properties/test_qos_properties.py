@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from repro.qos.parameters import (
     Preference,
-    QoSValue,
     RangeValue,
     SetValue,
     SingleValue,

@@ -1,7 +1,5 @@
 """Unit tests for QoS vectors and the satisfy relation (Equation 1)."""
 
-import pytest
-
 from repro.qos.parameters import RangeValue, SingleValue
 from repro.qos.vectors import (
     QoSVector,

@@ -1,7 +1,5 @@
 """Unit tests for the integrated service configurator."""
 
-import pytest
-
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.apps.video_conferencing import (
     build_conferencing_testbed,

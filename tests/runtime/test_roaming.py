@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.audio_on_demand import (
     _desktop_player_template,
-    _pda_player_template,
     _server_template,
     audio_request,
     build_audio_testbed,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
-from repro.resources.vectors import ResourceVector
 from repro.runtime.session import SessionState
 
 

@@ -1,11 +1,16 @@
 """Crash mid-horizon, recover a successor epoch from the sqlite store."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.scenarios import load_catalog_scenario, run_crash_restart
-from repro.store import SessionStatus, SqliteRecordStore
+from repro.scenarios import (
+    ScenarioValidationError,
+    load_catalog_scenario,
+    run_crash_restart,
+)
+from repro.store import SqliteRecordStore
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +76,28 @@ class TestArguments:
         spec = load_catalog_scenario("conference_mesh")
         result = run_crash_restart(spec, crash_at_fraction=0.4)
         assert result.balanced
+
+
+class TestSingleDomain:
+    """Crash-restart replays one lone domain with no faults or sessions;
+    it refuses every other document instead of quietly running less."""
+
+    def refused_at(self, spec):
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            run_crash_restart(spec)
+        return excinfo.value.path
+
+    def test_refuses_shards(self):
+        spec = load_catalog_scenario("stadium_surge")
+        assert spec.cluster.shards > 1
+        assert self.refused_at(spec) == "cluster.shards"
+
+    def test_refuses_faults(self):
+        spec = load_catalog_scenario("vehicular_corridor")
+        assert spec.faults is not None and spec.cluster.shards == 1
+        assert self.refused_at(spec) == "faults"
+
+    def test_refuses_sessions(self):
+        spec = replace(load_catalog_scenario("audio_storm"), faults=None)
+        assert spec.sessions
+        assert self.refused_at(spec) == "sessions"

@@ -182,10 +182,21 @@ class TestSweep:
         )
         assert sweep.trace_ndjson().count('"name":"run.scenario"') == 2
 
-    def test_faulted_scenario_rejects_shards(self):
+    def test_faulted_scenario_runs_on_shards(self):
+        # The storm hits each shard's copy of the corridor: every domain
+        # injects what the one-shard run injects, and the run audits clean.
         spec = load_catalog_scenario("vehicular_corridor")
-        with pytest.raises(ScenarioValidationError, match="single-shard"):
-            run_sweep(spec, (1.0,), shards=(2,))
+        lone, sharded = run_sweep(spec, (1.0,), shards=(1, 2)).points
+        assert sharded.faulted and sorted(sharded.domains) == ["shard0", "shard1"]
+        injected = lone.recovery["counters"]["recovery.faults_injected"]
+        assert injected > 0
+        for reading in sharded.domains.values():
+            assert reading["recovery"]["counters"]["recovery.faults_injected"] == (
+                injected
+            )
+        assert sharded.faults_injected == 2 * injected
+        (replay,) = run_sweep(spec, (1.0,), shards=(2,)).points
+        assert sharded.to_json() == replay.to_json()
 
     def test_zero_shards_rejected(self, spec):
         with pytest.raises(ValueError, match="at least one shard"):
@@ -398,11 +409,8 @@ class TestFederation:
             outcomes["admitted"] + outcomes["degraded"]
         )
 
-    def test_federation_rejects_control_store_and_crash_restart(self):
+    def test_federation_rejects_store_and_crash_restart(self):
         spec = audio_federation(2, horizon_s=30.0)
-        with pytest.raises(ScenarioValidationError) as excinfo:
-            run_scenario(spec, controlled=True)
-        assert excinfo.value.path == "federation.clusters"
         with pytest.raises(ScenarioValidationError) as excinfo:
             run_scenario(spec, store=InMemoryRecordStore())
         assert excinfo.value.path == "federation.clusters"
@@ -410,18 +418,36 @@ class TestFederation:
             run_crash_restart(spec)
         assert excinfo.value.path == "federation.clusters"
 
-    def test_controlled_document_rejects_clusters(self):
-        spec = load_catalog_scenario("audio_lab")
-        spec = replace(spec, control=replace(spec.control, enabled=True))
-        with pytest.raises(ScenarioValidationError) as excinfo:
-            run_sweep(spec, (1.0,), clusters=(2,))
-        assert excinfo.value.path == "control.enabled"
+    def test_controlled_federation_runs(self):
+        # Each member cluster runs its own controller.
+        spec = audio_federation(2, horizon_s=60.0)
+        controlled = run_scenario(spec, multiplier=4.0, controlled=True)
+        assert controlled.controlled and controlled.clusters == 2
+        assert controlled.control_forecasts > 0
+        replay = run_scenario(spec, multiplier=4.0, controlled=True)
+        assert replay.to_json() == controlled.to_json()
+        plain = run_scenario(spec, multiplier=4.0)
+        assert not plain.controlled and plain.control_forecasts == 0
 
-    def test_faulted_document_rejects_clusters(self):
+    def test_controlled_document_runs_clusters(self):
+        spec = load_catalog_scenario("audio_lab")
+        spec = replace(
+            spec,
+            arrivals=replace(spec.arrivals, horizon_s=60.0),
+            control=replace(spec.control, enabled=True),
+        )
+        (point,) = run_sweep(spec, (4.0,), clusters=(2,)).points
+        assert point.controlled and point.clusters == 2
+        assert point.control_forecasts > 0
+
+    def test_faulted_document_runs_clusters(self):
+        # Every member cluster's domain takes the whole storm.
         spec = load_catalog_scenario("vehicular_corridor")
-        with pytest.raises(ScenarioValidationError) as excinfo:
-            run_sweep(spec, (1.0,), clusters=(2,))
-        assert excinfo.value.path == "faults"
+        lone, federated = run_sweep(spec, (1.0,), clusters=(1, 2)).points
+        assert federated.faulted and federated.clusters == 2
+        assert sorted(federated.domains) == ["cluster0.shard0", "cluster1.shard0"]
+        for reading in federated.domains.values():
+            assert reading["recovery"]["counters"] == lone.recovery["counters"]
 
     def test_zero_clusters_rejected(self, spec):
         with pytest.raises(ValueError, match="at least one cluster"):

@@ -12,6 +12,7 @@ from repro.scenarios import (
     load_catalog_scenario,
     load_scenario,
     loads_scenario_text,
+    run_scenario,
     scenario_path,
 )
 
@@ -112,44 +113,45 @@ class TestValidation:
         ):
             ScenarioSpec.from_dict(spec_dict)
 
-    def test_faults_require_single_shard(self, spec_dict):
+    @pytest.mark.parametrize(
+        "shape, domains",
+        [
+            ({"cluster": {"shards": 2}}, ["shard0", "shard1"]),
+            ({"federation": {"clusters": 2}}, ["cluster0.shard0", "cluster1.shard0"]),
+        ],
+        ids=["shards", "clusters"],
+    )
+    def test_faults_run_in_every_domain(self, spec_dict, shape, domains):
         spec_dict["faults"] = {
             "random": {"crash_targets": ["kiosk"], "crash_rate_per_min": 1.0}
         }
-        spec_dict["cluster"] = {"shards": 2}
-        with pytest.raises(
-            ScenarioValidationError, match="single-shard"
-        ):
-            ScenarioSpec.from_dict(spec_dict)
+        lone = run_scenario(ScenarioSpec.from_dict(copy.deepcopy(spec_dict)))
+        spec_dict.update(shape)
+        result = run_scenario(ScenarioSpec.from_dict(spec_dict))
+        assert sorted(result.domains) == domains
+        injected = lone.recovery["counters"]["recovery.faults_injected"]
+        assert injected > 0
+        for reading in result.domains.values():
+            counters = reading["recovery"]["counters"]
+            assert counters["recovery.faults_injected"] == injected
+        assert result.faults_injected == len(domains) * injected
 
-    def test_faults_require_single_cluster(self, spec_dict):
-        spec_dict["faults"] = {
-            "random": {"crash_targets": ["kiosk"], "crash_rate_per_min": 1.0}
+    @pytest.mark.parametrize(
+        "shape, domains",
+        [
+            ({"cluster": {"shards": 2}}, ["shard0", "shard1"]),
+            ({"federation": {"clusters": 2}}, ["cluster0.shard0", "cluster1.shard0"]),
+        ],
+        ids=["shards", "clusters"],
+    )
+    def test_sessions_held_in_every_domain(self, spec_dict, shape, domains):
+        spec_dict["sessions"] = [{"workload": "watch", "client": "kiosk"}]
+        spec_dict.update(shape)
+        result = run_scenario(ScenarioSpec.from_dict(spec_dict))
+        assert result.domains == {
+            name: {"sessions": {"user-kiosk": 1}} for name in domains
         }
-        spec_dict["federation"] = {"clusters": 2}
-        with pytest.raises(
-            ScenarioValidationError, match="single-cluster"
-        ) as excinfo:
-            ScenarioSpec.from_dict(spec_dict)
-        assert excinfo.value.path == "faults"
-
-    def test_sessions_require_single_shard(self, spec_dict):
-        spec_dict["sessions"] = [{"workload": "watch", "client": "kiosk"}]
-        spec_dict["cluster"] = {"shards": 2}
-        with pytest.raises(
-            ScenarioValidationError, match="single-shard"
-        ) as excinfo:
-            ScenarioSpec.from_dict(spec_dict)
-        assert excinfo.value.path == "sessions"
-
-    def test_sessions_require_single_cluster(self, spec_dict):
-        spec_dict["sessions"] = [{"workload": "watch", "client": "kiosk"}]
-        spec_dict["federation"] = {"clusters": 2}
-        with pytest.raises(
-            ScenarioValidationError, match="single-cluster"
-        ) as excinfo:
-            ScenarioSpec.from_dict(spec_dict)
-        assert excinfo.value.path == "sessions"
+        assert json.loads(result.to_json())["domains"] == result.domains
 
     def test_session_on_a_replicated_pool(self, spec_dict):
         spec_dict["devices"]["kiosk"]["count"] = 2
@@ -160,14 +162,12 @@ class TestValidation:
             ScenarioSpec.from_dict(spec_dict)
         assert excinfo.value.path == "sessions[0].client"
 
-    def test_control_requires_single_cluster(self, spec_dict):
+    def test_control_runs_in_every_cluster(self, spec_dict):
         spec_dict["control"] = {"enabled": True}
         spec_dict["federation"] = {"clusters": 3}
-        with pytest.raises(
-            ScenarioValidationError, match="single-cluster"
-        ) as excinfo:
-            ScenarioSpec.from_dict(spec_dict)
-        assert excinfo.value.path == "control.enabled"
+        result = run_scenario(ScenarioSpec.from_dict(spec_dict))
+        assert result.controlled and result.clusters == 3
+        assert result.control_forecasts > 0
 
     def test_duplicate_ladder_labels(self, spec_dict):
         level = {"user_qos": {"frame_rate": [10.0, 40.0]}, "demand_scale": 1.0}

@@ -12,6 +12,8 @@ from repro.scenarios import (
     run_scenario,
     run_sweep,
 )
+from repro.scenarios.spec import FederationSpec
+from repro.server import drivers
 
 HORIZON_S = 240.0
 
@@ -192,3 +194,89 @@ class TestTracing:
             assert line == json.dumps(
                 json.loads(line), sort_keys=True, separators=(",", ":")
             )
+
+
+#: (shards, clusters): the lone domain, a cluster, a federation of lone
+#: clusters and a federation of clusters.
+SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+def shaped(shards: int, clusters: int) -> ScenarioSpec:
+    spec = storm()
+    return replace(
+        spec,
+        cluster=replace(spec.cluster, shards=shards),
+        federation=replace(spec.federation or FederationSpec(), clusters=clusters),
+    )
+
+
+class TestEveryShape:
+    """The storm and the held sessions run in every domain of the tree.
+
+    ``audio_storm`` has no arrivals, so each domain holds the same
+    sessions through the same storm as the one-domain run.
+    """
+
+    @pytest.fixture(
+        scope="class",
+        params=SHAPES,
+        ids=[f"{shards}x{clusters}" for shards, clusters in SHAPES],
+    )
+    def runs(self, request):
+        shards, clusters = request.param
+        audits = []
+        real = drivers.audit_or_raise
+
+        def spy(target, context):
+            audits.append(target.audit())
+            real(target, context)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drivers, "audit_or_raise", spy)
+            first = run_scenario(shaped(shards, clusters), trace=True)
+            second = run_scenario(shaped(shards, clusters), trace=True)
+        names = [
+            f"cluster{cluster}.shard{shard}" if clusters > 1 else f"shard{shard}"
+            for cluster in range(clusters)
+            for shard in range(shards)
+        ]
+        return first, second, audits, names
+
+    def test_replays_byte_identical(self, runs):
+        first, second, _, _ = runs
+        assert first.to_json() == second.to_json()
+        assert first.trace_ndjson and first.trace_ndjson == second.trace_ndjson
+
+    def test_every_ledger_audits_clean(self, runs):
+        _, _, audits, _ = runs
+        assert audits == [[], []]
+
+    def test_one_reading_per_domain(self, runs):
+        first, _, _, names = runs
+        assert list(first.domains) == names
+        payload = json.loads(first.to_json())
+        if len(names) > 1:
+            assert payload["domains"] == first.domains
+            assert "recovery" not in payload
+        else:
+            assert "domains" not in payload
+
+    def test_each_domain_recovers_like_the_lone_domain(self, runs, point):
+        first, _, _, names = runs
+        lone = point.domains["shard0"]["recovery"]
+        for reading in first.domains.values():
+            assert reading["recovery"]["counters"] == lone["counters"]
+            assert reading["recovery"]["reports"] == lone["reports"]
+        assert first.faults_injected == len(names) * point.faults_injected
+        assert first.recoveries == len(names) * point.recoveries
+        assert first.recovery_failures == len(names) * point.recovery_failures
+        assert first.mean_mttr_ms() == point.mean_mttr_ms()
+
+    def test_held_sessions_active_once_per_domain(self, runs, point):
+        first, _, _, _ = runs
+        held = point.domains["shard0"]["sessions"]
+        assert sorted(held) == ["user-desktop2", "user-desktop3", "user-jornada"]
+        # The storm kills the desktops' sessions; the Jornada's recovers.
+        assert held == {"user-desktop2": 0, "user-desktop3": 0, "user-jornada": 1}
+        for reading in first.domains.values():
+            assert reading["sessions"] == held

@@ -10,8 +10,6 @@ allocations within capacity — checked both by a sampler thread auditing
 
 import threading
 
-import pytest
-
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.server.drivers import ThreadPoolDriver
 from repro.server.ledger import LedgerConflictError, ReservationLedger

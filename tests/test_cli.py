@@ -52,11 +52,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Ablation:" in out
 
-    def test_load_sweep(self, capsys):
-        assert main(["load-sweep", "--requests", "60", "--horizon", "12"]) == 0
-        out = capsys.readouterr().out
-        assert "Load sensitivity" in out
-
     def test_storm_trace_then_report(self, capsys, tmp_path):
         trace_path = tmp_path / "storm.ndjson"
         assert (
@@ -184,19 +179,27 @@ class TestCommands:
         assert "driver thread" in out
         assert "2 clusters, escalations" in out
 
-    def test_federated_scenario_rejects_controlled(self):
-        with pytest.raises(SystemExit, match="federation.clusters"):
-            main(
-                [
-                    "scenario",
-                    "audio_lab",
-                    "--clusters",
-                    "2",
-                    "--controlled",
-                    "--horizon",
-                    "30",
-                ]
-            )
+    def test_federated_scenario_runs_controlled(self, capsys, tmp_path):
+        json_path = tmp_path / "controlled.json"
+        argv = [
+            "scenario",
+            "audio_lab",
+            "--clusters",
+            "2",
+            "--controlled",
+            "--horizon",
+            "30",
+            "--json",
+            str(json_path),
+        ]
+        assert main(argv) == 0
+        assert "2 clusters, escalations" in capsys.readouterr().out
+        payload = json.loads(json_path.read_text())
+        assert payload["controlled"] is True and payload["clusters"] == 2
+
+    def test_crash_restart_refuses_a_sharded_document(self):
+        with pytest.raises(SystemExit, match="cluster.shards"):
+            main(["scenario", "stadium_surge", "--crash-restart"])
 
     def test_server_sweep_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "server.ndjson"
@@ -224,6 +227,7 @@ class TestCommands:
             "cluster-sweep",
             "federation-sweep",
             "chaos-sweep",
+            "load-sweep",
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
