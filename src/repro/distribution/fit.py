@@ -53,7 +53,7 @@ class DistributionEnvironment:
     ``default_bandwidth=float("inf")`` to make omissions unconstrained
     instead (the behaviour of passing no bandwidth at all). The default
     does not apply to the callable form, which is consulted for every
-    pair. Built from live substrates with :meth:`from_topology`.
+    pair. A live network is read by passing its ``available_bandwidth``.
     """
 
     def __init__(
@@ -91,13 +91,6 @@ class DistributionEnvironment:
     @staticmethod
     def _norm_pair(i: str, j: str) -> Tuple[str, str]:
         return (i, j) if i <= j else (j, i)
-
-    @classmethod
-    def from_topology(
-        cls, devices: Iterable[CandidateDevice], topology
-    ) -> "DistributionEnvironment":
-        """Build an environment reading b(i, j) from a NetworkTopology."""
-        return cls(devices, bandwidth=topology.available_bandwidth)
 
     def device(self, device_id: str) -> CandidateDevice:
         """Return a candidate device by id (KeyError when absent)."""

@@ -281,9 +281,7 @@ class SessionMigrator:
             admission=admission,
             rollback=new_session,
         )
-        if session.deployment is not None:
-            source.release(session)
-            session.deployment = None
+        source.release(session)
         session.state = SessionState.STOPPED
         source.bus.emit(
             Topics.SESSION_RECONFIGURED,

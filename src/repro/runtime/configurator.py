@@ -19,7 +19,7 @@ from repro.composition.composer import (
     ServiceComposer,
 )
 from repro.distribution.distributor import DistributionResult, ServiceDistributor
-from repro.distribution.fit import CandidateDevice, DistributionEnvironment
+from repro.distribution.fit import DistributionEnvironment
 from repro.domain.domain import DomainServer
 from repro.events.bus import EventBus, Subscription
 from repro.events.types import Event, Topics
@@ -46,8 +46,9 @@ class PlannedConfiguration:
     distributed configuration that still needs its capacity committed and
     its components deployed. The batched serving core plans many of these
     against one shared environment snapshot and then commits them in
-    grouped ledger rounds; :meth:`ServiceConfigurator.configure` planning
-    goes through the same method, so the two paths cannot drift.
+    grouped ledger rounds; :meth:`ServiceConfigurator.configure` plans,
+    books and deploys through the same methods, so the two paths cannot
+    drift.
     """
 
     label: str
@@ -66,6 +67,11 @@ class ServiceConfigurator:
     ``playout_buffer_kb`` sizes the client-side priming buffer filled over
     the stream path during a handoff — the term that makes handoff onto a
     wireless PDA slower than back onto a wired PC.
+
+    Every session books its capacity through the configurator's own
+    :class:`~repro.server.ledger.ReservationLedger`: planning snapshots
+    come from the ledger (net of pending holds), and acquisition is one
+    two-phase transaction, so ``configure()`` is safe under concurrency.
     """
 
     def __init__(
@@ -76,8 +82,10 @@ class ServiceConfigurator:
         repository: Optional[ComponentRepository] = None,
         cost_model: Optional[DeploymentCostModel] = None,
         playout_buffer_kb: float = 64.0,
-        ledger=None,
     ) -> None:
+        # Imported here: repro.server imports this module (package cycle).
+        from repro.server.ledger import ReservationLedger
+
         self.server = server
         self.composer = composer
         self.distributor = distributor
@@ -89,11 +97,7 @@ class ServiceConfigurator:
         self.playout_buffer_kb = playout_buffer_kb
         self._session_ids = itertools.count(1)
         self.sessions: Dict[str, ApplicationSession] = {}
-        # A repro.server.ledger.ReservationLedger (kept untyped to avoid a
-        # package cycle). When set, planning snapshots come from the ledger
-        # (net of pending holds) and resource acquisition runs as a
-        # two-phase transaction, making configure() safe under concurrency.
-        self.ledger = ledger
+        self.ledger = ReservationLedger(server)
         # Single-attribute (token, environment, devices) tuple so the
         # cache swap is atomic under concurrent configure() calls.
         self._env_cache: Optional[
@@ -133,50 +137,32 @@ class ServiceConfigurator:
     def _environment(self) -> Tuple[DistributionEnvironment, Dict[str, object]]:
         """Snapshot the candidate devices, memoized on the domain state.
 
-        The snapshot is rebuilt only when the server's
+        The snapshot is the ledger's (net of in-flight pending holds),
+        rebuilt only when the server's
         :meth:`~repro.domain.domain.DomainServer.snapshot_version` moves —
         i.e. a device joined, left, crashed, or changed its allocations —
-        or, with a ledger attached, when the ledger's version moves (a
-        transaction prepared, committed, aborted or released). With a
-        ledger the snapshot also subtracts in-flight pending holds.
-        Bandwidth needs no key: environments built with ``from_topology``
-        read it live through the topology callable.
+        or the ledger's version moves (a transaction prepared, committed,
+        aborted or released). Bandwidth needs no key: the ledger's
+        environment reads it live from the topology.
         """
         quarantined = frozenset(self._quarantined)
-        if self.ledger is not None:
-            token = (self.server.snapshot_version(), self.ledger.version, quarantined)
-        else:
-            token = (self.server.snapshot_version(), None, quarantined)
+        token = (self.server.snapshot_version(), self.ledger.version, quarantined)
         cached = self._env_cache
         if cached is not None and cached[0] == token:
             return cached[1], dict(cached[2])
-        if self.ledger is not None:
-            environment, devices = self.ledger.environment()
-            if quarantined:
-                devices = {
-                    device_id: device
-                    for device_id, device in devices.items()
-                    if device_id not in quarantined
-                }
-                candidates = [
-                    c for c in environment.devices
-                    if c.device_id not in quarantined
-                ]
-                environment = DistributionEnvironment(
-                    candidates, bandwidth=environment.bandwidth
-                )
-        else:
+        environment, devices = self.ledger.environment()
+        if quarantined:
             devices = {
-                d.device_id: d
-                for d in self.server.available_devices()
-                if d.device_id not in quarantined
+                device_id: device
+                for device_id, device in devices.items()
+                if device_id not in quarantined
             }
             candidates = [
-                CandidateDevice(d.device_id, d.available())
-                for d in devices.values()
+                c for c in environment.devices
+                if c.device_id not in quarantined
             ]
-            environment = DistributionEnvironment.from_topology(
-                candidates, self.server.network
+            environment = DistributionEnvironment(
+                candidates, bandwidth=environment.bandwidth
             )
         self._env_cache = (token, environment, devices)
         return environment, dict(devices)
@@ -210,7 +196,7 @@ class ServiceConfigurator:
         skip_downloads: bool = False,
         graph_transform=None,
     ) -> ConfigurationRecord:
-        """Initial configuration: compose, distribute, deploy.
+        """Initial configuration: compose, distribute, book, deploy.
 
         ``graph_transform``, when given, maps the composed graph to the one
         actually distributed and deployed — the hook QoS-degradation uses
@@ -240,17 +226,17 @@ class ServiceConfigurator:
         if planned is None:
             assert failure is not None
             return failure
-
-        deployment, conflict = self._deploy(
-            session,
-            planned.graph,
-            planned.assignment,
-            planned.devices,
-            skip_downloads,
-        )
-        if deployment is None:
-            return self.fail_planned(session, planned, conflict=conflict)
-        return self._complete_planned(session, planned, deployment)
+        with get_tracer().span("deployment.deploy") as span:
+            txn = self._book(session, planned.graph, planned.assignment)
+            if txn is None:
+                record = self.fail_planned(session, planned, conflict=True)
+            else:
+                record = self.deploy_planned(
+                    session, planned, txn, skip_downloads=skip_downloads
+                )
+            span.set("success", record.success)
+            span.set("conflict", record.conflict)
+        return record
 
     def plan(
         self,
@@ -312,41 +298,23 @@ class ServiceConfigurator:
         self,
         session: ApplicationSession,
         planned: PlannedConfiguration,
-        preacquired,
         txn,
         skip_downloads: bool = False,
     ) -> ConfigurationRecord:
-        """Finish a plan whose capacity was already committed by the ledger.
+        """Download and start a plan whose capacity ``txn`` committed.
 
-        The grouped-commit half of the batched admission path: the caller
-        ran ``prepare_many``/``commit_many`` and hands over the committed
-        transaction plus its acquisition tokens; this method only deploys
-        components and assembles the success record. A deployment error
-        releases the transaction and reports a non-conflict failure, the
-        same contract as the single-request ledger path.
+        The one deploy step of both admission paths: :meth:`configure`
+        books its plan in one begin/prepare/commit, the batched admission
+        walk books a whole round with ``prepare_many``/``commit_many``.
+        A deployment error releases the transaction and reports a
+        non-conflict failure.
         """
-        with get_tracer().span(
-            "deployment.deploy", ledger=True, batched=True
-        ) as span:
-            try:
-                deployment = self.deployer.deploy(
-                    planned.graph,
-                    planned.assignment,
-                    planned.devices,
-                    self.server.network,
-                    skip_downloads=skip_downloads,
-                    preacquired=preacquired,
-                )
-            except DeploymentError:
-                if self.ledger is not None and txn is not None:
-                    self.ledger.release(txn)
-                span.set("success", False)
-                span.set("conflict", False)
-                return self.fail_planned(session, planned)
-            deployment.ledger_txn = txn
-            span.set("success", True)
-            span.set("conflict", False)
-            return self._complete_planned(session, planned, deployment)
+        deployment = self._start(
+            planned.graph, planned.assignment, planned.devices, txn, skip_downloads
+        )
+        if deployment is None:
+            return self.fail_planned(session, planned)
+        return self._complete_planned(session, planned, deployment)
 
     def fail_planned(
         self,
@@ -432,9 +400,7 @@ class ServiceConfigurator:
         old_assignment = (
             session.deployment.assignment if session.deployment is not None else None
         )
-        if session.deployment is not None:
-            self.release(session)
-            session.deployment = None
+        self.release(session)
 
         record = self.configure(
             session, request, label=label, skip_downloads=skip_downloads
@@ -487,9 +453,7 @@ class ServiceConfigurator:
         old_assignment = (
             session.deployment.assignment if session.deployment is not None else None
         )
-        if session.deployment is not None:
-            self.release(session)
-            session.deployment = None
+        self.release(session)
 
         try:
             environment, devices = self._environment()
@@ -502,12 +466,22 @@ class ServiceConfigurator:
         distribution_s = self.cost_model.distribution_time_s(distribution)
         if not distribution.feasible or distribution.assignment is None:
             return self._failure(session, label, 0.0, None, distribution)
-        deployment, conflict = self._deploy(
-            session, session.graph, distribution.assignment, devices, skip_downloads
-        )
+        with get_tracer().span("deployment.deploy") as span:
+            txn = self._book(session, session.graph, distribution.assignment)
+            deployment = None
+            if txn is not None:
+                deployment = self._start(
+                    session.graph,
+                    distribution.assignment,
+                    devices,
+                    txn,
+                    skip_downloads,
+                )
+            span.set("success", deployment is not None)
+            span.set("conflict", txn is None)
         if deployment is None:
             return self._failure(
-                session, label, 0.0, None, distribution, conflict=conflict
+                session, label, 0.0, None, distribution, conflict=txn is None
             )
         session.deployment = deployment
 
@@ -550,80 +524,50 @@ class ServiceConfigurator:
         )
 
     def release(self, session: ApplicationSession) -> None:
-        """Tear down a session's deployment."""
-        if session.deployment is None:
-            return
-        txn = session.deployment.ledger_txn
-        if txn is not None and self.ledger is not None:
-            self.ledger.release(txn)
-            session.deployment.allocations.clear()
-            session.deployment.reservations.clear()
-            session.deployment.ledger_txn = None
-            return
-        _env, devices = self._environment_all()
-        self.deployer.teardown(session.deployment, devices, self.server.network)
+        """Tear down a session's deployment (idempotent)."""
+        deployment, session.deployment = session.deployment, None
+        if deployment is not None:
+            self.ledger.release(deployment.ledger_txn)
 
     # -- internals -------------------------------------------------------------------
 
-    def _deploy(
+    def _book(
         self,
         session: ApplicationSession,
         graph: ServiceGraph,
         assignment: Assignment,
-        devices: Dict[str, object],
-        skip_downloads: bool,
     ):
-        """Deploy a planned assignment; returns ``(deployment, conflict)``.
+        """Book an assignment in one begin/prepare/commit transaction.
 
-        Without a ledger this is the original direct path (the deployer
-        allocates and rolls back itself). With a ledger, acquisition runs
-        as a two-phase transaction: prepare validates against live state
-        under the ledger lock, commit converts the holds into release
-        tokens, and the deployer runs in pre-acquired mode. A lost race
-        surfaces as ``(None, True)`` so callers can retry on a fresh
-        snapshot instead of reporting a hard failure.
+        Prepare validates against live state under the ledger lock, and
+        commit turns the holds into allocations. Returns the committed
+        transaction, or None when the plan lost a race for its capacity
+        (the caller reports a conflict, which may be retried on a fresh
+        snapshot instead of counting as a hard failure).
         """
-        with get_tracer().span(
-            "deployment.deploy", ledger=self.ledger is not None
-        ) as span:
-            deployment, conflict = self._deploy_inner(
-                session, graph, assignment, devices, skip_downloads
-            )
-            span.set("success", deployment is not None)
-            span.set("conflict", conflict)
-            return deployment, conflict
-
-    def _deploy_inner(
-        self,
-        session: ApplicationSession,
-        graph: ServiceGraph,
-        assignment: Assignment,
-        devices: Dict[str, object],
-        skip_downloads: bool,
-    ):
-        if self.ledger is None:
-            try:
-                return (
-                    self.deployer.deploy(
-                        graph,
-                        assignment,
-                        devices,
-                        self.server.network,
-                        skip_downloads=skip_downloads,
-                    ),
-                    False,
-                )
-            except DeploymentError:
-                return None, False
         from repro.server.ledger import LedgerConflictError
 
         txn = self.ledger.begin(owner=session.session_id)
         try:
             self.ledger.prepare(txn, graph, assignment)
-            preacquired = self.ledger.commit(txn)
+            self.ledger.commit(txn)
         except LedgerConflictError:
             self.ledger.abort(txn)
-            return None, True
+            return None
+        return txn
+
+    def _start(
+        self,
+        graph: ServiceGraph,
+        assignment: Assignment,
+        devices: Dict[str, object],
+        txn,
+        skip_downloads: bool,
+    ):
+        """Download and start a booked assignment.
+
+        A deployment error releases ``txn`` and returns None.
+        """
         try:
             deployment = self.deployer.deploy(
                 graph,
@@ -631,19 +575,12 @@ class ServiceConfigurator:
                 devices,
                 self.server.network,
                 skip_downloads=skip_downloads,
-                preacquired=preacquired,
             )
         except DeploymentError:
             self.ledger.release(txn)
-            return None, False
+            return None
         deployment.ledger_txn = txn
-        return deployment, False
-
-    def _environment_all(self):
-        devices = {
-            d.device_id: d for d in self.server.domain.devices(online_only=False)
-        }
-        return None, devices
+        return deployment
 
     def _failure(
         self,

@@ -26,14 +26,14 @@ shapes, not absolute numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.composition.composer import CompositionResult
 from repro.distribution.distributor import DistributionResult
-from repro.domain.device import Device, ResourceAllocation
+from repro.domain.device import Device
 from repro.graph.cuts import Assignment
 from repro.graph.service_graph import ServiceGraph
-from repro.network.topology import BandwidthReservation, NetworkTopology
+from repro.network.topology import NetworkTopology
 from repro.runtime.repository import ComponentRepository, DownloadRecord
 
 
@@ -108,22 +108,18 @@ class DeploymentCostModel:
 
 @dataclass
 class DeploymentReport:
-    """Everything a live deployment holds, plus its timing.
+    """A live deployment: where it runs, what it downloaded, its timing.
 
-    Holds the release tokens (resource allocations and bandwidth
-    reservations) so :meth:`Deployer.teardown` can retire the application.
+    The capacity it runs on is held by ``ledger_txn``, the reservation
+    ledger's committed transaction, so retiring the application is
+    ``ledger.release(ledger_txn)``.
     """
 
     graph: ServiceGraph
     assignment: Assignment
-    allocations: List[ResourceAllocation] = field(default_factory=list)
-    reservations: List[BandwidthReservation] = field(default_factory=list)
     downloads: List[DownloadRecord] = field(default_factory=list)
     download_s: float = 0.0
     initialization_s: float = 0.0
-    # When the resources were acquired through a reservation ledger, the
-    # committed transaction owns the tokens and teardown must go through
-    # ledger.release() so its accounting stays consistent.
     ledger_txn: Optional[object] = None
 
     @property
@@ -132,12 +128,11 @@ class DeploymentReport:
 
 
 class Deployer:
-    """Materialises an assignment onto live devices.
+    """Downloads and starts the components of a booked assignment.
 
-    Deployment is transactional: if any allocation, reservation or
-    download fails, everything already acquired is rolled back and
-    :class:`DeploymentError` is raised — the session then reports a failed
-    configuration request.
+    Capacity is not the deployer's business: the configurator books it
+    through its reservation ledger first and releases the transaction
+    when :meth:`deploy` raises :class:`DeploymentError`.
     """
 
     def __init__(
@@ -155,89 +150,22 @@ class Deployer:
         devices: Mapping[str, Device],
         topology: NetworkTopology,
         skip_downloads: bool = False,
-        preacquired: Optional[
-            Tuple[List[ResourceAllocation], List[BandwidthReservation]]
-        ] = None,
     ) -> DeploymentReport:
-        """Allocate, reserve, download and initialise the application.
-
-        With ``preacquired`` the resources were already committed through
-        a reservation ledger: the deployer only performs downloads and
-        initialization, attaches the given tokens to the report, and on
-        failure leaves them untouched (releasing a ledger transaction is
-        the ledger's job, not the deployer's).
-        """
+        """Download and initialise every component on its assigned device."""
         report = DeploymentReport(graph=graph, assignment=assignment)
-        try:
-            for component in graph:
-                device_id = assignment.device_of(component.component_id)
-                device = devices.get(device_id)
-                if device is None:
-                    raise DeploymentError(f"unknown device {device_id!r}")
-                if self.repository is not None and not skip_downloads:
-                    record = self.repository.ensure_installed(
-                        device,
-                        component.service_type,
-                        topology,
-                        fallback_size_kb=component.code_size_kb,
-                    )
-                    report.downloads.append(record)
-                    report.download_s += record.duration_s
-                if preacquired is not None:
-                    continue
-                try:
-                    allocation = device.allocate(
-                        component.resources, owner=component.component_id
-                    )
-                except Exception as exc:
-                    raise DeploymentError(
-                        f"cannot allocate {component.component_id!r} on "
-                        f"{device_id!r}: {exc}"
-                    ) from exc
-                report.allocations.append(allocation)
-            if preacquired is None:
-                for edge in graph.edges():
-                    src_dev = assignment.device_of(edge.source)
-                    dst_dev = assignment.device_of(edge.target)
-                    if src_dev == dst_dev or edge.throughput_mbps <= 0:
-                        continue
-                    try:
-                        reservation = topology.reserve(
-                            src_dev, dst_dev, edge.throughput_mbps
-                        )
-                    except ValueError as exc:
-                        raise DeploymentError(str(exc)) from exc
-                    report.reservations.append(reservation)
-        except DeploymentError:
-            if preacquired is None:
-                self._rollback(report, devices, topology)
-            raise
-        if preacquired is not None:
-            report.allocations = list(preacquired[0])
-            report.reservations = list(preacquired[1])
+        for component in graph:
+            device_id = assignment.device_of(component.component_id)
+            device = devices.get(device_id)
+            if device is None:
+                raise DeploymentError(f"unknown device {device_id!r}")
+            if self.repository is not None and not skip_downloads:
+                record = self.repository.ensure_installed(
+                    device,
+                    component.service_type,
+                    topology,
+                    fallback_size_kb=component.code_size_kb,
+                )
+                report.downloads.append(record)
+                report.download_s += record.duration_s
         report.initialization_s = self.cost_model.initialization_time_s(len(graph))
         return report
-
-    def teardown(
-        self,
-        report: DeploymentReport,
-        devices: Mapping[str, Device],
-        topology: NetworkTopology,
-    ) -> None:
-        """Release every resource a deployment holds (idempotent)."""
-        self._rollback(report, devices, topology)
-
-    @staticmethod
-    def _rollback(
-        report: DeploymentReport,
-        devices: Mapping[str, Device],
-        topology: NetworkTopology,
-    ) -> None:
-        for allocation in report.allocations:
-            device = devices.get(allocation.device_id)
-            if device is not None:
-                device.release(allocation)
-        report.allocations.clear()
-        for reservation in report.reservations:
-            topology.release(reservation)
-        report.reservations.clear()

@@ -127,9 +127,7 @@ class SessionRoamer:
             )
 
         # The destination accepted: only now retire the old deployment.
-        if session.deployment is not None:
-            source.release(session)
-            session.deployment = None
+        source.release(session)
         session.state = SessionState.STOPPED
         source.bus.emit(
             Topics.SESSION_RECONFIGURED,

@@ -227,9 +227,7 @@ class ApplicationSession:
         Also drops the session's auto-reconfiguration subscriptions so a
         stopped session leaves no handlers behind on the domain bus.
         """
-        if self.deployment is not None:
-            self.configurator.release(self)
-            self.deployment = None
+        self.configurator.release(self)
         self.configurator.disable_auto_reconfiguration(self)
         if self.state is not SessionState.FAILED:
             self.state = SessionState.STOPPED

@@ -464,10 +464,8 @@ class CompiledScenario:
         return [f"cluster{index}" for index in range(self.spec.clusters)]
 
     def home_for(self, event: ArrivalEvent) -> str:
-        """The member cluster an arrival homes on (seeded hot spot)."""
+        """The member cluster an arrival homes on (a federation's hot spot)."""
         clusters = self.spec.clusters
-        if clusters == 1:
-            return "cluster0"
         rng = random.Random(f"{self.spec.seed}:home:{event.request_id}")
         if rng.random() < HOT_SPOT_WEIGHT:
             return "cluster0"

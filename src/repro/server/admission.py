@@ -259,8 +259,6 @@ class AdmissionController:
     ) -> None:
         if max_conflict_retries < 0:
             raise ValueError("max_conflict_retries cannot be negative")
-        if configurator.ledger is None:
-            raise ValueError("admission needs a configurator with a ledger")
         self.configurator = configurator
         self.ladder = ladder
         self.max_conflict_retries = max_conflict_retries
@@ -597,15 +595,18 @@ class AdmissionController:
         if not to_commit:
             return
         commit_results = ledger.commit_many([txn for _w, _p, txn in to_commit])
-        for (walk, plan, txn), tokens in zip(to_commit, commit_results):
-            if isinstance(tokens, LedgerConflictError):
+        for (walk, plan, txn), committed in zip(to_commit, commit_results):
+            if isinstance(committed, LedgerConflictError):
                 # commit_many already aborted the transaction.
                 self._conflicted(walk, plan, next_round)
                 continue
             session = walk.result.session
-            record = self.configurator.deploy_planned(
-                session, plan, tokens, txn, skip_downloads=self.skip_downloads
-            )
+            with get_tracer().span("deployment.deploy", batched=True) as span:
+                record = self.configurator.deploy_planned(
+                    session, plan, txn, skip_downloads=self.skip_downloads
+                )
+                span.set("success", record.success)
+                span.set("conflict", False)
             session.absorb_record(record)
             walk.result.attempts.append(record)
             if record.success:

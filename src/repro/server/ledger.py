@@ -1,10 +1,13 @@
 """The transactional resource-reservation ledger.
 
-The single-session configurator checks Definition 3.4 against a snapshot
-of device availability and then deploys. Under concurrency that snapshot
-is a race: two interleaved ``start()`` calls can both pass the fit check
-against the same availability and double-book a device or a link. The
-ledger closes the race with optimistic two-phase admission:
+Every session books its capacity here: each
+:class:`~repro.runtime.configurator.ServiceConfigurator` owns one ledger,
+and its deployer only downloads and starts what the ledger committed.
+Planning checks Definition 3.4 against a snapshot of device availability,
+and under concurrency that snapshot is a race: two interleaved
+``start()`` calls can both pass the fit check against the same
+availability and double-book a device or a link. The ledger closes the
+race with optimistic two-phase admission:
 
 1. :meth:`ReservationLedger.environment` — an availability snapshot that
    already subtracts other transactions' *pending* holds, so planners see
@@ -19,7 +22,9 @@ ledger closes the race with optimistic two-phase admission:
    allocations and bandwidth reservations, still under the lock, and hand
    the release tokens to the deployment;
 4. :meth:`ReservationLedger.abort` / :meth:`ReservationLedger.release` —
-   drop a pending transaction, or retire a committed one.
+   drop a pending transaction, or retire a committed one. The ledger
+   then forgets it: only live (pending, prepared or committed)
+   transactions stay in its table.
 
 Invariant (checked by :meth:`audit`): at every instant, each device's
 committed allocations fit within its capacity and each link pair's
@@ -77,6 +82,10 @@ class TransactionState(enum.Enum):
     RELEASED = "released"
 
 
+#: States a transaction never leaves; the ledger forgets it on entry.
+_FINISHED = (TransactionState.ABORTED, TransactionState.RELEASED)
+
+
 @dataclass
 class ReservationTransaction:
     """One two-phase admission attempt's holds and (later) release tokens."""
@@ -111,6 +120,7 @@ class ReservationLedger:
         self._lock = threading.RLock()
         self._ids = itertools.count(1)
         self._version = 0
+        # Live transactions only: _finish drops aborted and released ones.
         self._transactions: Dict[int, ReservationTransaction] = {}
         # Aggregated holds of PREPARED (not yet committed) transactions.
         self._pending_device: Dict[str, ResourceVector] = {}
@@ -387,9 +397,7 @@ class ReservationLedger:
                     continue
                 device.release(allocation)
             self._drop_pending(txn)
-            txn.state = TransactionState.ABORTED
-            self._version += 1
-            self._record_event(txn, LedgerEventKind.ABORTED)
+            self._finish(txn, TransactionState.ABORTED)
             raise LedgerConflictError(
                 f"transaction {txn.txn_id} failed to commit: {exc}"
             ) from exc
@@ -408,9 +416,7 @@ class ReservationLedger:
                 if txn.state is TransactionState.PREPARED:
                     self._drop_pending(txn)
                 if txn.state in (TransactionState.PENDING, TransactionState.PREPARED):
-                    txn.state = TransactionState.ABORTED
-                    self._version += 1
-                    self._record_event(txn, LedgerEventKind.ABORTED)
+                    self._finish(txn, TransactionState.ABORTED)
 
     def release(self, txn: ReservationTransaction) -> None:
         """Retire a committed transaction, freeing every resource it holds."""
@@ -429,9 +435,7 @@ class ReservationLedger:
                     self.server.network.release(reservation)
                 txn.allocations = []
                 txn.reservations = []
-                txn.state = TransactionState.RELEASED
-                self._version += 1
-                self._record_event(txn, LedgerEventKind.RELEASED)
+                self._finish(txn, TransactionState.RELEASED)
 
     # -- planning snapshots --------------------------------------------------------
 
@@ -545,16 +549,6 @@ class ReservationLedger:
                     )
             return problems
 
-    def transactions(
-        self, state: Optional[TransactionState] = None
-    ) -> List[ReservationTransaction]:
-        """Transactions, optionally filtered by state (newest last)."""
-        with self._lock:
-            txns = list(self._transactions.values())
-        if state is not None:
-            txns = [t for t in txns if t.state is state]
-        return txns
-
     # -- internals ----------------------------------------------------------------
 
     @staticmethod
@@ -584,10 +578,24 @@ class ReservationLedger:
             else:
                 self._pending_link[pair] = remaining
 
+    def _finish(
+        self, txn: ReservationTransaction, state: TransactionState
+    ) -> None:
+        """Move a transaction to a final state and forget it."""
+        txn.state = state
+        if self._transactions.get(txn.txn_id) is txn:
+            del self._transactions[txn.txn_id]
+        self._version += 1
+        self._record_event(txn, state.value)
+
     def _require(
         self, txn: ReservationTransaction, state: TransactionState
     ) -> None:
-        if self._transactions.get(txn.txn_id) is not txn:
+        # A finished transaction is forgotten but still reports its state.
+        if (
+            txn.state not in _FINISHED
+            and self._transactions.get(txn.txn_id) is not txn
+        ):
             raise LedgerConflictError(
                 f"transaction {txn.txn_id} is not known to this ledger"
             )

@@ -142,8 +142,6 @@ class DomainConfigurationService:
         scenario: Optional[str] = None,
         front_cache: bool = True,
     ) -> None:
-        if configurator.ledger is None:
-            configurator.ledger = ReservationLedger(configurator.server)
         self.configurator = configurator
         self.ledger: ReservationLedger = configurator.ledger
         self._clock = clock or time.monotonic
@@ -406,9 +404,6 @@ class DomainConfigurationService:
     ) -> None:
         """Write the admitted session's durable record."""
         now = self._clock()
-        txn = None
-        if result.session.deployment is not None:
-            txn = result.session.deployment.ledger_txn
         self.store.put_session(
             SessionRecord(
                 session_id=result.session.session_id,
@@ -421,7 +416,7 @@ class DomainConfigurationService:
                 level=result.admitted_level,
                 priority=request.priority,
                 status=SessionStatus.ACTIVE,
-                txn_id=txn.txn_id if txn is not None else None,
+                txn_id=result.session.deployment.ledger_txn.txn_id,
                 created_s=now,
                 updated_s=now,
             )

@@ -109,15 +109,12 @@ def readopt_sessions(
                 priority=record.priority,
             )
             if result.success:
-                txn = None
-                if result.session.deployment is not None:
-                    txn = result.session.deployment.ledger_txn
                 store.put_session(
                     replace(
                         record,
                         epoch=epoch,
                         level=result.admitted_level,
-                        txn_id=txn.txn_id if txn is not None else None,
+                        txn_id=result.session.deployment.ledger_txn.txn_id,
                         updated_s=now,
                         readopted_from=record.epoch,
                     )

@@ -37,7 +37,9 @@ def _live_environment(devices, topology=None):
     candidates = [CandidateDevice(d.device_id, d.available()) for d in devices]
     if topology is None:
         return DistributionEnvironment(candidates)
-    return DistributionEnvironment.from_topology(candidates, topology)
+    return DistributionEnvironment(
+        candidates, bandwidth=topology.available_bandwidth
+    )
 
 
 class TestResultInvariants:

@@ -32,15 +32,15 @@ class TestEnvironment:
     def test_same_device_bandwidth_unbounded(self, two_device_env):
         assert two_device_env.bandwidth("big", "big") == float("inf")
 
-    def test_from_topology_reads_link_bandwidth(self):
+    def test_bandwidth_callable_reads_a_live_topology(self):
         topology = NetworkTopology()
         topology.connect("d1", "d2", LinkClass.WLAN)  # 5 Mbps
-        env = DistributionEnvironment.from_topology(
+        env = DistributionEnvironment(
             [
                 CandidateDevice("d1", ResourceVector(memory=12.0, cpu=1.0)),
                 CandidateDevice("d2", ResourceVector(memory=12.0, cpu=1.0)),
             ],
-            topology,
+            bandwidth=topology.available_bandwidth,
         )
         assert env.bandwidth("d1", "d2") == 5.0
         # Neither device holds both 10 MB components, and the 50 Mbps

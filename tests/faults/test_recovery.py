@@ -15,7 +15,6 @@ from repro.faults.model import FaultKind, FaultSchedule, FaultSpec
 from repro.faults.recovery import RecoveryManager, RecoveryPolicy
 from repro.runtime.clock import SimScheduler
 from repro.runtime.session import SessionState
-from repro.server.ledger import ReservationLedger
 from repro.sim.kernel import Simulator
 
 
@@ -23,8 +22,7 @@ def build_harness(policy=None):
     simulator = Simulator()
     scheduler = SimScheduler(simulator)
     testbed = build_audio_testbed(clock=scheduler.clock())
-    ledger = ReservationLedger(testbed.server)
-    testbed.configurator.ledger = ledger
+    ledger = testbed.configurator.ledger
     metrics = RecoveryMetrics()
     injector = FaultInjector(testbed.server, scheduler, metrics=metrics)
     detector = FailureDetector(

@@ -21,7 +21,6 @@ from repro.faults.model import FaultKind, FaultSchedule, FaultSpec
 from repro.faults.recovery import RecoveryManager, RecoveryPolicy
 from repro.runtime.clock import WallClockScheduler
 from repro.runtime.session import SessionState
-from repro.server.ledger import ReservationLedger
 
 
 def _wait_until(predicate, timeout_s=5.0, poll_s=0.02):
@@ -37,8 +36,7 @@ def _wait_until(predicate, timeout_s=5.0, poll_s=0.02):
 def harness():
     scheduler = WallClockScheduler()
     testbed = build_audio_testbed(clock=scheduler.clock())
-    ledger = ReservationLedger(testbed.server)
-    testbed.configurator.ledger = ledger
+    ledger = testbed.configurator.ledger
     metrics = RecoveryMetrics()
     injector = FaultInjector(testbed.server, scheduler, metrics=metrics)
     detector = FailureDetector(

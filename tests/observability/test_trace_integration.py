@@ -3,14 +3,12 @@
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.observability.report import TraceReport
 from repro.observability.tracing import Tracer, activated
-from repro.server.ledger import ReservationLedger
 from tests.conftest import audio_lab_point
 
 
 def configure_trace() -> str:
     """One traced configure→deploy pass through the full stack."""
     testbed = build_audio_testbed()
-    testbed.configurator.ledger = ReservationLedger(testbed.server)
     tracer = Tracer()
     with activated(tracer):
         session = testbed.configurator.create_session(

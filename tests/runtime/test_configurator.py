@@ -1,12 +1,16 @@
 """Unit tests for the integrated service configurator."""
 
+import pytest
+
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.apps.video_conferencing import (
     build_conferencing_testbed,
     conferencing_request,
 )
 from repro.events.types import Topics
+from repro.resources.vectors import ResourceVector
 from repro.runtime.session import SessionState
+from repro.server.ledger import TransactionState
 
 
 class TestConfigure:
@@ -64,6 +68,77 @@ class TestConfigure:
         record = session.start()
         assert not record.success
         assert session.state is SessionState.FAILED
+
+
+def race_after_planning(configurator, take):
+    """Run ``take`` between a plan and its booking, as a concurrent taker."""
+    plan = configurator.plan
+
+    def racing(*args, **kwargs):
+        result = plan(*args, **kwargs)
+        take()
+        return result
+
+    configurator.plan = racing
+
+
+class TestBooking:
+    def test_sessions_book_through_the_configurators_ledger(self):
+        testbed = build_audio_testbed()
+        ledger = testbed.configurator.ledger
+        session = testbed.configurator.create_session(
+            audio_request(testbed, "desktop2")
+        )
+        assert session.start().success
+        txn = session.deployment.ledger_txn
+        assert txn.state is TransactionState.COMMITTED
+        assert txn.owner == session.session_id
+        server_host = testbed.devices["desktop1"]
+        assert [a.owner for a in server_host.active_allocations()] == [txn.owner]
+        session.stop()
+        assert txn.state is TransactionState.RELEASED
+        assert all(d.allocated.is_zero() for d in testbed.devices.values())
+        assert ledger.audit() == []
+
+    def test_resource_overflow_fails_without_leaking(self):
+        testbed = build_audio_testbed()
+        desktop1 = testbed.devices["desktop1"]
+        # The server needs 48 MB on desktop1; the taker leaves 16.
+        race_after_planning(
+            testbed.configurator,
+            lambda: desktop1.allocate(ResourceVector(memory=240.0)),
+        )
+        session = testbed.configurator.create_session(
+            audio_request(testbed, "desktop2")
+        )
+        record = session.start()
+        assert not record.success and record.conflict
+        assert session.deployment is None
+        assert desktop1.allocated == ResourceVector(memory=240.0)
+        assert testbed.devices["desktop2"].allocated.is_zero()
+        network = testbed.server.network
+        assert network.available_bandwidth("desktop1", "desktop2") == 100.0
+        assert testbed.configurator.ledger.audit() == []
+
+    def test_bandwidth_overflow_fails_without_leaking(self):
+        testbed = build_audio_testbed()
+        network = testbed.server.network
+        # The stream needs 1.4 Mbps between the desktops; 0.5 are left.
+        race_after_planning(
+            testbed.configurator,
+            lambda: network.reserve("desktop1", "desktop2", 99.5),
+        )
+        session = testbed.configurator.create_session(
+            audio_request(testbed, "desktop2")
+        )
+        record = session.start()
+        assert not record.success and record.conflict
+        assert session.deployment is None
+        assert all(d.allocated.is_zero() for d in testbed.devices.values())
+        assert network.available_bandwidth(
+            "desktop1", "desktop2"
+        ) == pytest.approx(0.5)
+        assert testbed.configurator.ledger.audit() == []
 
 
 class TestAutoReconfiguration:

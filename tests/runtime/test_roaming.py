@@ -230,11 +230,8 @@ class TestMidRoamCrash:
     """
 
     def _ledgered_lab_session(self):
-        from repro.server.ledger import ReservationLedger
-
         testbed = build_audio_testbed()
-        ledger = ReservationLedger(testbed.server)
-        testbed.configurator.ledger = ledger
+        ledger = testbed.configurator.ledger
         session = testbed.configurator.create_session(
             audio_request(testbed, "desktop2"), user_id="alice"
         )

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.apps.audio_on_demand import build_audio_testbed
+from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultKind, FaultSpec
 from repro.graph.cuts import Assignment
@@ -16,9 +16,15 @@ from repro.server.ledger import (
     ReservationLedger,
     TransactionState,
 )
+from repro.server.service import DomainConfigurationService, ServerRequest
 from repro.sim.kernel import Simulator
 
-from tests.server.conftest import build_pair_domain, split_assignment, stream_graph
+from tests.server.conftest import (
+    audio_ladder,
+    build_pair_domain,
+    split_assignment,
+    stream_graph,
+)
 
 
 class TestTwoPhaseLifecycle:
@@ -179,15 +185,65 @@ class TestSnapshots:
         ledger.release(txn)
         assert ledger.utilization() == pytest.approx(0.0)
 
-    def test_transactions_filterable_by_state(self, ledger):
-        a = ledger.begin()
-        ledger.prepare(a, stream_graph(memory=10.0), split_assignment())
-        ledger.commit(a)
-        b = ledger.begin()
-        ledger.abort(b)
-        assert ledger.transactions(TransactionState.COMMITTED) == [a]
-        assert ledger.transactions(TransactionState.ABORTED) == [b]
-        assert len(ledger.transactions()) == 2
+
+
+class TestForgetting:
+    """Aborted and released transactions leave the ledger's table."""
+
+    def test_finished_transactions_are_forgotten(self, ledger):
+        kept = ledger.begin()
+        ledger.prepare(kept, stream_graph(memory=10.0), split_assignment())
+        ledger.commit(kept)
+        released = ledger.begin()
+        ledger.prepare(released, stream_graph(memory=10.0), split_assignment())
+        ledger.commit(released)
+        ledger.release(released)
+        ledger.abort(ledger.begin())
+        failed = ledger.begin()
+        ledger.prepare(failed, stream_graph(memory=10.0), split_assignment())
+        ledger.server.domain.device("d2").go_offline()
+        with pytest.raises(LedgerConflictError):
+            ledger.commit(failed)
+        assert list(ledger._transactions.values()) == [kept]
+
+    @pytest.mark.parametrize("finish", ["abort", "release"])
+    def test_stale_transaction_reports_its_state(self, ledger, finish):
+        txn = ledger.begin()
+        ledger.prepare(txn, stream_graph(), split_assignment())
+        if finish == "release":
+            ledger.commit(txn)
+        getattr(ledger, finish)(txn)
+        state = txn.state.value
+        with pytest.raises(LedgerConflictError, match=(
+            f"transaction {txn.txn_id} is {state}, expected prepared"
+        )):
+            ledger.commit(txn)
+        ledger.release(txn)  # still idempotent once forgotten
+        assert txn.state.value == state
+
+    def test_start_stop_cycles_leave_only_live_transactions(self):
+        testbed = build_audio_testbed()
+        service = DomainConfigurationService(
+            testbed.configurator, ladder=audio_ladder(), skip_downloads=True
+        )
+        held = []
+        for index in range(60):
+            service.submit(
+                ServerRequest(
+                    request_id=f"r{index}",
+                    composition=audio_request(testbed, "desktop2"),
+                )
+            )
+            outcome = service.drain()[0]
+            assert outcome.admitted
+            if index % 20 == 0:
+                held.append(outcome.session)
+            else:
+                service.stop_session(outcome)
+        live = list(service.ledger._transactions.values())
+        assert live == [session.deployment.ledger_txn for session in held]
+        assert all(t.state is TransactionState.COMMITTED for t in live)
+        assert service.ledger.audit() == []
 
 
 class TestUtilizationMemo:

@@ -55,12 +55,6 @@ class TestAdmission:
         assert service.ledger.audit() == []
         assert service.metrics.count("admitted") == 1
 
-    def test_service_attaches_ledger_to_configurator(self):
-        testbed = build_audio_testbed()
-        assert testbed.configurator.ledger is None
-        service = make_service(testbed)
-        assert testbed.configurator.ledger is service.ledger
-
     def test_degraded_admission_when_capacity_is_tight(self):
         testbed = build_audio_testbed()
         # Both components pin to desktop1 (the server is hosted there).
