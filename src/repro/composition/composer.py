@@ -67,7 +67,9 @@ class CompositionResult:
     ``success`` means every mandatory service was resolved *and* the OC
     algorithm left no unresolved inconsistency; ``graph`` is then the
     QoS-consistent service graph for the distribution tier. Failure keeps
-    the partial graph (possibly inconsistent) for diagnostics.
+    the partial graph (possibly inconsistent) for diagnostics. The graph
+    is frozen and may be shared by every request of its class: mutate a
+    :meth:`~repro.graph.service_graph.ServiceGraph.copy`.
 
     - ``dropped_optional`` — optional specs neglected for lack of instances;
     - ``missing`` — mandatory specs that could not be resolved (the
@@ -104,7 +106,8 @@ class ServiceComposer:
     of re-running discovery and the OC algorithm. The cache keys on the
     abstract graph's :attr:`~AbstractServiceGraph.structure_key`, not on
     the graph object: request builders make a fresh graph per request, and
-    every request of one class shares an entry.
+    every request of one class shares an entry — and its frozen graph,
+    which a hit returns as is rather than copying.
 
     ``cache_size`` bounds the LRU composition cache (0 disables it). The
     cache is bypassed when a profiler is attached — measured estimates may
@@ -155,16 +158,13 @@ class ServiceComposer:
                 self.cache_misses += 1
             result = self._compose_uncached(request)
             span.set("cache_hit", False).set("success", result.success)
+            if result.graph is not None:
+                result.graph.freeze()
             if key is not None:
-                entry = _clone_result(result)
-                if entry.graph is not None:
-                    # Every hit copies this graph; warm its memos once so
-                    # each copy inherits them.
-                    entry.graph.warm()
-                self._cache[key] = entry
+                self._cache[key] = result
                 if len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
-            return result
+            return _clone_result(result)
 
     def _cache_key(self, request: CompositionRequest) -> Optional[tuple]:
         """Cache key for a request, or None when caching does not apply."""
@@ -294,14 +294,13 @@ class ServiceComposer:
 def _clone_result(result: CompositionResult) -> CompositionResult:
     """Copy a composition result so cached state never leaks to callers.
 
-    The graph and the mutable containers are copied (sessions mutate their
-    graphs — e.g. QoS-degradation transforms); the ``oc_report`` is shared
-    as a read-only record. ``discovery_queries`` is preserved as the cold
-    run's count so the modeled composition overhead stays deterministic
-    whether or not a request hit the cache.
+    The mutable containers are copied; the frozen graph and the
+    ``oc_report`` are shared as read-only records. ``discovery_queries``
+    is preserved as the cold run's count so the modeled composition
+    overhead stays deterministic whether or not a request hit the cache.
     """
     return CompositionResult(
-        graph=result.graph.copy() if result.graph is not None else None,
+        graph=result.graph,
         success=result.success,
         dropped_optional=list(result.dropped_optional),
         missing=list(result.missing),

@@ -8,7 +8,10 @@ connected components.
 
 Components are immutable; the graph replaces a node's payload when the
 composition tier adjusts its QoS (see
-:mod:`repro.composition.ordered_coordination`).
+:mod:`repro.composition.ordered_coordination`). Once composition finishes
+the graph is frozen (:meth:`ServiceGraph.freeze`): every request of one
+class then shares it, and each graph derived from it (a degraded rung's
+demand-scaled copy) is built once and frozen in turn.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ class CycleError(ValueError):
 
 class GraphValidationError(ValueError):
     """Raised when a graph fails structural validation."""
+
+
+class FrozenGraphError(RuntimeError):
+    """Raised when a frozen (shared) graph is asked to mutate."""
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,9 @@ class ServiceGraph:
         self._topo_cache: Optional[List[str]] = None
         self._succ_cache: Optional[Dict[str, List[str]]] = None
         self._pred_cache: Optional[Dict[str, List[str]]] = None
+        # Set by freeze(): graphs derived from this one, by key (None while
+        # the graph is mutable).
+        self._derived: Optional[Dict[object, "ServiceGraph"]] = None
         for component in components:
             self.add_component(component)
         for edge in edges:
@@ -197,7 +207,16 @@ class ServiceGraph:
         """Change counter: increases on any mutation of the graph."""
         return self._version
 
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` ran: every mutator then raises."""
+        return self._derived is not None
+
     def _touch(self, structural: bool = True) -> None:
+        if self._derived is not None:
+            raise FrozenGraphError(
+                f"service graph {self.name!r} is frozen; mutate a copy()"
+            )
         self._version += 1
         if structural:
             self._topo_cache = None
@@ -458,17 +477,43 @@ class ServiceGraph:
         except CycleError as exc:
             raise GraphValidationError(str(exc)) from exc
 
-    def warm(self) -> None:
-        """Build the memoized adjacency and topological order now.
+    def freeze(self) -> None:
+        """Make the graph immutable so callers can share it (idempotent).
 
-        Copies inherit the memos, so warming a graph that is copied many
-        times (a composition-cache entry) computes them once for all.
+        Builds the memoized adjacency and topological order first, so
+        readers sharing the graph never race to fill them, and copies
+        inherit them. Every mutator raises :class:`FrozenGraphError`
+        afterwards; :meth:`copy` and :meth:`map_payloads` still return
+        mutable graphs.
         """
-        if self._components:
-            first = next(iter(self._components))
-            self.successors(first)
-            self.predecessors(first)
-        self.is_dag()
+        if self._derived is None:
+            if self._components:
+                first = next(iter(self._components))
+                self.successors(first)
+                self.predecessors(first)
+            self.is_dag()
+            self._derived = {}
+
+    def derived(
+        self, key: object, build: Callable[["ServiceGraph"], "ServiceGraph"]
+    ) -> "ServiceGraph":
+        """``build(self)``, built once per ``key`` while this graph is frozen.
+
+        A frozen graph never changes, so neither does a graph derived from
+        it: the result is frozen and memoized on this graph, and lives as
+        long as it does. Racing threads may both build, but all of them
+        get the one graph the memo kept. A mutable graph builds anew on
+        every call.
+        """
+        memo = self._derived
+        if memo is None:
+            return build(self)
+        graph = memo.get(key)
+        if graph is None:
+            graph = build(self)
+            graph.freeze()
+            graph = memo.setdefault(key, graph)
+        return graph
 
     def copy(self, name: Optional[str] = None) -> "ServiceGraph":
         """Return an independent structural copy (components are immutable).
@@ -530,6 +575,7 @@ class ServiceGraph:
         clone._topo_cache = self._topo_cache
         clone._succ_cache = self._succ_cache
         clone._pred_cache = self._pred_cache
+        clone._derived = None
         return clone
 
     def __repr__(self) -> str:

@@ -253,21 +253,23 @@ class ServiceConfigurator:
         would. The environment snapshot comes from :meth:`_environment`,
         which memoizes on the domain/ledger version counters: a batch of
         plans taken between ledger commits shares one snapshot.
+        ``graph_transform`` maps the composed graph to the one distributed;
+        only the plan's :attr:`~PlannedConfiguration.graph` carries it,
+        while ``composition.graph`` stays the composer's shared graph.
         """
         composition = self.composer.compose(request)
         composition_s = self.cost_model.composition_time_s(composition)
-        if not composition.success or composition.graph is None:
+        graph = composition.graph
+        if not composition.success or graph is None:
             return None, self._failure(
                 session, label, composition_s, composition, None
             )
         if graph_transform is not None:
-            composition.graph = graph_transform(composition.graph)
+            graph = graph_transform(graph)
 
         try:
             environment, devices = self._environment()
-            distribution = self.distributor.distribute(
-                composition.graph, environment
-            )
+            distribution = self.distributor.distribute(graph, environment)
         except ValueError:
             # No candidate devices at all (everything crashed or is
             # quarantined), or a pinned device left the environment: report
@@ -284,7 +286,7 @@ class ServiceConfigurator:
             PlannedConfiguration(
                 label=label,
                 composition=composition,
-                graph=composition.graph,
+                graph=graph,
                 distribution=distribution,
                 assignment=distribution.assignment,
                 devices=devices,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.distribution.pareto import (
     ParetoPoint,
@@ -143,11 +143,7 @@ def _scale_edge(edge, factor: float):
     return ServiceEdge(edge.source, edge.target, edge.throughput_mbps * factor)
 
 
-def _scale_payload(scale, payload, factor: float):
-    return scale(payload, factor)
-
-
-def scale_graph_demand(graph, factor: float, memo: Optional["ScaledPayloads"] = None):
+def scale_graph_demand(graph, factor: float):
     """Scale every component's R vector and edge throughput by ``factor``.
 
     Returns a new graph; the input is untouched. Factor 1.0 returns the
@@ -157,49 +153,17 @@ def scale_graph_demand(graph, factor: float, memo: Optional["ScaledPayloads"] = 
     each component is swapped through the trusted
     :meth:`~repro.graph.service_graph.ServiceComponent.with_resources`
     copy. Floats, orders and :attr:`version` equal those of rebuilding the
-    graph node by node. With a ``memo``, each payload is scaled once per
-    factor and later graphs share the scaled objects.
+    graph node by node. A frozen input (a composed class graph) is scaled
+    once per factor: the frozen result is memoized on the input
+    (:meth:`~repro.graph.service_graph.ServiceGraph.derived`) and shared
+    by every request of the class at that rung.
     """
     if factor == 1.0:
         return graph
-    scale = _scale_payload if memo is None else memo.scaled
-    return graph.map_payloads(
-        component=lambda c: scale(_scale_component, c, factor),
-        edge=lambda e: scale(_scale_edge, e, factor),
+    return graph.derived(
+        ("demand_scale", factor),
+        lambda g: g.map_payloads(
+            component=lambda c: _scale_component(c, factor),
+            edge=lambda e: _scale_edge(e, factor),
+        ),
     )
-
-
-class ScaledPayloads:
-    """A memo of graph payloads scaled by :func:`scale_graph_demand`.
-
-    Composed graphs are structural copies of one template per request
-    class and share its immutable components and edges, so a payload
-    scaled for one request at a rung is the same object the next request
-    at that rung needs. Entries are keyed on ``(id(payload), factor)`` and
-    hold the original payload, so its id cannot be reused while the entry
-    lives. At most :attr:`MAX_ENTRIES` payloads are kept: a full memo is
-    emptied, one atomic step, so threads sharing it never evict the same
-    entry twice. A race costs at most one payload scaled twice, into
-    equal objects.
-    """
-
-    #: The benchmark's profile mesh (five conference classes, four room
-    #: clients, two scaled rungs) fills 290.
-    MAX_ENTRIES = 1024
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, float], Tuple[object, object]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def scaled(self, scale, payload, factor: float):
-        """``scale(payload, factor)``, computed once per payload and factor."""
-        entries = self._entries
-        key = (id(payload), factor)
-        entry = entries.get(key)
-        if entry is None:
-            if len(entries) >= self.MAX_ENTRIES:
-                entries.clear()
-            entry = entries[key] = (payload, scale(payload, factor))
-        return entry[1]

@@ -33,17 +33,12 @@ from repro.distribution.pareto import (
 )
 from repro.observability.tracing import get_tracer
 from repro.runtime.configurator import ServiceConfigurator
-from repro.runtime.degradation import (
-    DegradationLadder,
-    ScaledPayloads,
-    scale_graph_demand,
-)
+from repro.runtime.degradation import DegradationLadder, scale_graph_demand
 from repro.runtime.session import (
     ApplicationSession,
     ConfigurationRecord,
     SessionState,
 )
-from repro.server.ledger import LedgerConflictError
 
 
 @dataclass
@@ -269,8 +264,6 @@ class AdmissionController:
         self.front_cache: Optional[FrontCache] = (
             FrontCache() if front_cache else None
         )
-        #: Rung-scaled graph payloads, each scaled once per demand scale.
-        self.scaled_payloads = ScaledPayloads()
         self._entry_offset = 0
         self._entry_max_priority = 0
 
@@ -364,9 +357,7 @@ class AdmissionController:
                     session,
                     probe_request,
                     label=f"probe@{level.label}",
-                    graph_transform=lambda g, f=scale: scale_graph_demand(
-                        g, f, self.scaled_payloads
-                    ),
+                    graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
                 )
                 if planned is None or planned.distribution.objectives is None:
                     points.append(None)
@@ -561,9 +552,7 @@ class AdmissionController:
             session,
             session.request,
             label,
-            graph_transform=lambda g, f=scale: scale_graph_demand(
-                g, f, self.scaled_payloads
-            ),
+            graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
         )
         if failure is None:
             return planned
@@ -594,9 +583,9 @@ class AdmissionController:
                 self._conflicted(walk, plan, next_round)
         if not to_commit:
             return
-        commit_results = ledger.commit_many([txn for _w, _p, txn in to_commit])
-        for (walk, plan, txn), committed in zip(to_commit, commit_results):
-            if isinstance(committed, LedgerConflictError):
+        commit_errors = ledger.commit_many([txn for _w, _p, txn in to_commit])
+        for (walk, plan, txn), error in zip(to_commit, commit_errors):
+            if error is not None:
                 # commit_many already aborted the transaction.
                 self._conflicted(walk, plan, next_round)
                 continue

@@ -19,8 +19,8 @@ race with optimistic two-phase admission:
    commit fails here with :class:`LedgerConflictError` and can simply be
    re-planned against a fresh snapshot);
 3. :meth:`ReservationLedger.commit` — convert the holds into real device
-   allocations and bandwidth reservations, still under the lock, and hand
-   the release tokens to the deployment;
+   allocations and bandwidth reservations, still under the lock; the
+   transaction keeps the release tokens;
 4. :meth:`ReservationLedger.abort` / :meth:`ReservationLedger.release` —
    drop a pending transaction, or retire a committed one. The ledger
    then forgets it: only live (pending, prepared or committed)
@@ -318,10 +318,12 @@ class ReservationLedger:
         self._version += 1
         self._record_event(txn, LedgerEventKind.PREPARED, with_holds=True)
 
-    def commit(
-        self, txn: ReservationTransaction
-    ) -> Tuple[List[ResourceAllocation], List[BandwidthReservation]]:
-        """Turn the holds into live allocations/reservations; return tokens.
+    def commit(self, txn: ReservationTransaction) -> None:
+        """Turn the holds into live allocations/reservations.
+
+        The release tokens stay on the transaction
+        (:attr:`~ReservationTransaction.allocations`,
+        :attr:`~ReservationTransaction.reservations`) for :meth:`release`.
 
         Cannot over-book: prepared holds guarantee the capacity, so the
         only failure mode is a device going offline between prepare and
@@ -331,47 +333,37 @@ class ReservationLedger:
         with get_tracer().span(
             "ledger.commit", txn=txn.txn_id, owner=txn.owner
         ) as span:
-            allocations, reservations = self._commit(txn)
-            span.set("allocations", len(allocations))
-            span.set("reservations", len(reservations))
-            return allocations, reservations
+            with self._lock:
+                self._commit_locked(txn)
+            span.set("allocations", len(txn.allocations))
+            span.set("reservations", len(txn.reservations))
 
     def commit_many(
         self, txns: Sequence[ReservationTransaction]
-    ) -> List[object]:
+    ) -> List[Optional[LedgerConflictError]]:
         """Commit a whole batch of PREPARED transactions under ONE lock.
 
-        Returns one entry per transaction: the ``(allocations,
-        reservations)`` token pair on success, or the
-        :class:`LedgerConflictError` that aborted it (a device went offline
-        between prepare and commit — partial acquisitions are rolled back
-        per transaction, so one member's failure never poisons its batch
-        mates).
+        Returns one entry per transaction: ``None`` when it is now
+        COMMITTED, or the :class:`LedgerConflictError` that aborted it (a
+        device went offline between prepare and commit — partial
+        acquisitions are rolled back per transaction, so one member's
+        failure never poisons its batch mates).
         """
         with get_tracer().span("ledger.commit_many", size=len(txns)) as span:
-            results: List[object] = []
+            results: List[Optional[LedgerConflictError]] = []
             with self._lock:
                 for txn in txns:
                     try:
-                        results.append(self._commit_locked(txn))
+                        self._commit_locked(txn)
+                        results.append(None)
                     except LedgerConflictError as exc:
                         results.append(exc)
-            conflicts = sum(
-                1 for r in results if isinstance(r, LedgerConflictError)
-            )
+            conflicts = sum(1 for r in results if r is not None)
             span.set("committed", len(results) - conflicts)
             span.set("conflicts", conflicts)
             return results
 
-    def _commit(
-        self, txn: ReservationTransaction
-    ) -> Tuple[List[ResourceAllocation], List[BandwidthReservation]]:
-        with self._lock:
-            return self._commit_locked(txn)
-
-    def _commit_locked(
-        self, txn: ReservationTransaction
-    ) -> Tuple[List[ResourceAllocation], List[BandwidthReservation]]:
+    def _commit_locked(self, txn: ReservationTransaction) -> None:
         self._require(txn, TransactionState.PREPARED)
         allocations: List[ResourceAllocation] = []
         reservations: List[BandwidthReservation] = []
@@ -407,7 +399,6 @@ class ReservationLedger:
         txn.state = TransactionState.COMMITTED
         self._version += 1
         self._record_event(txn, LedgerEventKind.COMMITTED, with_holds=True)
-        return list(allocations), list(reservations)
 
     def abort(self, txn: ReservationTransaction) -> None:
         """Drop a not-yet-committed transaction (idempotent)."""

@@ -39,12 +39,7 @@ from repro.server.admission import (
 from repro.server.ledger import ReservationLedger
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import BoundedRequestQueue, QueuedRequest, QueuePolicy
-from repro.store import (
-    InMemoryRecordStore,
-    RecordStore,
-    SessionRecord,
-    SessionStatus,
-)
+from repro.store import RecordStore, SessionRecord, SessionStatus
 
 
 @dataclass(frozen=True)
@@ -145,16 +140,19 @@ class DomainConfigurationService:
         self.configurator = configurator
         self.ledger: ReservationLedger = configurator.ledger
         self._clock = clock or time.monotonic
-        # Durable substrate: each service boot opens a fresh epoch, so a
-        # successor sharing a persistent store can tell its predecessor's
-        # sessions (and dangling ledger holds) from its own.
-        self.store: RecordStore = store if store is not None else InMemoryRecordStore()
+        # Durable substrate, only when one is passed: each service boot
+        # opens a fresh epoch, so a successor sharing a persistent store
+        # can tell its predecessor's sessions (and dangling ledger holds)
+        # from its own. Without one, nothing is recorded.
+        self.store: Optional[RecordStore] = store
         self.scenario = scenario
-        self.epoch = self.store.open_epoch()
-        self.ledger.attach_store(self.store, self.epoch, clock=self._clock)
-        self._stop_subscription = configurator.bus.subscribe(
-            Topics.APPLICATION_STOPPED, self._on_session_stopped
-        )
+        self.epoch: Optional[int] = None
+        if store is not None:
+            self.epoch = store.open_epoch()
+            self.ledger.attach_store(store, self.epoch, clock=self._clock)
+            configurator.bus.subscribe(
+                Topics.APPLICATION_STOPPED, self._on_session_stopped
+            )
         self.queue = BoundedRequestQueue(
             queue_capacity, policy=queue_policy, clock=self._clock
         )
@@ -386,7 +384,7 @@ class DomainConfigurationService:
         else:
             status = RequestStatus.FAILED
             self.metrics.incr("failed")
-        if result.success:
+        if result.success and self.store is not None:
             self._persist_session(request, result)
         return RequestOutcome(
             request_id=request.request_id,

@@ -1,9 +1,9 @@
 """Durable record store: session records + reservation-ledger audit.
 
 The pluggable persistence substrate behind the domain configuration
-service. :class:`InMemoryRecordStore` is the zero-overhead default (and
-keeps every existing golden output byte-unchanged);
-:class:`SqliteRecordStore` survives process restarts, which is what
+service, which records only into a store it is given; a store never
+changes a run's output. :class:`InMemoryRecordStore` keeps the records
+in-process; :class:`SqliteRecordStore` survives process restarts, which is what
 gives the recovery subsystem (:mod:`repro.store.recovery`) a real
 crash-restart scenario: a successor service re-adopts the dead epoch's
 persisted sessions and reconciles its dangling ledger holds.

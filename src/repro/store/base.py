@@ -3,9 +3,9 @@
 `RecordStore` is the persistence seam: the domain configuration service
 writes one :class:`~repro.store.records.SessionRecord` per admitted
 session and the reservation ledger appends one
-:class:`~repro.store.records.LedgerEvent` per state transition. The
-default :class:`InMemoryRecordStore` keeps everything in-process (and
-existing golden outputs byte-unchanged); the sqlite implementation in
+:class:`~repro.store.records.LedgerEvent` per state transition, when a
+store is passed to the service. :class:`InMemoryRecordStore` keeps
+everything in-process; the sqlite implementation in
 :mod:`repro.store.sqlite` survives process restarts so the recovery pass
 in :mod:`repro.store.recovery` can re-adopt a dead epoch's sessions.
 
@@ -122,7 +122,7 @@ class RecordStore(ABC):
 
 
 class InMemoryRecordStore(RecordStore):
-    """Dict-backed store; the zero-overhead default for every harness."""
+    """Dict-backed store: the records of one process, lost with it."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

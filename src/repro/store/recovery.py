@@ -78,8 +78,8 @@ def readopt_sessions(
 ) -> ReadoptionReport:
     """Re-adopt (or tear down) every prior epoch's persisted session.
 
-    ``service`` must already be booted against the shared store (its
-    constructor opened the new epoch). Returns a report; after it, the
+    ``service`` must already be booted against the shared store (built
+    with ``store=``; its constructor opened the new epoch). Returns a report; after it, the
     store's prior-epoch ledger histories are balanced and every prior
     ``active`` record is either re-admitted under the new epoch or marked
     ``unrecoverable``.

@@ -1,4 +1,4 @@
-"""The composer's composition cache: hits, isolation, and invalidation."""
+"""The composer's composition cache: shared frozen hits, and invalidation."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.graph.abstract import (
     AbstractServiceGraph,
     PinConstraint,
 )
-from repro.graph.service_graph import ServiceComponent
+from repro.graph.service_graph import FrozenGraphError, ServiceComponent
 from repro.qos.translation import Transcoding, TranscoderCatalog
 from repro.qos.vectors import QoSVector
 from repro.resources.vectors import ResourceVector
@@ -95,17 +95,25 @@ class TestCacheHits:
         composer.compose(request)
         assert composer.discovery.query_count == queries_after_cold
 
-    def test_cached_results_are_isolated_copies(self, composer):
+    def test_cached_results_share_one_frozen_graph(self, composer):
         abstract = simple_abstract()
         request = CompositionRequest(abstract, client_device_id="pda1")
         first = composer.compose(request)
-        # Sessions own and mutate their graphs (e.g. degradation scaling).
-        first.graph.update_component(
-            template("media_server").renamed("server").with_pin("elsewhere")
-        )
         second = composer.compose(request)
-        assert second.graph is not first.graph
-        assert second.graph.component("server").pinned_to == "serverbox"
+        assert second.graph is first.graph
+        assert first.graph.frozen
+        # A shared graph refuses mutation; callers mutate a copy.
+        with pytest.raises(FrozenGraphError):
+            first.graph.update_component(
+                template("media_server").renamed("server").with_pin("elsewhere")
+            )
+        third = composer.compose(request)
+        assert third.graph is first.graph
+        assert third.graph.component("server").pinned_to == "serverbox"
+        assert not first.graph.copy().frozen
+        # The result's own containers are still private to each caller.
+        second.dropped_optional.append("server")
+        assert third.dropped_optional == []
 
 
 class TestCacheInvalidation:
@@ -155,7 +163,7 @@ class TestCacheInvalidation:
 class TestStructuralKey:
     """The cache keys on the abstract graph's structure, not its identity."""
 
-    def test_equal_fresh_graph_hits_isolated_copy(self, composer):
+    def test_equal_fresh_graph_hits_the_cached_graph(self, composer):
         first = composer.compose(
             CompositionRequest(simple_abstract(), client_device_id="pda1")
         )
@@ -167,16 +175,15 @@ class TestStructuralKey:
         assert composer.cache_hits == 1
         assert composer.cache_misses == 1
         assert second.success and first.success
-        assert second.graph is not first.graph
-        assert [c.component_id for c in second.graph] == [
-            c.component_id for c in first.graph
-        ]
-        second.graph.update_component(
-            template("media_server").renamed("server").with_pin("elsewhere")
-        )
+        assert second.graph is first.graph
+        with pytest.raises(FrozenGraphError):
+            second.graph.update_component(
+                template("media_server").renamed("server").with_pin("elsewhere")
+            )
         third = composer.compose(
             CompositionRequest(simple_abstract(), client_device_id="pda1")
         )
+        assert third.graph is first.graph
         assert third.graph.component("server").pinned_to == "serverbox"
 
     @pytest.mark.parametrize(

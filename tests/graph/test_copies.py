@@ -1,9 +1,10 @@
-"""Structural copies: per-request graphs copied from one template.
+"""Structural copies and frozen graphs.
 
 A copy shares the immutable payloads and the template's memoized
 structure (structure key, adjacency lists, topological order) but owns its
 mutable containers, so growing or shrinking one copy never changes the
-template or a sibling copy.
+template or a sibling copy. A frozen graph is shared instead of copied:
+it refuses every mutation, and its copies are mutable again.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ from repro.apps.audio_on_demand import audio_abstract_graph
 from repro.apps.video_conferencing import conferencing_abstract_graph
 from repro.graph.abstract import AbstractComponentSpec, AbstractServiceGraph
 from repro.graph.service_graph import (
+    FrozenGraphError,
     GraphValidationError,
     ServiceEdge,
     ServiceGraph,
@@ -39,9 +41,22 @@ def _structure(graph):
     )
 
 
+MUTATIONS = [
+    lambda g: g.add_component(make_component("extra")),
+    lambda g: g.remove_component("left"),
+    lambda g: g.connect("left", "right", 1.0),
+    lambda g: g.remove_edge("src", "left"),
+    lambda g: g.insert_between("src", "left", make_component("mid")),
+]
+MUTATION_IDS = [
+    "add_component", "remove_component", "add_edge", "remove_edge",
+    "insert_between",
+]
+
+
 @pytest.fixture
 def template(diamond_graph):
-    diamond_graph.warm()
+    diamond_graph.freeze()  # as the composer leaves a class graph
     return diamond_graph
 
 
@@ -53,18 +68,7 @@ class TestServiceGraphCopyIsolation:
         assert clone.predecessors("sink") is template.predecessors("sink")
         assert clone.version == len(template) + len(template.edges())
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda g: g.add_component(make_component("extra")),
-            lambda g: g.remove_component("left"),
-            lambda g: g.connect("left", "right", 1.0),
-            lambda g: g.remove_edge("src", "left"),
-            lambda g: g.insert_between("src", "left", make_component("mid")),
-        ],
-        ids=["add_component", "remove_component", "add_edge", "remove_edge",
-             "insert_between"],
-    )
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
     def test_mutating_a_copy_leaves_template_and_sibling(self, template, mutate):
         before = _structure(template)
         mutated, sibling = template.copy(), template.copy()
@@ -81,6 +85,55 @@ class TestServiceGraphCopyIsolation:
         clone.update_component(make_component("left", memory=99.0))
         assert template.component("left").resources["memory"] == 10.0
         assert clone.successors("src") is template.successors("src")
+
+
+class TestFrozenGraphs:
+    @pytest.mark.parametrize(
+        "mutate",
+        MUTATIONS + [lambda g: g.update_component(make_component("left"))],
+        ids=MUTATION_IDS + ["update_component"],
+    )
+    def test_every_mutator_raises_and_changes_nothing(self, template, mutate):
+        template.freeze()
+        before = (_structure(template), template.version)
+        with pytest.raises(FrozenGraphError):
+            mutate(template)
+        assert (_structure(template), template.version) == before
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=MUTATION_IDS)
+    def test_copies_of_a_frozen_graph_are_mutable(self, template, mutate):
+        template.freeze()
+        before = _structure(template)
+        for clone in (template.copy(), template.map_payloads()):
+            assert not clone.frozen
+            mutate(clone)
+        assert _structure(template) == before
+
+    def test_freeze_warms_the_memos_once(self, diamond_graph):
+        assert not diamond_graph.frozen
+        diamond_graph.freeze()
+        successors = diamond_graph.successors("src")
+        diamond_graph.freeze()
+        assert diamond_graph.frozen
+        assert diamond_graph.successors("src") is successors
+        assert diamond_graph.copy().successors("src") is successors
+
+    def test_derived_graphs_are_memoized_only_when_frozen(self, diamond_graph):
+        builds = []
+
+        def build(graph):
+            builds.append(graph)
+            return graph.copy()
+
+        first = diamond_graph.derived("k", build)
+        assert diamond_graph.derived("k", build) is not first
+        assert len(builds) == 2 and not first.frozen
+        diamond_graph.freeze()
+        shared = diamond_graph.derived("k", build)
+        assert shared.frozen
+        assert diamond_graph.derived("k", build) is shared
+        assert diamond_graph.derived("other", build) is not shared
+        assert len(builds) == 4
 
 
 class TestAbstractCopies:

@@ -10,7 +10,6 @@ from repro.qos.vectors import QoSVector
 from repro.runtime.degradation import (
     DegradationLadder,
     QoSLevel,
-    ScaledPayloads,
     scale_graph_demand,
 )
 from tests.conftest import chain_graph
@@ -99,12 +98,14 @@ def _exact_graph(graph):
     )
 
 
-class TestScaledPayloads:
+class TestRungGraphs:
+    """A frozen class graph is scaled once per rung and shares the result."""
+
     #: The demand scales of the conference ladder the benchmark walks.
     SCALES = (1.0, 0.65, 0.4)
 
     def composed_pair(self):
-        """Two requests of one class and client: two graphs, one payload set."""
+        """Two requests of one class and client, composed."""
         from repro.scenarios import load_catalog_scenario
         from repro.scenarios.compile import compile_scenario
 
@@ -119,66 +120,62 @@ class TestScaledPayloads:
 
     def test_equals_scale_graph_demand_on_every_rung(self):
         graph, _ = self.composed_pair()
-        memo = ScaledPayloads()
+        assert graph.frozen
         for _round in range(2):  # the second round is served from the memo
             for scale in self.SCALES:
-                assert _exact_graph(
-                    scale_graph_demand(graph, scale, memo)
-                ) == _exact_graph(scale_graph_demand(graph, scale))
+                assert _exact_graph(scale_graph_demand(graph, scale)) == (
+                    _exact_graph(scale_graph_demand(graph.copy(), scale))
+                )
 
-    def test_shared_payload_is_scaled_once(self):
+    def test_one_class_graph_is_scaled_once_per_rung(self):
         first, again = self.composed_pair()
-        assert all(a is b for a, b in zip(first, again))
-        memo = ScaledPayloads()
-        payloads = len(list(first)) + len(list(first.edges()))
-        scaled = [scale_graph_demand(g, 0.4, memo) for g in (first, again)]
-        assert len(memo) == payloads
-        assert all(a is b for a, b in zip(*scaled))
-        scale_graph_demand(again, 0.65, memo)
-        assert len(memo) == 2 * payloads
+        assert first is again
+        low = scale_graph_demand(first, 0.4)
+        assert low.frozen
+        assert scale_graph_demand(again, 0.4) is low
+        assert scale_graph_demand(again, 0.65) is not low
 
     def test_identity_at_factor_one(self):
-        graph = chain_graph("a", "b")
-        memo = ScaledPayloads()
-        assert scale_graph_demand(graph, 1.0, memo) is graph
-        assert len(memo) == 0
+        graph, _ = self.composed_pair()
+        assert scale_graph_demand(graph, 1.0) is graph
 
-    def test_bounded_emptied_when_full(self, monkeypatch):
-        monkeypatch.setattr(ScaledPayloads, "MAX_ENTRIES", 2)
-        memo = ScaledPayloads()
-        graph = chain_graph("a", "b", throughput=4.0)  # two components, one edge
-        scaled = scale_graph_demand(graph, 0.5, memo)
-        assert len(memo) == 1  # the edge found the memo full and emptied it
-        assert _exact_graph(scaled) == _exact_graph(scale_graph_demand(graph, 0.5))
-        # Component "a" was dropped, so scaling again rebuilds it.
-        again = scale_graph_demand(graph, 0.5, memo)
-        assert len(memo) == 2
-        assert again.component("a") is not scaled.component("a")
-        assert _exact_graph(again) == _exact_graph(scaled)
+    def test_mutable_graph_scales_anew(self):
+        graph = chain_graph("a", "b", throughput=4.0)
+        first, second = (scale_graph_demand(graph, 0.5) for _ in range(2))
+        assert first is not second
+        assert not first.frozen
+        assert _exact_graph(first) == _exact_graph(second)
 
-    def test_threads_sharing_a_full_memo(self, monkeypatch):
-        # Admission workers share one controller's memo; evictions that
-        # race must neither raise nor hand out a wrongly scaled payload.
-        monkeypatch.setattr(ScaledPayloads, "MAX_ENTRIES", 2)
-        graphs = [
-            chain_graph(*(f"{k}{i}" for i in range(4)), throughput=4.0)
-            for k in "abc"
-        ]
+    def test_rung_graph_lives_as_long_as_its_class_graph(self):
+        import gc
+        import weakref
+
+        graph = self.composed_pair()[0]  # its composer is dropped
+        rung = weakref.ref(scale_graph_demand(graph, 0.4))
+        gc.collect()
+        assert rung() is not None  # held by the class graph's memo
+        del graph
+        gc.collect()
+        assert rung() is None
+
+    def test_threads_scaling_one_class_graph(self):
+        # Admission workers share the composer's frozen graph; racing
+        # builds must all end with the one graph the memo kept.
+        graph, _ = self.composed_pair()
         expected = {
-            (k, scale): _exact_graph(scale_graph_demand(g, scale))
-            for k, g in enumerate(graphs)
+            scale: _exact_graph(scale_graph_demand(graph.copy(), scale))
             for scale in self.SCALES
         }
-        memo = ScaledPayloads()
+        seen = {scale: set() for scale in self.SCALES}
         errors = []
 
         def work():
             try:
                 for _round in range(200):
-                    for k, g in enumerate(graphs):
-                        for scale in self.SCALES:
-                            got = _exact_graph(scale_graph_demand(g, scale, memo))
-                            assert got == expected[(k, scale)]
+                    for scale in self.SCALES:
+                        got = scale_graph_demand(graph, scale)
+                        assert _exact_graph(got) == expected[scale]
+                        seen[scale].add(id(got))
             except Exception as exc:  # surfaced below, with its type
                 errors.append(exc)
 
@@ -193,4 +190,4 @@ class TestScaledPayloads:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        assert len(memo) <= 2
+        assert all(len(ids) == 1 for ids in seen.values())

@@ -158,3 +158,46 @@ class TestThreadDriverIdle:
             driver.stop()
         assert [o.request_id for o in driver.outcomes] == ["r1"]
         assert service.ledger.audit() == []
+
+
+class TestSharedClassGraphs:
+    @pytest.mark.parametrize(
+        "offset", [0, 1], ids=["top_rung", "degraded_rung"]
+    )
+    @pytest.mark.parametrize("driver", ["drain", "thread"])
+    def test_one_class_at_one_rung_shares_one_frozen_graph(self, driver, offset):
+        """Admissions of one request class at one rung deploy the same
+        frozen graph: the composer's at the top rung, the rung's
+        demand-scaled graph (memoized on it) below."""
+        testbed = build_audio_testbed()
+        service = plain_service(testbed)
+        service.admission.set_entry_offset(offset)
+        # A warm domain: the class is in the composer's cache. (Two cold
+        # composes racing on worker threads may each build the graph.)
+        service.submit(request(testbed, "r0"))
+        service.drain()
+        if driver == "thread":
+            pool = ThreadPoolDriver(service, workers=2)
+            pool.start()
+            try:
+                for rid in ("r1", "r2"):
+                    service.submit(request(testbed, rid))
+                assert pool.wait_idle(timeout=10.0)
+            finally:
+                pool.stop()
+        else:
+            for rid in ("r1", "r2"):
+                service.submit(request(testbed, rid))
+            service.drain()
+        outcomes = sorted(service.outcomes(), key=lambda o: o.request_id)
+        assert [o.request_id for o in outcomes] == ["r0", "r1", "r2"]
+        assert all(o.admitted for o in outcomes)
+        level = audio_ladder().levels[offset]
+        assert {o.level for o in outcomes} == {f"admit@{level.label}"}
+        first, *rest = (o.session.graph for o in outcomes)
+        assert all(graph is first for graph in rest) and first.frozen
+        composed = testbed.configurator.composer.compose(
+            outcomes[0].session.request
+        ).graph
+        assert (first is composed) == (level.demand_scale == 1.0)
+        assert service.ledger.audit() == []

@@ -32,10 +32,10 @@ class TestTwoPhaseLifecycle:
         txn = ledger.begin(owner="s1")
         ledger.prepare(txn, stream_graph(), split_assignment())
         assert txn.state is TransactionState.PREPARED
-        allocations, reservations = ledger.commit(txn)
+        assert ledger.commit(txn) is None
         assert txn.state is TransactionState.COMMITTED
-        assert {a.device_id for a in allocations} == {"d1", "d2"}
-        assert len(reservations) == 1
+        assert {a.device_id for a in txn.allocations} == {"d1", "d2"}
+        assert len(txn.reservations) == 1
         d1 = pair_server.domain.device("d1")
         assert d1.allocated == ResourceVector(memory=40.0, cpu=0.5)
         assert ledger.audit() == []
@@ -434,8 +434,8 @@ class TestColocation:
             stream_graph(memory=20.0, throughput=500.0),
             Assignment({"src": "d1", "sink": "d1"}),
         )
-        _allocations, reservations = ledger.commit(txn)
-        assert reservations == []
+        ledger.commit(txn)
+        assert txn.reservations == []
         assert pair_server.domain.device("d1").allocated == ResourceVector(
             memory=40.0, cpu=1.0
         )
@@ -460,7 +460,7 @@ class TestGroupedRounds:
         ledger.commit(txn_a)
         assert ledger.audit() == []
 
-    def test_commit_many_returns_token_pairs(self, pair_server, ledger):
+    def test_commit_many_commits_each_member(self, pair_server, ledger):
         txns = [ledger.begin(owner=f"t{i}") for i in range(2)]
         prepare_results = ledger.prepare_many(
             [
@@ -469,12 +469,11 @@ class TestGroupedRounds:
             ]
         )
         assert prepare_results == [None, None]
-        commit_results = ledger.commit_many(txns)
-        for txn, result in zip(txns, commit_results):
+        assert ledger.commit_many(txns) == [None, None]
+        for txn in txns:
             assert txn.state is TransactionState.COMMITTED
-            allocations, reservations = result
-            assert {a.device_id for a in allocations} == {"d1", "d2"}
-            assert len(reservations) == 1
+            assert {a.device_id for a in txn.allocations} == {"d1", "d2"}
+            assert len(txn.reservations) == 1
         d1 = pair_server.domain.device("d1")
         assert d1.allocated == ResourceVector(memory=60.0, cpu=1.0)
         for txn in txns:

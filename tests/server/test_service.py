@@ -101,6 +101,27 @@ class TestAdmission:
             assert device.allocated.is_zero()
         assert service.ledger.audit() == []
 
+    @pytest.mark.parametrize("stored", [False, True], ids=["bare", "stored"])
+    def test_records_only_into_a_passed_store(self, stored):
+        from repro.store import InMemoryRecordStore, SessionStatus
+
+        testbed = build_audio_testbed()
+        store = InMemoryRecordStore() if stored else None
+        service = make_service(testbed, store=store)
+        assert service.store is store
+        assert service.ledger._store is store
+        service.submit(request(testbed, "r1"))
+        outcome = service.drain()[0]
+        service.stop_session(outcome)
+        assert service.ledger.audit() == []
+        if not stored:
+            assert service.epoch is None
+            return
+        assert service.epoch == 1
+        [record] = store.sessions()
+        assert record.status == SessionStatus.RELEASED
+        assert store.ledger_events(epoch=1)
+
     def test_outcome_lookup(self):
         testbed = build_audio_testbed()
         service = make_service(testbed)

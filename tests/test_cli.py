@@ -317,6 +317,34 @@ class TestScenarioCommand:
         assert payload["scenario"] == "conference_mesh"
         assert payload["submitted"] > 0
 
+    def test_store_only_observes(self, capsys, tmp_path):
+        """A record store records the run; it never changes its JSON."""
+        bare, stored = tmp_path / "bare.json", tmp_path / "stored.json"
+        store_path = tmp_path / "sessions.sqlite"
+        assert main(["scenario", "conference_mesh", "--json", str(bare)]) == 0
+        assert (
+            main(
+                [
+                    "scenario",
+                    "conference_mesh",
+                    "--store",
+                    str(store_path),
+                    "--json",
+                    str(stored),
+                ]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        assert stored.read_bytes() == bare.read_bytes()
+        from repro.store import SqliteRecordStore
+
+        store = SqliteRecordStore(str(store_path))
+        try:
+            assert store.sessions()
+        finally:
+            store.close()
+
     def test_run_spec_file_with_seed_override(self, capsys, tmp_path):
         from repro.scenarios import load_catalog_scenario
 
