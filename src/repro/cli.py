@@ -8,7 +8,7 @@ Usage::
     python -m repro figure5  [--requests N] [--horizon H]
     python -m repro ablations [--cases N]
     python -m repro control-sweep [--quick] [--json PATH]
-    python -m repro scenario [NAME|PATH] [--list] [--driver sim|thread] [--multiplier M ...] [--shards N ...] [--clusters N ...] [--horizon S] [--seed S] [--controlled] [--batched] [--store PATH] [--crash-restart] [--json PATH] [--trace PATH]
+    python -m repro scenario [NAME|PATH] [--list] [--driver sim|thread] [--multiplier M ...] [--shards N ...] [--clusters N ...] [--horizon S] [--seed S] [--controlled] [--batched] [--store PATH] [--json PATH] [--trace PATH]
     python -m repro bench [--quick] [--baseline PATH] [--tolerance F]
     python -m repro trace-report PATH
     python -m repro all
@@ -128,7 +128,6 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         catalog_scenarios,
         load_catalog_scenario,
         load_scenario,
-        run_crash_restart,
         run_sweep,
         scenario_path,
     )
@@ -154,74 +153,35 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
 
-    if args.crash_restart:
-        if (
-            len(args.multiplier) > 1
-            or args.shards
-            or args.clusters
-            or args.horizon
-        ):
-            raise SystemExit(
-                "--crash-restart runs one point: one --multiplier, "
-                "no --shards, --clusters or --horizon"
-            )
-        try:
-            result = run_crash_restart(
-                spec,
-                store_path=args.store,
-                crash_at_fraction=args.crash_at,
-                multiplier=args.multiplier[0],
-            )
-        except ValueError as exc:
-            raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
-        report = result.report
-        print(
-            f"Scenario {result.scenario!r} crash-restart: "
-            f"crashed epoch {result.crashed_epoch} at t={result.crash_at_s:g}s "
-            f"({result.pre_crash_admitted} admitted, "
-            f"{result.active_at_crash} active), "
-            f"epoch {result.resumed_epoch} re-adopted {report.readopted}, "
-            f"tore down {report.torn_down}, "
-            f"reconciled {report.reconciled_txns} txn(s), "
-            f"ledger {'balanced' if result.balanced else 'UNBALANCED'}"
+    store = SqliteRecordStore(args.store) if args.store else None
+    try:
+        sweep = run_sweep(
+            spec,
+            args.multiplier,
+            shards=args.shards,
+            clusters=args.clusters,
+            horizon_s=args.horizon,
+            driver=args.driver,
+            trace=args.trace is not None,
+            controlled=True if args.controlled else None,
+            batched=args.batched,
+            store=store,
         )
-        print()
-        print(result.resumed.format_table())
-        if args.trace is not None:
-            print("--trace is ignored with --crash-restart")
-            args.trace = None
-        if not result.balanced:
-            raise SystemExit(1)
-        trace_ndjson = ""
-    else:
-        store = SqliteRecordStore(args.store) if args.store else None
-        try:
-            sweep = run_sweep(
-                spec,
-                args.multiplier,
-                shards=args.shards,
-                clusters=args.clusters,
-                horizon_s=args.horizon,
-                driver=args.driver,
-                trace=args.trace is not None,
-                controlled=True if args.controlled else None,
-                batched=args.batched,
-                store=store,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
-        # One point writes the single-run JSON and table.
-        result = sweep.points[0] if len(sweep.points) == 1 else sweep
-        print(result.format_table())
-        trace_ndjson = sweep.trace_ndjson()
+    except ValueError as exc:
+        raise SystemExit(f"invalid scenario {args.name}: {exc}") from None
+    # One point writes the single-run JSON and table.
+    result = sweep.points[0] if len(sweep.points) == 1 else sweep
+    print(result.format_table())
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(result.to_json() + "\n")
         print(f"\nscenario JSON written to {args.json}")
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_ndjson)
+            handle.write(sweep.trace_ndjson())
         print(f"span trace NDJSON written to {args.trace}")
+    if not all(point.balanced for point in sweep.points):
+        raise SystemExit("a killed epoch's stored ledger is unbalanced")
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -474,23 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="sqlite file backing the durable session record store of a "
-        "one-shard, one-cluster run (default: in-memory, byte-identical "
-        "to storeless)",
-    )
-    scenario.add_argument(
-        "--crash-restart",
-        action="store_true",
-        help="crash mid-horizon and recover a successor epoch from the "
-        "store, asserting a balanced ledger (one shard of one cluster, "
-        "no faults or sessions)",
-    )
-    scenario.add_argument(
-        "--crash-at",
-        type=float,
-        default=0.5,
-        help="horizon fraction at which the crash happens "
-        "(with --crash-restart)",
+        help="sqlite file backing every domain's durable session record "
+        "store (default: none, or in-memory for a document with an "
+        "epoch_kill; the output is the same either way)",
     )
     scenario.add_argument(
         "--json",

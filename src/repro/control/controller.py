@@ -464,8 +464,9 @@ class QoSController:
             moved = 0
             failed = 0
             interruption_ms = 0.0
-            for session_id in sorted(self.configurator.sessions):
-                session = self.configurator.sessions[session_id]
+            # Stopped sessions leave the table: snapshot id and session
+            # together, so none can vanish between the two.
+            for _, session in sorted(self.configurator.sessions.items()):
                 if not session.running:
                     continue
                 if device_id not in session.devices_in_use():

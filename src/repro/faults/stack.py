@@ -32,7 +32,9 @@ class RecoveryStack:
     ``testbed`` is anything with a ``server`` and a ``configurator``. With
     ``faults=None`` only the detector (and controller) run: a controlled
     run without a fault storm. ``control_policy`` builds the controller;
-    ``None`` leaves it out. Every component counts into :attr:`metrics`.
+    ``None`` leaves it out. Every component counts into :attr:`metrics`
+    (``metrics``, or a fresh one: a successor stack passes its dead
+    predecessor's, so the counts cover both).
     """
 
     def __init__(
@@ -44,9 +46,10 @@ class RecoveryStack:
         ladder: Optional[DegradationLadder] = None,
         faults: Optional[FaultSchedule] = None,
         control_policy: Optional[ControlPolicy] = None,
+        metrics: Optional[RecoveryMetrics] = None,
     ) -> None:
         self.faults = faults
-        self.metrics = RecoveryMetrics()
+        self.metrics = metrics if metrics is not None else RecoveryMetrics()
         self.policy = STORM_POLICY
         self.detector = FailureDetector(
             testbed.server,

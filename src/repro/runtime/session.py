@@ -225,10 +225,12 @@ class ApplicationSession:
         """Release everything the session holds (idempotent).
 
         Also drops the session's auto-reconfiguration subscriptions so a
-        stopped session leaves no handlers behind on the domain bus.
+        stopped session leaves no handlers behind on the domain bus, and
+        the session itself from the configurator's table of live ones.
         """
         self.configurator.release(self)
         self.configurator.disable_auto_reconfiguration(self)
+        self.configurator.sessions.pop(self.session_id, None)
         if self.state is not SessionState.FAILED:
             self.state = SessionState.STOPPED
         self.configurator.bus.emit(

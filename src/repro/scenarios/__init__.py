@@ -9,8 +9,8 @@ control/federation knobs, one seed — and this package turns it into a run:
   seeded traces, fault schedules, and request factories;
 - :mod:`repro.scenarios.runner` — end-to-end execution of the serving
   tree (domains, clusters, federations; faults, sessions, control and
-  batching at every shape), sweeps over load multipliers, shard counts
-  and cluster counts, and the crash-restart recovery harness;
+  batching and epoch kills at every shape), and sweeps over load
+  multipliers, shard counts and cluster counts;
 - ``catalog/`` — the built-in scenarios behind ``python -m repro
   scenario <name>``.
 """
@@ -25,11 +25,9 @@ from repro.scenarios.compile import (
     derive_seed,
 )
 from repro.scenarios.runner import (
-    CrashRestartResult,
     ScenarioRunResult,
     ScenarioSweep,
     build_federation,
-    run_crash_restart,
     run_scenario,
     run_sweep,
 )
@@ -70,7 +68,6 @@ def load_catalog_scenario(name: str) -> ScenarioSpec:
 __all__ = [
     "CATALOG_DIR",
     "CompiledScenario",
-    "CrashRestartResult",
     "ScenarioRunResult",
     "ScenarioSpec",
     "ScenarioSweep",
@@ -83,7 +80,6 @@ __all__ = [
     "load_catalog_scenario",
     "load_scenario",
     "loads_scenario_text",
-    "run_crash_restart",
     "run_scenario",
     "run_sweep",
     "scenario_path",

@@ -60,6 +60,7 @@ from repro.store.records import SessionRecord
 from repro.workloads.arrivals import ArrivalEvent, ArrivalTrace, arrival_trace
 
 from repro.scenarios.spec import (
+    EPOCH_KILL,
     LINK_CLASSES,
     ComponentSpec,
     ScenarioSpec,
@@ -314,12 +315,17 @@ class CompiledScenario:
     def fault_schedule(
         self, multiplier: float = 1.0
     ) -> Optional[FaultSchedule]:
-        """The fault plan: seeded storm merged with scripted events.
+        """The device-fault plan: seeded storm merged with scripted events.
 
         ``multiplier`` scales the storm's rates; scripted events stay put.
+        Epoch kills are not device faults (see :meth:`epoch_kills`); a
+        plan of nothing else, like no ``faults:`` section, is None.
         """
         faults = self.spec.faults
         if faults is None:
+            return None
+        scripted = [item for item in faults.scripted if item.kind != EPOCH_KILL]
+        if faults.random is None and not scripted and self.epoch_kills():
             return None
         specs: List[FaultSpec] = []
         if faults.random is not None:
@@ -340,7 +346,7 @@ class CompiledScenario:
                 pressure_rate_per_min=rnd.pressure_rate_per_min * multiplier,
             )
             specs.extend(storm)
-        for item in faults.scripted:
+        for item in scripted:
             specs.append(
                 FaultSpec(
                     kind=FaultKind(item.kind),
@@ -352,6 +358,15 @@ class CompiledScenario:
                 )
             )
         return FaultSchedule.of(*specs)
+
+    def epoch_kills(self) -> List[float]:
+        """When every domain's service dies: the ``epoch_kill`` times."""
+        faults = self.spec.faults
+        return sorted(
+            item.at_s
+            for item in (faults.scripted if faults else ())
+            if item.kind == EPOCH_KILL
+        )
 
     def _fault_targets(self, refs: List[str]) -> List[str]:
         return [target for ref in refs for target in self._concrete(ref)]

@@ -26,12 +26,15 @@ the ledger audit, and ``to_json`` is byte-identical across sim runs of
 one document + seed. :func:`run_sweep` runs one document at every
 cluster count × shard count × load multiplier.
 
-:func:`run_crash_restart` is the durability counterpart: phase one runs
-a lone domain against a shared (sqlite) record store and stops abruptly
-mid-horizon, exactly like a process crash; phase two boots a *fresh*
-service on the same store, re-adopts the dead epoch's persisted sessions
-through normal admission, reconciles its dangling ledger holds, and
-replays the rest of the trace. Both ledgers must balance.
+Crash-restart is a fault: an ``epoch_kill`` in ``faults.scripted`` hits
+every domain of the tree inside the same replay. At the kill a domain
+drops its service without teardown, exactly like a process crash, and
+boots a fresh testbed and service on the same record store (a run with
+a kill gets an in-memory store when none is passed). The successor
+takes the dead service's metrics, driver lane and shard slot, reopens
+the held sessions, re-adopts the dead epoch's persisted sessions
+through normal admission, reconciles its dangling ledger holds and
+recovers from the device faults still to come.
 """
 
 from __future__ import annotations
@@ -60,12 +63,8 @@ from repro.server.drivers import (
 )
 from repro.server.service import UNBATCHED, BatchPolicy
 from repro.sim.kernel import Simulator
-from repro.store import (
-    ReadoptionReport,
-    RecordStore,
-    SqliteRecordStore,
-    readopt_sessions,
-)
+from repro.faults.model import FaultSchedule
+from repro.store import InMemoryRecordStore, RecordStore, readopt_sessions
 from repro.scenarios.compile import (
     CompiledScenario,
     ScenarioTestbed,
@@ -119,8 +118,10 @@ class ScenarioRunResult:
     #: recovery reports (``as_dict`` carries it only then).
     recovery: Optional[Dict[str, object]] = None
     #: Per domain (``shard<i>``, ``cluster<j>.shard<i>``): ``sessions``,
-    #: each held user's running sessions at teardown, and a faulted
-    #: domain's ``recovery`` block; in ``as_dict`` for several domains.
+    #: each held user's running sessions at teardown, a faulted domain's
+    #: ``recovery`` block and a killed domain's ``epoch_kills`` (one
+    #: re-adoption report each); in ``as_dict`` for several domains or a
+    #: kill.
     domains: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: Member clusters; the three federation keys appear in ``as_dict``
     #: only when the run was federated.
@@ -150,9 +151,22 @@ class ScenarioRunResult:
             )
         if self.recovery is not None:
             payload["recovery"] = self.recovery
-        if len(self.domains) > 1 and any(self.domains.values()):
+        if self.epoch_kills() or (len(self.domains) > 1 and any(self.domains.values())):
             payload["domains"] = self.domains
         return payload
+
+    def epoch_kills(self) -> List[Tuple[str, Dict[str, object]]]:
+        """Every domain's epoch kills as ``(domain, report)``, in order."""
+        return [
+            (name, kill)
+            for name, reading in self.domains.items()
+            for kill in reading.get("epoch_kills", ())
+        ]
+
+    @property
+    def balanced(self) -> bool:
+        """True when every killed epoch's stored ledger closes to zero."""
+        return all(kill["balanced"] for _, kill in self.epoch_kills())
 
     def to_json(self) -> str:
         """Deterministic JSON artifact (sorted keys, no whitespace)."""
@@ -195,6 +209,16 @@ class ScenarioRunResult:
                 f"recoveries {self.recoveries}, "
                 f"recovery failures {self.recovery_failures}"
             )
+        for name, kill in self.epoch_kills():
+            lines.append(
+                f"{name}: epoch {kill['dead_epoch']} killed at "
+                f"t={kill['at_s']:g}s ({kill['admitted']} admitted, "
+                f"{kill['persisted_active']} active), "
+                f"epoch {kill['epoch']} re-adopted {kill['readopted']}, "
+                f"tore down {kill['torn_down']}, "
+                f"reconciled {kill['reconciled_txns']} txn(s), "
+                f"ledger {'balanced' if kill['balanced'] else 'UNBALANCED'}"
+            )
         return "\n".join(lines)
 
 
@@ -204,24 +228,6 @@ def _as_compiled(
     if isinstance(scenario, CompiledScenario):
         return scenario
     return compile_scenario(scenario)
-
-
-def _single_domain(spec: ScenarioSpec, feature: str, held: bool = False) -> None:
-    """Refuse ``feature`` (a store or a crash-restart) unless the document
-    plans to one lone domain: :func:`~repro.store.readopt_sessions`
-    re-adopts every active session of an earlier epoch, so a store shared
-    by live domains would re-adopt a sibling's sessions. ``held`` also
-    refuses the faults and sessions the crash-restart replay does not run.
-    """
-    rules = [
-        ("federation.clusters", spec.clusters > 1, "a single-cluster scenario"),
-        ("cluster.shards", spec.cluster.shards > 1, "a single-shard scenario"),
-        ("faults", held and spec.faults is not None, "a document without faults"),
-        ("sessions", held and bool(spec.sessions), "a document without sessions"),
-    ]
-    for path, broken, needs in rules:
-        if broken:
-            raise ScenarioValidationError(path, f"{feature} requires {needs}")
 
 
 def run_scenario(
@@ -239,7 +245,8 @@ def run_scenario(
     ``controlled=None`` follows the spec's ``control.enabled`` knob; an
     explicit boolean overrides it (the thread driver never controls: the
     control plane needs a logical clock). Faults and sessions need the sim
-    driver. ``store`` plugs a durable record store into a lone domain.
+    driver. ``store`` plugs a durable record store into every domain;
+    it records the run and never changes its result.
 
     The thread driver is a time-compressed open loop: arrival times are
     ignored and every request is submitted at once, so dispositions are
@@ -252,8 +259,6 @@ def run_scenario(
         raise ValueError(f"unknown driver {driver!r} (choose sim or thread)")
     if multiplier <= 0:
         raise ValueError("load multiplier must be positive")
-    if store is not None:
-        _single_domain(spec, "--store")
     if (spec.faults is not None or spec.sessions) and driver != "sim":
         raise ValueError("fault schedules and sessions require the sim driver")
     if controlled is None:
@@ -266,6 +271,9 @@ def run_scenario(
         tick_interval_s=spec.control.tick_interval_s,
         window_s=spec.control.window_s,
     )
+    if store is None and compiled.epoch_kills():
+        # A successor reads its dead predecessor's records.
+        store = InMemoryRecordStore()
     build = _Build(
         compiled,
         simulator,
@@ -273,8 +281,9 @@ def run_scenario(
         multiplier=multiplier,
         arrivals=arrivals,
         control=control if controlled else None,
+        store=store,
     )
-    root = _plan(build, store)
+    root = _plan(build)
     trace_ndjson = ""
     if simulator is None:
         thread_burst(
@@ -314,7 +323,11 @@ class _Build:
     arrivals: Sequence[ArrivalEvent] = ()
     #: Taken by the lone domain or by each cluster.
     control: Optional[ControlPolicy] = None
+    #: Shared by every domain; each service opens its own epoch in it.
+    store: Optional[RecordStore] = None
     clock: Optional[Callable[[], float]] = None
+    #: The sim driver, once :meth:`driver` built it.
+    sim_driver: Optional[SimulatedServerDriver] = None
 
     def __post_init__(self) -> None:
         if self.simulator is not None:
@@ -330,16 +343,27 @@ class _Build:
             skip_downloads=spec.server.skip_downloads,
             max_conflict_retries=spec.server.max_conflict_retries,
             scenario=spec.name,
+            store=self.store,
+        )
+
+    def service(self, configurator, **overrides) -> BatchingDomainService:
+        """One domain's service (``overrides``: e.g. a shard's metrics)."""
+        return BatchingDomainService(
+            configurator,
+            batch=BatchPolicy() if self.batched else UNBATCHED,
+            **self.service_kwargs(),
+            **overrides,
         )
 
     def driver(self, target) -> SimulatedServerDriver:
         server = self.compiled.spec.server
-        return SimulatedServerDriver(
+        self.sim_driver = SimulatedServerDriver(
             target,
             self.simulator,
             workers=server.workers,
             min_service_s=server.min_service_s,
         )
+        return self.sim_driver
 
 
 class _Node:
@@ -382,38 +406,48 @@ class _Domain(_Node):
         testbed: ScenarioTestbed,
         service: BatchingDomainService,
         control: Optional[ControlPolicy] = None,
+        cluster: Optional[DomainCluster] = None,
     ) -> None:
+        self.build = build
         self.compiled = compiled = build.compiled
         self.name = name
         self.testbed = testbed
         self.target = service
+        #: The cluster whose shard the service is, if any.
+        self.cluster = cluster
+        self.control = control
         self.to_request = compiled.request_factory(testbed)
         self.attributes = {"multiplier": build.multiplier}
         self.held: List[ApplicationSession] = []
         self.active: Dict[str, int] = {}
-        self.recovery: Optional[RecoveryStack] = None
-        faults = compiled.spec.faults
-        if faults is not None or control is not None:
-            self.recovery = RecoveryStack(
-                testbed,
-                SimScheduler(build.simulator),
-                heartbeat_interval_s=faults.heartbeat_interval_s if faults else 2.0,
-                suspicion_threshold=faults.suspicion_threshold if faults else 3.0,
-                ladder=compiled.ladder(),
-                faults=compiled.fault_schedule(build.multiplier),
-                control_policy=control,
-            )
+        self.kills: List[Dict[str, object]] = []
+        self.faults = compiled.fault_schedule(build.multiplier)
+        self.recovery = self._stack(self.faults)
+
+    def _stack(
+        self, faults: Optional[FaultSchedule], metrics=None
+    ) -> Optional[RecoveryStack]:
+        """A recovery stack over the testbed, arming ``faults`` (None
+        without device faults or a controller)."""
+        if faults is None and self.control is None:
+            return None
+        section = self.compiled.spec.faults
+        return RecoveryStack(
+            self.testbed,
+            SimScheduler(self.build.simulator),
+            heartbeat_interval_s=section.heartbeat_interval_s if section else 2.0,
+            suspicion_threshold=section.suspicion_threshold if section else 3.0,
+            ladder=self.compiled.ladder(),
+            faults=faults,
+            control_policy=self.control,
+            metrics=metrics,
+        )
 
     @classmethod
-    def lone(cls, build: _Build, store: Optional[RecordStore] = None) -> "_Domain":
+    def lone(cls, build: _Build) -> "_Domain":
         """The whole tree of a one-shard, one-cluster document."""
         testbed = build.compiled.build_testbed(clock=build.clock)
-        service = BatchingDomainService(
-            testbed.configurator,
-            store=store,
-            batch=BatchPolicy() if build.batched else UNBATCHED,
-            **build.service_kwargs(),
-        )
+        service = build.service(testbed.configurator)
         return cls(build, "shard0", testbed, service, control=build.control)
 
     def domains(self) -> List["_Domain"]:
@@ -423,9 +457,19 @@ class _Domain(_Node):
         return [self.recovery.metrics.registry] if self.recovery else []
 
     def setup(self) -> None:
-        """Open every held session at t=0 as ``user-<client>`` (raising
-        when one does not admit), then start the recovery stack."""
+        """Schedule the epoch kills, open the held sessions, then start
+        the recovery stack."""
+        for at_s in self.compiled.epoch_kills():
+            self.build.simulator.schedule_at(at_s, self.kill)
+        self._open_held()
+        if self.recovery is not None:
+            self.recovery.start(self.compiled.spec.arrivals.horizon_s)
+
+    def _open_held(self) -> None:
+        """Open every held session now as ``user-<client>`` (raising
+        when one does not admit)."""
         spec = self.compiled.spec
+        self.held = []
         for entry in spec.sessions:
             session = self.testbed.configurator.create_session(
                 self.compiled.composition_request(
@@ -443,8 +487,56 @@ class _Domain(_Node):
                     "did not admit"
                 )
             self.held.append(session)
-        if self.recovery is not None:
-            self.recovery.start(spec.arrivals.horizon_s)
+
+    def kill(self) -> None:
+        """The ``epoch_kill`` fault: the service dies, a successor boots.
+
+        The dead service gets no teardown. Its sessions, holds, pending
+        driver events and recovery timers die with it; its queued
+        requests count as failed. The successor gets a fresh testbed and
+        service on the same store, the dead service's metrics, lane and
+        shard slot; it reopens the held sessions (they have no store
+        record), re-adopts the dead epoch's active sessions and arms the
+        device faults still to come. Arrivals keep composing against the
+        first testbed: a request names only device ids and classes.
+        """
+        build = self.build
+        now = build.simulator.now
+        dead, previous = self.target, self.recovery
+        if previous is not None:
+            previous.stop()  # cancels its timers, touches no session
+        dead.metrics.incr("failed", len(dead.queue.pop_many(dead.queue.depth)))
+        self.testbed = build.compiled.build_testbed(clock=build.clock)
+        self.target = build.service(self.testbed.configurator, metrics=dead.metrics)
+        build.sim_driver.replace(dead, self.target)
+        if self.cluster is not None:
+            shards = self.cluster.shards
+            shards[shards.index(dead)] = self.target
+        self._open_held()
+        report = readopt_sessions(
+            self.target,
+            build.compiled.recovery_request_factory(self.testbed),
+            epoch=dead.epoch,
+        )
+        self.kills.append(
+            dict(report.to_dict(), admitted=dead.metrics.count("admitted"))
+        )
+        if previous is None:
+            return
+        faults = None
+        if self.faults is not None:
+            faults = FaultSchedule.of(
+                *(
+                    replace(fault, at_s=fault.at_s - now)
+                    for fault in self.faults
+                    if fault.at_s >= now
+                )
+            )
+        self.recovery = self._stack(faults, metrics=previous.metrics)
+        if previous.manager is not None:
+            # One report list across the domain's epochs.
+            self.recovery.manager.reports = previous.manager.reports
+        self.recovery.start(max(0.0, self.compiled.spec.arrivals.horizon_s - now))
 
     def teardown(self) -> None:
         """Stop the recovery stack, count, then stop the held sessions."""
@@ -489,6 +581,8 @@ class _Domain(_Node):
                 **recovery.metrics.registry.snapshot(),
                 "reports": [report.to_dict() for report in recovery.manager.reports],
             }
+        if self.kills:
+            reading["epoch_kills"] = self.kills
         return reading
 
 
@@ -515,7 +609,9 @@ class _Cluster(_Node):
         )
         prefix = f"{name}." if name else ""
         self.children = [
-            _Domain(build, f"{prefix}shard{index}", testbed, service)
+            _Domain(
+                build, f"{prefix}shard{index}", testbed, service, cluster=self.target
+            )
             for index, (testbed, service) in enumerate(
                 zip(testbeds, self.target.shards)
             )
@@ -556,6 +652,12 @@ class _Federation(_Node):
 
     def __init__(self, build: _Build) -> None:
         compiled = build.compiled
+        if compiled.epoch_kills():
+            raise ScenarioValidationError(
+                "federation.clusters",
+                "an epoch_kill needs a single-cluster scenario: a session "
+                "that roamed in has no store record, so a kill would lose it",
+            )
         self.build = build
         self.children = [
             _Cluster(build, name) for name in compiled.member_names()
@@ -602,14 +704,14 @@ class _Federation(_Node):
         return counts, {"clusters": self.target.member_count, "shard_count": shards}
 
 
-def _plan(build: _Build, store: Optional[RecordStore] = None) -> _Node:
-    """The document's serving tree (``store`` goes to a lone domain)."""
+def _plan(build: _Build) -> _Node:
+    """The document's serving tree."""
     spec = build.compiled.spec
     if spec.clusters > 1:
         return _Federation(build)
     if spec.cluster.shards > 1:
         return _Cluster(build)
-    return _Domain.lone(build, store)
+    return _Domain.lone(build)
 
 
 def build_federation(
@@ -815,121 +917,10 @@ def run_sweep(
 
 
 
-# ---------------------------------------------------------------------------
-# crash-restart
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CrashRestartResult:
-    """Two service lifetimes over one durable store, reconciled."""
-
-    scenario: str
-    seed: int
-    crash_at_s: float
-    crashed_epoch: int
-    resumed_epoch: int
-    active_at_crash: int
-    report: ReadoptionReport
-    resumed: ScenarioRunResult
-    pre_crash_admitted: int = 0
-
-    @property
-    def balanced(self) -> bool:
-        return self.report.balanced
-
-    def as_dict(self) -> Dict[str, object]:
-        payload = {item.name: getattr(self, item.name) for item in fields(self)}
-        payload["balanced"] = self.balanced
-        payload["recovery"] = payload.pop("report").to_dict()
-        payload["resumed"] = self.resumed.as_dict()
-        return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
-
-
-def run_crash_restart(
-    scenario: Union[ScenarioSpec, CompiledScenario],
-    store: Optional[RecordStore] = None,
-    store_path: Optional[str] = None,
-    crash_at_fraction: float = 0.5,
-    multiplier: float = 1.0,
-) -> CrashRestartResult:
-    """Crash a scenario mid-horizon and recover it from the store.
-
-    Phase one replays the trace up to ``crash_at_fraction`` of the
-    horizon against the shared store and then simply stops — no session
-    teardown, no ledger release; exactly what a process crash leaves
-    behind. Phase two boots a fresh testbed and service (same store, new
-    epoch), re-adopts the dead epoch's persisted sessions, reconciles its
-    dangling committed holds, and replays the remaining arrivals shifted
-    to the new service's time origin. Both phases are one lone domain
-    without faults or sessions; anything else is refused.
-    """
-    compiled = _as_compiled(scenario)
-    spec = compiled.spec
-    if not 0.0 < crash_at_fraction < 1.0:
-        raise ValueError("crash_at_fraction must be in (0, 1)")
-    _single_domain(spec, "--crash-restart", held=True)
-    if store is None:
-        store = SqliteRecordStore(store_path or ":memory:")
-    crash_at_s = spec.arrivals.horizon_s * crash_at_fraction
-    arrivals = compiled.arrival_trace(multiplier=multiplier)
-
-    # -- phase one: run to the crash point, then vanish ----------------
-    sim1 = Simulator()
-    build1 = _Build(compiled, sim1)
-    domain1 = _Domain.lone(build1, store)
-    service1 = domain1.target
-    crashed_epoch = service1.epoch
-    driver1 = build1.driver(service1)
-    driver1.schedule_trace(arrivals, domain1.to_request)
-    driver1.run(until=crash_at_s)
-    pre_crash_admitted = service1.metrics.count("admitted")
-    # Deliberately no teardown: service1's sessions, holds and queue die
-    # with its process. Only the store survives.
-
-    # -- phase two: fresh boot on the same store -----------------------
-    sim2 = Simulator()
-    build2 = _Build(compiled, sim2, multiplier=multiplier)
-    domain2 = _Domain.lone(build2, store)
-    report = readopt_sessions(
-        domain2.target, compiled.recovery_request_factory(domain2.testbed)
-    )
-    # The rest of the trace, shifted to the new service's time origin.
-    remainder = [
-        replace(event, arrival_s=event.arrival_s - crash_at_s)
-        for event in arrivals
-        if event.arrival_s >= crash_at_s
-    ]
-    sim_replay(
-        build2.driver(domain2.target),
-        remainder,
-        domain2.to_request,
-        "re-adoption",
-    )
-    resumed = _read(domain2, build2, spec.arrivals.horizon_s - crash_at_s)
-    return CrashRestartResult(
-        scenario=spec.name,
-        seed=spec.seed,
-        crash_at_s=crash_at_s,
-        crashed_epoch=crashed_epoch,
-        resumed_epoch=domain2.target.epoch,
-        active_at_crash=report.persisted_active,
-        report=report,
-        resumed=resumed,
-        pre_crash_admitted=pre_crash_admitted,
-    )
-
-
 __all__ = [
-    "CrashRestartResult",
     "ScenarioRunResult",
     "ScenarioSweep",
     "build_federation",
-    "run_crash_restart",
     "run_scenario",
     "run_sweep",
 ]

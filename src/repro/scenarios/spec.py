@@ -57,7 +57,10 @@ DEVICE_CLASSES = (
     DeviceClass.SERVER,
 )
 LINK_CLASSES = {cls.label: cls for cls in LinkClass}
-FAULT_KINDS = tuple(sorted(kind.value for kind in FaultKind))
+#: The one fault that hits a domain's service rather than a device: the
+#: service dies mid-run and a successor boots on the same record store.
+EPOCH_KILL = "epoch_kill"
+FAULT_KINDS = tuple(sorted([kind.value for kind in FaultKind] + [EPOCH_KILL]))
 ARRIVAL_PROCESSES = ("poisson", "pareto")
 DURATION_PROCESSES = ("exponential", "pareto")
 
@@ -490,14 +493,28 @@ class ArrivalSpec(Section):
 
 @dataclass
 class ScriptedFaultSpec(Section):
-    """One explicit fault event (compiled to a ``FaultSpec``)."""
+    """One explicit fault event: a device fault (compiled to a
+    ``FaultSpec``) or an ``epoch_kill``, which names no device."""
 
     kind: str = doc(choices=("fault kind", FAULT_KINDS))
     at_s: float = doc(ge=0)
-    target: str
+    target: Optional[str] = None
     peer: Optional[str] = None
     magnitude: float = 0.5
     duration_s: float = 0.0
+
+    def _check(self, path: str) -> None:
+        if self.kind != EPOCH_KILL:
+            if self.target is None:
+                raise ScenarioValidationError(
+                    f"{path}.target", "required key is missing"
+                )
+            return
+        for name in ("target", "peer"):
+            if getattr(self, name) is not None:
+                raise ScenarioValidationError(
+                    f"{path}.{name}", "an epoch_kill names no device"
+                )
 
 
 @dataclass
@@ -546,7 +563,8 @@ class FaultsSpec(Section):
             for pair in self.random.link_pairs:
                 names.extend(pair)
         for item in self.scripted:
-            names.append(item.target)
+            if item.target is not None:
+                names.append(item.target)
             if item.peer is not None:
                 names.append(item.peer)
         return names

@@ -338,39 +338,32 @@ class AdmissionController:
 
         Plans run against the current ledger-net snapshot but acquire
         nothing — each probe plan is discarded via ``fail_planned``-less
-        bookkeeping (the probe session never deploys and is dropped from
-        the configurator's session table afterwards). A level whose plan
-        is infeasible maps to None (its prior is used for ordering).
+        bookkeeping (the probe session never deploys and is never entered
+        in the configurator's session table). A level whose plan is
+        infeasible maps to None (its prior is used for ordering).
         """
         assert self.ladder is not None
-        session = self.configurator.create_session(
-            request, session_id=None, user_id=None
-        )
+        session = ApplicationSession("pareto-probe", self.configurator, request)
         points: List[Optional[ParetoPoint]] = []
-        try:
-            for index, level in enumerate(self.ladder.levels):
-                probe_request = dataclasses.replace(
-                    request, user_qos=level.user_qos
+        for index, level in enumerate(self.ladder.levels):
+            probe_request = dataclasses.replace(request, user_qos=level.user_qos)
+            scale = level.demand_scale
+            planned, _failure = self.configurator.plan(
+                session,
+                probe_request,
+                label=f"probe@{level.label}",
+                graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
+            )
+            if planned is None or planned.distribution.objectives is None:
+                points.append(None)
+                continue
+            points.append(
+                dataclasses.replace(
+                    planned.distribution.objectives,
+                    fidelity_loss=1.0 - level.demand_scale,
+                    key=(f"level{index}", level.label),
                 )
-                scale = level.demand_scale
-                planned, _failure = self.configurator.plan(
-                    session,
-                    probe_request,
-                    label=f"probe@{level.label}",
-                    graph_transform=lambda g, f=scale: scale_graph_demand(g, f),
-                )
-                if planned is None or planned.distribution.objectives is None:
-                    points.append(None)
-                    continue
-                points.append(
-                    dataclasses.replace(
-                        planned.distribution.objectives,
-                        fidelity_loss=1.0 - level.demand_scale,
-                        key=(f"level{index}", level.label),
-                    )
-                )
-        finally:
-            self.configurator.sessions.pop(session.session_id, None)
+            )
         return tuple(points)
 
     def class_points(
@@ -619,11 +612,13 @@ class AdmissionController:
         self._descend(walk, next_round)
 
     def _descend(self, walk: LadderWalk, next_round) -> None:
-        """Move to the next level of the walk order, or finish as FAILED."""
+        """Move to the next level of the walk order, or finish as FAILED
+        (the session leaves the configurator's table of live ones)."""
         if walk.position + 1 < len(walk.order):
             walk.position += 1
             walk.retries_left = self.max_conflict_retries
             next_round.append(walk)
             return
+        self.configurator.sessions.pop(walk.result.session.session_id, None)
         walk.finish()
 

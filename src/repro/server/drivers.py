@@ -241,12 +241,9 @@ class SimulatedServerDriver:
                 lambda e=event: self.arrive(request_factory(e)),
             )
 
-    def run(self, until: Optional[float] = None) -> List[RequestOutcome]:
-        """Run the simulation to completion (or ``until``); return outcomes."""
-        if until is None:
-            self.sim.run()
-        else:
-            self.sim.run_until(until)
+    def run(self) -> List[RequestOutcome]:
+        """Run the simulation to completion; return outcomes."""
+        self.sim.run()
         return self.outcomes
 
     def arrive(self, request) -> None:
@@ -272,7 +269,7 @@ class SimulatedServerDriver:
             if not lane.flush_scheduled:
                 lane.flush_scheduled = True
                 self.sim.schedule(
-                    policy.max_linger_s, lambda: self._linger_flush(lane)
+                    policy.max_linger_s, lambda: self._linger_flush(lane), lane
                 )
             return
 
@@ -292,7 +289,7 @@ class SimulatedServerDriver:
             self.min_service_s,
             sum(outcome.service_time_s for outcome in outcomes),
         )
-        self.sim.schedule(busy_s, lambda: self._complete(lane, outcomes))
+        self.sim.schedule(busy_s, lambda: self._complete(lane, outcomes), lane)
 
     def _complete(self, lane: _Lane, outcomes: List[RequestOutcome]) -> None:
         lane.busy -= 1
@@ -302,8 +299,24 @@ class SimulatedServerDriver:
                 self.sim.schedule(
                     outcome.duration_s,
                     lambda o=outcome: lane.service.stop_session(o),
+                    lane,
                 )
         self._dispatch(lane.service)
+
+    def replace(
+        self, dead: DomainConfigurationService, successor: DomainConfigurationService
+    ) -> None:
+        """Drive ``successor`` in place of a killed service.
+
+        Every event the dead service's lane still has pending (chunk
+        completions, linger flushes, session stops) is cancelled, so
+        nothing of the dead service reaches its successor; the successor
+        starts on an idle lane, and becomes the target when ``dead`` was.
+        """
+        self.sim.cancel_owned(self._lanes.pop(dead))
+        self._lanes[successor] = _Lane(successor)
+        if self.target is dead:
+            self.target = successor
 
 
 def sim_replay(

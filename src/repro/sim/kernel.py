@@ -13,15 +13,27 @@ from typing import Callable, List, Optional
 
 
 class EventHandle:
-    """A scheduled callback; cancellable until it fires."""
+    """A scheduled callback; cancellable until it fires.
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    ``owner`` tags the event with whatever scheduled it, so
+    :meth:`Simulator.cancel_owned` can drop all of one owner's pending
+    events at once.
+    """
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]) -> None:
+    __slots__ = ("time", "seq", "callback", "cancelled", "owner")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[[], None],
+        owner: object = None,
+    ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
+        self.owner = owner
 
     def cancel(self) -> None:
         """Prevent the callback from firing (idempotent)."""
@@ -65,21 +77,32 @@ class Simulator:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
         return sum(1 for h in self._queue if not h.cancelled)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule(
+        self, delay: float, callback: Callable[[], None], owner: object = None
+    ) -> EventHandle:
         """Schedule a callback ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self._now + delay, callback, owner)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(
+        self, time: float, callback: Callable[[], None], owner: object = None
+    ) -> EventHandle:
         """Schedule a callback at an absolute simulation time."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        handle = EventHandle(time, next(self._seq), callback)
+        handle = EventHandle(time, next(self._seq), callback, owner)
         heapq.heappush(self._queue, handle)
         return handle
+
+    def cancel_owned(self, owner: object) -> None:
+        """Cancel every pending event scheduled with ``owner`` (one pass
+        over the calendar)."""
+        for handle in self._queue:
+            if handle.owner is owner:
+                handle.cancel()
 
     def step(self) -> bool:
         """Execute the next event; False when the queue is empty."""

@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Set
 
-from .records import LedgerEvent, LedgerEventKind, SessionRecord, SessionStatus
+from .records import LedgerEvent, LedgerEventKind, SessionRecord
 
 
 class RecordStore(ABC):
@@ -48,10 +48,7 @@ class RecordStore(ABC):
 
     @abstractmethod
     def sessions(
-        self,
-        status: Optional[str] = None,
-        epoch: Optional[int] = None,
-        before_epoch: Optional[int] = None,
+        self, status: Optional[str] = None, epoch: Optional[int] = None
     ) -> List[SessionRecord]:
         """Records matching the filters, ordered by ``session_id``."""
 
@@ -113,10 +110,6 @@ class RecordStore(ABC):
             )
         )
 
-    def active_sessions_before(self, epoch: int) -> List[SessionRecord]:
-        """Still-active records from epochs older than ``epoch``."""
-        return self.sessions(status=SessionStatus.ACTIVE, before_epoch=epoch)
-
     def close(self) -> None:
         """Release any underlying resources (no-op by default)."""
 
@@ -148,10 +141,7 @@ class InMemoryRecordStore(RecordStore):
             return self._sessions.get(session_id)
 
     def sessions(
-        self,
-        status: Optional[str] = None,
-        epoch: Optional[int] = None,
-        before_epoch: Optional[int] = None,
+        self, status: Optional[str] = None, epoch: Optional[int] = None
     ) -> List[SessionRecord]:
         with self._lock:
             records: Iterable[SessionRecord] = self._sessions.values()
@@ -159,8 +149,6 @@ class InMemoryRecordStore(RecordStore):
                 records = [r for r in records if r.status == status]
             if epoch is not None:
                 records = [r for r in records if r.epoch == epoch]
-            if before_epoch is not None:
-                records = [r for r in records if r.epoch < before_epoch]
             return sorted(records, key=lambda r: r.session_id)
 
     def mark_session(self, session_id: str, status: str, at_s: float) -> bool:

@@ -179,10 +179,7 @@ class SqliteRecordStore(RecordStore):
             return self._session_from_row(row) if row is not None else None
 
     def sessions(
-        self,
-        status: Optional[str] = None,
-        epoch: Optional[int] = None,
-        before_epoch: Optional[int] = None,
+        self, status: Optional[str] = None, epoch: Optional[int] = None
     ) -> List[SessionRecord]:
         clauses: List[str] = []
         params: List[object] = []
@@ -192,9 +189,6 @@ class SqliteRecordStore(RecordStore):
         if epoch is not None:
             clauses.append("epoch = ?")
             params.append(epoch)
-        if before_epoch is not None:
-            clauses.append("epoch < ?")
-            params.append(before_epoch)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         with self._lock:
             rows = self._conn.execute(

@@ -219,12 +219,10 @@ class TestMidMigrationPartition:
         )
         for device in dest_server.available_devices():
             assert device.allocated.is_zero()
-        # No duplicate active session anywhere.
+        # No duplicate active session anywhere: the rolled-back
+        # destination session stopped, so it left the live table.
         shard = tier.member("cluster1").cluster.shards[0]
-        ghost = shard.configurator.sessions.get(
-            f"{session.session_id}@cluster1"
-        )
-        assert ghost is not None and not ghost.running
+        assert f"{session.session_id}@cluster1" not in shard.configurator.sessions
 
     def test_partition_during_transfer_rolls_back(self):
         tier, testbeds = two_cluster_federation()

@@ -11,11 +11,10 @@ from repro.scenarios import (
     catalog_scenarios,
     compile_scenario,
     load_catalog_scenario,
-    run_crash_restart,
     run_scenario,
     run_sweep,
 )
-from repro.scenarios.spec import FederationSpec
+from repro.scenarios.spec import FaultsSpec, FederationSpec, ScriptedFaultSpec
 from repro.store import InMemoryRecordStore, SqliteRecordStore
 from repro.workloads.arrivals import arrival_trace
 
@@ -217,10 +216,14 @@ class TestErrors:
         with pytest.raises(ValueError, match="sim driver"):
             run_scenario(spec, driver="thread")
 
-    def test_cluster_rejects_store(self):
+    def test_cluster_store_only_observes(self):
         spec = load_catalog_scenario("stadium_surge")
-        with pytest.raises(ValueError, match="single-shard"):
-            run_scenario(spec, store=InMemoryRecordStore())
+        store = InMemoryRecordStore()
+        stored = run_scenario(spec, store=store)
+        assert stored.to_json() == run_scenario(spec).to_json()
+        # Each shard's service opened its own epoch in the shared store.
+        assert store.current_epoch() == spec.cluster.shards
+        assert {record.epoch for record in store.sessions()} == {1, 2}
 
 
 class TestTracing:
@@ -409,13 +412,18 @@ class TestFederation:
             outcomes["admitted"] + outcomes["degraded"]
         )
 
-    def test_federation_rejects_store_and_crash_restart(self):
+    def test_federation_store_observes_and_epoch_kill_is_refused(self):
         spec = audio_federation(2, horizon_s=30.0)
+        stored = run_scenario(spec, store=InMemoryRecordStore())
+        assert stored.to_json() == run_scenario(spec).to_json()
+        killed = replace(
+            spec,
+            faults=FaultsSpec(
+                scripted=[ScriptedFaultSpec(kind="epoch_kill", at_s=15.0)]
+            ),
+        )
         with pytest.raises(ScenarioValidationError) as excinfo:
-            run_scenario(spec, store=InMemoryRecordStore())
-        assert excinfo.value.path == "federation.clusters"
-        with pytest.raises(ScenarioValidationError) as excinfo:
-            run_crash_restart(spec)
+            run_scenario(killed)
         assert excinfo.value.path == "federation.clusters"
 
     def test_controlled_federation_runs(self):

@@ -306,10 +306,11 @@ class TestRoundTrip:
 
 
 class TestLoading:
-    def test_catalog_has_the_seven_scenarios(self):
+    def test_catalog_has_the_eight_scenarios(self):
         assert catalog_scenarios() == [
             "audio_lab",
             "audio_storm",
+            "conference_crash",
             "conference_mesh",
             "gallery_profiles",
             "smart_home_evening",

@@ -122,6 +122,26 @@ class TestAdmission:
         assert record.status == SessionStatus.RELEASED
         assert store.ledger_events(epoch=1)
 
+    def test_session_table_holds_live_sessions_only(self):
+        """Stopped sessions and walks that end without a rung leave the
+        configurator's table; only running sessions stay."""
+        testbed = build_audio_testbed()
+        service = make_service(testbed)
+        for wave in range(10):
+            for index in range(20):
+                service.submit(request(testbed, f"r{wave}.{index}"))
+            outcomes = service.drain()
+            running = [outcome for outcome in outcomes if outcome.admitted]
+            assert sorted(testbed.configurator.sessions) == sorted(
+                outcome.session.session_id for outcome in running
+            )
+            for outcome in running:
+                service.stop_session(outcome)
+        assert service.metrics.count("submitted") == 200
+        assert service.metrics.count("failed") > 0
+        assert len(testbed.configurator.sessions) == 0
+        assert service.ledger.audit() == []
+
     def test_outcome_lookup(self):
         testbed = build_audio_testbed()
         service = make_service(testbed)

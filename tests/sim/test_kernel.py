@@ -71,6 +71,19 @@ class TestCancellation:
         assert sim.pending_events == 1
 
 
+    def test_cancel_owned_drops_only_that_owners_events(self):
+        sim = Simulator()
+        fired = []
+        dead, live = object(), object()
+        sim.schedule(1.0, lambda: fired.append("dead"), dead)
+        sim.schedule_at(2.0, lambda: fired.append("live"), live)
+        sim.schedule(3.0, lambda: fired.append("untagged"))
+        sim.cancel_owned(dead)
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == ["live", "untagged"]
+
+
 class TestRunUntil:
     def test_stops_at_boundary(self):
         sim = Simulator()

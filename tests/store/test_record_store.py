@@ -66,8 +66,8 @@ class TestSessions:
         active = store.sessions(status=SessionStatus.ACTIVE)
         assert [r.session_id for r in active] == ["s-1", "s-3"]
         assert [r.session_id for r in store.sessions(epoch=1)] == ["s-1", "s-2"]
-        before = store.active_sessions_before(2)
-        assert [r.session_id for r in before] == ["s-1"]
+        dead = store.sessions(status=SessionStatus.ACTIVE, epoch=1)
+        assert [r.session_id for r in dead] == ["s-1"]
 
     def test_mark_session(self, store):
         store.put_session(_record("s-1"))

@@ -197,10 +197,6 @@ class TestCommands:
         payload = json.loads(json_path.read_text())
         assert payload["controlled"] is True and payload["clusters"] == 2
 
-    def test_crash_restart_refuses_a_sharded_document(self):
-        with pytest.raises(SystemExit, match="cluster.shards"):
-            main(["scenario", "stadium_surge", "--crash-restart"])
-
     def test_server_sweep_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "server.ndjson"
         assert (
@@ -317,16 +313,25 @@ class TestScenarioCommand:
         assert payload["scenario"] == "conference_mesh"
         assert payload["submitted"] > 0
 
-    def test_store_only_observes(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conference_mesh"],
+            ["stadium_surge"],
+            ["conference_mesh", "--clusters", "2"],
+        ],
+        ids=["lone", "sharded", "federated"],
+    )
+    def test_store_only_observes(self, capsys, tmp_path, argv):
         """A record store records the run; it never changes its JSON."""
         bare, stored = tmp_path / "bare.json", tmp_path / "stored.json"
         store_path = tmp_path / "sessions.sqlite"
-        assert main(["scenario", "conference_mesh", "--json", str(bare)]) == 0
+        assert main(["scenario", *argv, "--json", str(bare)]) == 0
         assert (
             main(
                 [
                     "scenario",
-                    "conference_mesh",
+                    *argv,
                     "--store",
                     str(store_path),
                     "--json",
@@ -355,28 +360,26 @@ class TestScenarioCommand:
         out = capsys.readouterr().out
         assert "seed 99" in out
 
-    def test_crash_restart(self, capsys, tmp_path):
+    def test_epoch_kill(self, capsys, tmp_path):
         store_path = tmp_path / "sessions.sqlite"
         json_path = tmp_path / "crash.json"
-        assert (
-            main(
-                [
-                    "scenario",
-                    "conference_mesh",
-                    "--crash-restart",
-                    "--store",
-                    str(store_path),
-                    "--json",
-                    str(json_path),
-                ]
-            )
-            == 0
-        )
+        argv = ["scenario", "conference_crash", "--json", str(json_path)]
+        assert main(argv + ["--store", str(store_path)]) == 0
         out = capsys.readouterr().out
-        assert "crash-restart" in out
+        assert "shard0: epoch 1 killed at t=120s" in out
         assert "ledger balanced" in out
-        payload = json.loads(json_path.read_text())
-        assert payload["balanced"] is True
+        (kill,) = json.loads(json_path.read_text())["domains"]["shard0"][
+            "epoch_kills"
+        ]
+        assert kill["balanced"] is True
+        from repro.store import SqliteRecordStore
+
+        store = SqliteRecordStore(str(store_path))
+        try:
+            assert store.current_epoch() == 2
+            assert store.open_transactions(1) == []
+        finally:
+            store.close()
 
     def test_sweep_axes_parse(self):
         args = build_parser().parse_args(
@@ -399,10 +402,6 @@ class TestScenarioCommand:
         defaults = build_parser().parse_args(["scenario", "audio_lab"])
         assert defaults.multiplier == [1.0]
         assert defaults.shards is None and defaults.horizon is None
-
-    def test_crash_restart_runs_one_point(self):
-        with pytest.raises(SystemExit, match="one point"):
-            main(["scenario", "conference_mesh", "--crash-restart", "--shards", "2"])
 
     def test_seed_override_changes_the_lab_trace(self, capsys, tmp_path):
         traces = []
@@ -457,8 +456,8 @@ class TestScenarioCommand:
             (["audio_lab", "--shards", "0"], "at least one shard"),
             (["audio_lab", "--horizon", "-5"], "horizon must be positive"),
             (
-                ["conference_mesh", "--crash-restart", "--crash-at", "1.5"],
-                "crash_at_fraction",
+                ["conference_crash", "--clusters", "2"],
+                "federation.clusters: an epoch_kill needs a single-cluster",
             ),
             (["audio_storm", "--driver", "thread"], "require the sim driver"),
         ],
