@@ -30,10 +30,9 @@ def _submit_wave(service, testbed, count, clients=("desktop1", "desktop2")):
         )
 
 
-def _stop_all(service):
-    for outcome in service.outcomes():
-        if outcome.admitted and outcome.session.running:
-            service.stop_session(outcome)
+def _stop_all(service, outcomes):
+    for outcome in outcomes:
+        service.stop_session(outcome)
 
 
 def test_bench_unbatched_wave(benchmark):
@@ -44,7 +43,7 @@ def test_bench_unbatched_wave(benchmark):
         )
         _submit_wave(service, testbed, 8)
         outcomes = service.drain()
-        _stop_all(service)
+        _stop_all(service, outcomes)
         return outcomes
 
     outcomes = benchmark(serve_wave)
@@ -67,7 +66,7 @@ def test_bench_batched_wave(benchmark):
             if not batch:
                 break
             outcomes.extend(batch)
-        _stop_all(service)
+        _stop_all(service, outcomes)
         return outcomes
 
     outcomes = benchmark(serve_wave)
@@ -101,7 +100,7 @@ def test_bench_admission_rounds(benchmark, batched):
                 outcomes.extend(batch)
         else:
             outcomes = service.drain()
-        _stop_all(service)
+        _stop_all(service, outcomes)
         return outcomes
 
     outcomes = benchmark(round_trip)

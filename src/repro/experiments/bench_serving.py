@@ -196,16 +196,10 @@ def _run_serving_cell(
                     )
                 )
                 rid += 1
-            for shard in cluster.shards:
-                shard.drain()
-            for shard in cluster.shards:
-                for outcome in shard.outcomes():
-                    if (
-                        outcome.admitted
-                        and outcome.session is not None
-                        and outcome.session.running
-                    ):
-                        shard.stop_session(outcome)
+            served = [(shard, shard.drain()) for shard in cluster.shards]
+            for shard, outcomes in served:
+                for outcome in outcomes:
+                    shard.stop_session(outcome)
         elapsed = time.perf_counter() - start
     finally:
         if collector_was_enabled:

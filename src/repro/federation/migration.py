@@ -41,7 +41,7 @@ from repro.federation.tier import FederationMember, FederationTier
 from repro.mobility.checkpoint import CheckpointStore
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import get_tracer
-from repro.runtime.session import ApplicationSession, SessionState
+from repro.runtime.session import ApplicationSession
 from repro.server.admission import AdmissionResult
 from repro.sim.kernel import Simulator
 
@@ -281,8 +281,7 @@ class SessionMigrator:
             admission=admission,
             rollback=new_session,
         )
-        source.release(session)
-        session.state = SessionState.STOPPED
+        session.stop()
         source.bus.emit(
             Topics.SESSION_RECONFIGURED,
             timestamp=source.now,
@@ -336,10 +335,11 @@ class MigrationSchedule:
     ) -> None:
         """Migrate a served request's session at ``at_s``.
 
-        A no-op at fire time when the request was shed, never admitted,
-        already stopped, or already lives in the destination cluster — a
-        roam hint against a dead session is simply dropped, matching how
-        a real tier would treat a stale mobility prediction.
+        A no-op at fire time when the request has no live session in any
+        member (it was shed, never admitted, already stopped or already
+        migrated) or lives in the destination cluster — a roam hint
+        against a dead session is simply dropped, matching how a real
+        tier would treat a stale mobility prediction.
         """
         self.sim.schedule_at(
             at_s,
@@ -349,19 +349,18 @@ class MigrationSchedule:
     def _fire(
         self, request_id: str, destination: str, new_client_device: str
     ) -> None:
-        origin_name = self.tier.member_of(request_id)
-        if origin_name is None or origin_name == destination:
+        for origin in self.tier.members:
+            session = origin.cluster.session_of(request_id)
+            if session is not None:
+                break
+        else:
             return
-        outcome = self.tier.outcome(request_id)
-        if outcome is None or not outcome.admitted:
-            return
-        session = outcome.session
-        if session is None or not session.running:
+        if origin.name == destination or not session.running:
             return
         self.migrations.append(
             self.migrator.migrate(
                 session,
-                origin=self.tier.member(origin_name),
+                origin=origin,
                 destination=self.tier.member(destination),
                 new_client_device=new_client_device,
             )

@@ -21,9 +21,8 @@ decisions land in ``federation.*`` counters and spans on the tier's own
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.federation.digest import ClusterDigest, DigestBoard
 from repro.federation.fabric import FederationFabric
@@ -37,6 +36,10 @@ from repro.server.service import (
     RequestStatus,
     ServerRequest,
 )
+
+
+#: Final dispositions an escalated request is counted under.
+ESCALATION_OUTCOMES = ("admitted", "degraded", "failed", "shed")
 
 
 @dataclass(frozen=True)
@@ -211,10 +214,10 @@ class FederationTier:
         self.headroom_floor = headroom_floor
         self.digest_cadence = digest_cadence
         self.escalation = escalation
-        self._lock = threading.Lock()
-        self._placement: Dict[str, str] = {}
-        #: Ids of the requests that left their home cluster, in order.
-        self._escalated: List[str] = []
+        #: Escalated requests still in flight: not yet served, nor shed by
+        #: every candidate. Set adds and discards are atomic and a request
+        #: is served once, so thread-pool workers need no lock here.
+        self._escalating: Set[str] = set()
         self._submitted = self.registry.counter("federation.submitted")
         self._local = self.registry.counter("federation.local")
         self._escalations = self.registry.counter("federation.escalations")
@@ -230,6 +233,10 @@ class FederationTier:
         self._digest_publishes = self.registry.counter(
             "federation.digest_publishes"
         )
+        self._escalation_outcomes = {
+            status: self.registry.counter(f"federation.escalation_{status}")
+            for status in ESCALATION_OUTCOMES
+        }
         self._routed = {
             member.name: self.registry.counter(
                 f"federation.member.{member.name}.routed"
@@ -291,6 +298,12 @@ class FederationTier:
             return placed.outcome, cluster.shards[placed.shard]
         return placed.outcome, None
 
+    def served(self, outcome: RequestOutcome) -> None:
+        """Count an escalated request's disposition as it is served."""
+        if outcome.request_id in self._escalating:
+            self._escalating.discard(outcome.request_id)
+            self._escalation_outcomes[outcome.status.value].incr()
+
     # -- the front door ------------------------------------------------------------
 
     def submit(self, request: FederatedRequest) -> FederationOutcome:
@@ -310,10 +323,6 @@ class FederationTier:
             span.set("member", outcome.member)
             span.set("escalated", outcome.escalated)
             span.set("status", outcome.status.value)
-        with self._lock:
-            self._placement[request.request_id] = outcome.member
-            if outcome.escalated:
-                self._escalated.append(request.request_id)
         return outcome
 
     def _candidate_order(
@@ -366,6 +375,9 @@ class FederationTier:
             if member is not home and not escalated:
                 escalated = True
                 self._escalations.incr()
+                # In flight before the first sibling can queue it: a
+                # worker may serve it before this submit returns.
+                self._escalating.add(request.request_id)
             if attempts:
                 self._escalation_attempts.incr()
             if member is not home:
@@ -389,6 +401,8 @@ class FederationTier:
             self._local.incr()
         elif placed.outcome.status is RequestStatus.SHED:
             self._escalation_reshed.incr()
+            self._escalating.discard(request.request_id)
+            self._escalation_outcomes["shed"].incr()
         else:
             self._escalation_queued.incr()
         return FederationOutcome(
@@ -401,23 +415,6 @@ class FederationTier:
         )
 
     # -- results -------------------------------------------------------------------
-
-    def escalated(self) -> List[str]:
-        """Ids of the requests that left their home cluster, in order."""
-        with self._lock:
-            return list(self._escalated)
-
-    def member_of(self, request_id: str) -> Optional[str]:
-        """Which member cluster finally kept the request, if any."""
-        with self._lock:
-            return self._placement.get(request_id)
-
-    def outcome(self, request_id: str):
-        """The served outcome from whichever member kept the request."""
-        name = self.member_of(request_id)
-        if name is None:
-            return None
-        return self._by_name[name].cluster.outcome(request_id)
 
     def audit(self) -> List[str]:
         """Union of every member cluster's ledger audit, tagged by name."""
@@ -433,10 +430,6 @@ class FederationTier:
         return FederationMetrics(self)
 
 
-#: Final dispositions an escalated request is counted under.
-ESCALATION_OUTCOMES = ("admitted", "degraded", "failed", "shed")
-
-
 class FederationMetrics:
     """Whole-federation view over the tier and member registries.
 
@@ -450,9 +443,10 @@ class FederationMetrics:
 
     ``escalation_queued`` counts escalated requests a cluster *queued*,
     not requests it admitted; ``escalation_outcomes`` splits every
-    escalated request by its current disposition (admitted at full
-    quality, degraded, failed or shed), so after a drain the four add up
-    to ``escalations``.
+    decided escalated request by its disposition (admitted at full
+    quality, degraded, failed or shed): a re-shed counts at submit, a
+    queued one when a driver reports it served (:meth:`FederationTier.served`),
+    so after a drain the four add up to ``escalations``.
     """
 
     def __init__(self, tier: FederationTier) -> None:
@@ -477,12 +471,10 @@ class FederationMetrics:
         shed_final = shed_members - extra_attempts
         queued = registry.counter("federation.escalation_queued").value
         escalations = registry.counter("federation.escalations").value
-        outcomes = {status: 0 for status in ESCALATION_OUTCOMES}
-        for request_id in self.tier.escalated():
-            outcome = self.tier.outcome(request_id)
-            status = outcome.status.value if outcome is not None else None
-            if status in outcomes:
-                outcomes[status] += 1
+        outcomes = {
+            status: registry.counter(f"federation.escalation_{status}").value
+            for status in ESCALATION_OUTCOMES
+        }
         routing = {
             "local": registry.counter("federation.local").value,
             "escalations": escalations,

@@ -33,8 +33,10 @@ boots a fresh testbed and service on the same record store (a run with
 a kill gets an in-memory store when none is passed). The successor
 takes the dead service's metrics, driver lane and shard slot, reopens
 the held sessions, re-adopts the dead epoch's persisted sessions
-through normal admission, reconciles its dangling ledger holds and
-recovers from the device faults still to come.
+through normal admission (each stops at its persisted end), reconciles
+its dangling ledger holds and recovers from the device faults still to
+come. Kill readings count epochs from the run's first boot, so a reused
+store writes the same JSON as a fresh one.
 """
 
 from __future__ import annotations
@@ -282,6 +284,7 @@ def run_scenario(
         arrivals=arrivals,
         control=control if controlled else None,
         store=store,
+        first_epoch=store.current_epoch() + 1 if store is not None else 1,
     )
     root = _plan(build)
     trace_ndjson = ""
@@ -325,6 +328,9 @@ class _Build:
     control: Optional[ControlPolicy] = None
     #: Shared by every domain; each service opens its own epoch in it.
     store: Optional[RecordStore] = None
+    #: The store's epoch id of this run's first service boot: readings
+    #: count epochs from it, so a reused store reads like a fresh one.
+    first_epoch: int = 1
     clock: Optional[Callable[[], float]] = None
     #: The sim driver, once :meth:`driver` built it.
     sim_driver: Optional[SimulatedServerDriver] = None
@@ -496,9 +502,10 @@ class _Domain(_Node):
         requests count as failed. The successor gets a fresh testbed and
         service on the same store, the dead service's metrics, lane and
         shard slot; it reopens the held sessions (they have no store
-        record), re-adopts the dead epoch's active sessions and arms the
-        device faults still to come. Arrivals keep composing against the
-        first testbed: a request names only device ids and classes.
+        record), re-adopts the dead epoch's active sessions, each to stop
+        at its persisted end, and arms the device faults still to come.
+        Arrivals keep composing against the first testbed: a request
+        names only device ids and classes.
         """
         build = self.build
         now = build.simulator.now
@@ -513,13 +520,28 @@ class _Domain(_Node):
             shards = self.cluster.shards
             shards[shards.index(dead)] = self.target
         self._open_held()
+        successor = self.target
         report = readopt_sessions(
-            self.target,
+            successor,
             build.compiled.recovery_request_factory(self.testbed),
             epoch=dead.epoch,
         )
+        for entry in report.sessions:
+            if entry["action"] != "readopted":
+                continue
+            session_id = entry["session_id"]
+            ends_s = successor.store.session(session_id).ends_s
+            if ends_s is not None:
+                build.sim_driver.stop_at(
+                    successor,
+                    successor.configurator.sessions[session_id],
+                    ends_s,
+                )
         self.kills.append(
-            dict(report.to_dict(), admitted=dead.metrics.count("admitted"))
+            dict(
+                report.to_dict(first_epoch=build.first_epoch),
+                admitted=dead.metrics.count("admitted"),
+            )
         )
         if previous is None:
             return

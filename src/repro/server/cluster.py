@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -43,6 +42,7 @@ from repro.observability.metrics import (
     summarize_samples,
 )
 from repro.observability.tracing import get_tracer
+from repro.runtime.session import ApplicationSession
 from repro.server.batching import BatchingDomainService
 from repro.server.metrics import COUNTER_NAMES, STAGE_NAMES, ServerMetrics
 from repro.server.service import (
@@ -203,7 +203,7 @@ class ClusterOutcome:
 
     ``outcome`` is the submit-time disposition from the shard that kept
     the request (QUEUED, or the *final* SHED after overflow was tried);
-    the eventual served outcome lands in that shard's outcome table.
+    the eventual served outcome goes to whoever drains that shard.
     """
 
     request_id: str
@@ -244,8 +244,6 @@ class DomainCluster:
         self.on_requeue: Optional[
             Callable[[DomainConfigurationService], None]
         ] = None
-        self._lock = threading.Lock()
-        self._placement: Dict[str, int] = {}
         self._submitted = self.registry.counter("cluster.submitted")
         self._shed_at_submit = self.registry.counter("cluster.shed_at_submit")
         self._overflow_attempts = self.registry.counter("cluster.overflow_attempts")
@@ -342,11 +340,6 @@ class DomainCluster:
         for item in origin.queue.steal(max_items):
             if target.queue.adopt(item) is not None:
                 moved += 1
-                request = item.request
-                request_id = getattr(request, "request_id", None)
-                if request_id is not None:
-                    with self._lock:
-                        self._placement[request_id] = to_shard
             else:
                 # Destination filled between the load check and the move:
                 # the origin must take it back unconditionally.
@@ -374,6 +367,9 @@ class DomainCluster:
         if placed.outcome.status is RequestStatus.QUEUED:
             return placed.outcome, self.shards[placed.shard]
         return placed.outcome, None
+
+    def served(self, outcome: RequestOutcome) -> None:
+        """Nothing to note: a decided request leaves no state here."""
 
     # -- the front door ------------------------------------------------------------
 
@@ -404,8 +400,6 @@ class DomainCluster:
                 span.set("overflowed", placed.overflowed)
         if placed.outcome.status is RequestStatus.SHED:
             self._shed_at_submit.incr()
-        with self._lock:
-            self._placement[request.request_id] = placed.shard
         return placed
 
     def _overflow(
@@ -450,17 +444,13 @@ class DomainCluster:
 
     # -- results -------------------------------------------------------------------
 
-    def shard_of(self, request_id: str) -> Optional[int]:
-        """Which shard finally kept the request (None if never submitted)."""
-        with self._lock:
-            return self._placement.get(request_id)
-
-    def outcome(self, request_id: str) -> Optional[RequestOutcome]:
-        """The served outcome from the shard the request was placed on."""
-        shard = self.shard_of(request_id)
-        if shard is None:
-            return None
-        return self.shards[shard].outcome(request_id)
+    def session_of(self, request_id: str) -> Optional[ApplicationSession]:
+        """The request's live session on whichever shard runs it."""
+        for shard in self.shards:
+            session = shard.session_of(request_id)
+            if session is not None:
+                return session
+        return None
 
     def audit(self) -> List[str]:
         """Union of every shard's ledger audit, tagged by shard index."""

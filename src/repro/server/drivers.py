@@ -45,6 +45,7 @@ from typing import (
 )
 
 from repro.observability.tracing import Tracer, activated
+from repro.runtime.session import ApplicationSession
 from repro.server.ledger import ReservationLedger
 from repro.server.service import (
     DomainConfigurationService,
@@ -74,6 +75,10 @@ class ServingTarget(Protocol):
         """Submit; return the submit-time outcome and the service that
         queued the request (None when it was shed)."""
 
+    def served(self, outcome: RequestOutcome) -> None:
+        """Note a request's served outcome (the drivers call it once per
+        served request; the outcome itself stays the caller's)."""
+
     def audit(self) -> List[str]:
         """Every ledger's invariant problems (empty when balanced)."""
 
@@ -101,6 +106,7 @@ class ThreadPoolDriver:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
+        self.target = target
         self.services = list(target.drain_order())
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
@@ -109,6 +115,7 @@ class ThreadPoolDriver:
         #: the queue lock without taking a second lock there.
         self._claims: deque = deque()
         self._lock = threading.Lock()
+        #: Every served outcome of this pool's run, for its caller.
         self.outcomes: List[RequestOutcome] = []
 
     def start(self) -> None:
@@ -171,6 +178,8 @@ class ThreadPoolDriver:
                         queue.pop_many(policy.max_batch_size - len(chunk))
                     )
                 outcomes = service.serve_chunk(chunk)
+                for outcome in outcomes:
+                    self.target.served(outcome)
             finally:
                 with self._lock:
                     self.outcomes.extend(outcomes)
@@ -201,7 +210,8 @@ class SimulatedServerDriver:
     analytic configuration overhead of its requests
     (:meth:`~repro.server.admission.AdmissionResult.service_time_s`).
     Admitted sessions stop (releasing their reservations) ``duration_s``
-    after their chunk completes.
+    after their chunk completes. The driver keeps no outcome: each one
+    lives until its chunk completes and its session's stop is scheduled.
     """
 
     def __init__(
@@ -221,8 +231,6 @@ class SimulatedServerDriver:
             service: _Lane(service)
             for service in target.drain_order(on_requeue=self._dispatch)
         }
-        #: Submit-time sheds and served outcomes, in logical-time order.
-        self.outcomes: List[RequestOutcome] = []
 
     @staticmethod
     def clock(simulator: Simulator) -> Callable[[], float]:
@@ -241,17 +249,14 @@ class SimulatedServerDriver:
                 lambda e=event: self.arrive(request_factory(e)),
             )
 
-    def run(self) -> List[RequestOutcome]:
-        """Run the simulation to completion; return outcomes."""
+    def run(self) -> None:
+        """Run the simulation to completion."""
         self.sim.run()
-        return self.outcomes
 
     def arrive(self, request) -> None:
         """Submit one request now and wake the service that queued it."""
-        outcome, service = self.target.place(request)
-        if service is None:
-            self.outcomes.append(outcome)
-        else:
+        _, service = self.target.place(request)
+        if service is not None:
             self._dispatch(service)
 
     # -- event handlers ------------------------------------------------------------
@@ -284,6 +289,8 @@ class SimulatedServerDriver:
         outcomes = service.serve_chunk(
             service.queue.pop_many(service.batch.max_batch_size)
         )
+        for outcome in outcomes:
+            self.target.served(outcome)
         lane.busy += 1
         busy_s = max(
             self.min_service_s,
@@ -294,14 +301,27 @@ class SimulatedServerDriver:
     def _complete(self, lane: _Lane, outcomes: List[RequestOutcome]) -> None:
         lane.busy -= 1
         for outcome in outcomes:
-            self.outcomes.append(outcome)
             if outcome.admitted and outcome.duration_s is not None:
                 self.sim.schedule(
                     outcome.duration_s,
-                    lambda o=outcome: lane.service.stop_session(o),
+                    lambda s=outcome.session: _retire(s),
                     lane,
                 )
         self._dispatch(lane.service)
+
+    def stop_at(
+        self,
+        service: DomainConfigurationService,
+        session: ApplicationSession,
+        at_s: float,
+    ) -> None:
+        """Stop ``service``'s ``session`` at ``at_s`` (at once when that
+        has passed), as a pending event of the service's lane."""
+        self.sim.schedule(
+            max(0.0, at_s - self.sim.now),
+            lambda: _retire(session),
+            self._lanes[service],
+        )
 
     def replace(
         self, dead: DomainConfigurationService, successor: DomainConfigurationService
@@ -379,7 +399,12 @@ def thread_burst(
         raise TimeoutError(
             f"worker pool did not drain within {timeout_s:g}s during {context}"
         )
-    for service in pool.services:
-        for outcome in service.outcomes():
-            service.stop_session(outcome)
+    for outcome in pool.outcomes:
+        _retire(outcome.session)
     audit_or_raise(target, context)
+
+
+def _retire(session: Optional[ApplicationSession]) -> None:
+    """Stop a served request's session if it still runs."""
+    if session is not None and session.running:
+        session.stop()

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 import functools
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.composition.composer import CompositionRequest
 from repro.events.types import Topics
@@ -86,6 +85,11 @@ class ServerRequest:
     #: :data:`repro.distribution.pareto.UTILITY_PROFILES`); None keeps
     #: the classic best-fidelity-first descent.
     utility_profile: Optional[str] = None
+
+
+def session_id_of(request_id: str) -> str:
+    """The id a served request's session runs under."""
+    return f"{request_id}/session"
 
 
 class RequestStatus(enum.Enum):
@@ -165,8 +169,6 @@ class DomainConfigurationService:
             front_cache=front_cache,
         )
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        self._lock = threading.Lock()
-        self._outcomes: Dict[str, RequestOutcome] = {}
 
     def now(self) -> float:
         """The service's notion of time (sim or wall clock)."""
@@ -197,13 +199,11 @@ class DomainConfigurationService:
                 if result.shed_reason == "overload"
                 else "shed_queue_full"
             )
-            return self._finish(
-                RequestOutcome(
-                    request_id=request.request_id,
-                    status=RequestStatus.SHED,
-                    shed_reason=result.shed_reason,
-                    retry_after_s=self.overload.retry_after_s(result.depth),
-                )
+            return RequestOutcome(
+                request_id=request.request_id,
+                status=RequestStatus.SHED,
+                shed_reason=result.shed_reason,
+                retry_after_s=self.overload.retry_after_s(result.depth),
             )
         return RequestOutcome(
             request_id=request.request_id, status=RequestStatus.QUEUED
@@ -237,6 +237,9 @@ class DomainConfigurationService:
         outcome = self.submit(request)
         return outcome, self if outcome.status is RequestStatus.QUEUED else None
 
+    def served(self, outcome: RequestOutcome) -> None:
+        """Nothing to note: a decided request leaves no state here."""
+
     # -- the worker side -----------------------------------------------------------
 
     def process_next(
@@ -268,9 +271,10 @@ class DomainConfigurationService:
     ) -> List[RequestOutcome]:
         """Serve an already-drained chunk: deadline sheds, then one walk.
 
-        Returns the final outcomes in drain order. A request's disposition
-        (metrics, durable record, outcome table) is recorded the moment its
-        own walk finishes, so a chunk of one and a chunk of many account
+        Returns the final outcomes in drain order; they are the caller's,
+        and the service keeps none of them. A request's disposition
+        (metrics, durable record) is recorded the moment its own walk
+        finishes, so a chunk of one and a chunk of many account
         identically.
         """
         with get_tracer().span("server.batch", size=len(queued)) as span:
@@ -283,20 +287,18 @@ class DomainConfigurationService:
                 self.metrics.record("queue_wait_ms", wait_s * 1000.0)
                 if entry.expired(now):
                     self.metrics.incr("shed_deadline")
-                    finals[index] = self._finish(
-                        RequestOutcome(
-                            request_id=request.request_id,
-                            status=RequestStatus.SHED,
-                            shed_reason="deadline",
-                            queue_wait_s=wait_s,
-                            duration_s=request.duration_s,
-                        )
+                    finals[index] = RequestOutcome(
+                        request_id=request.request_id,
+                        status=RequestStatus.SHED,
+                        shed_reason="deadline",
+                        queue_wait_s=wait_s,
+                        duration_s=request.duration_s,
                     )
                     continue
                 session = self.configurator.create_session(
                     request.composition,
                     user_id=request.user_id,
-                    session_id=f"{request.request_id}/session",
+                    session_id=session_id_of(request.request_id),
                 )
                 walks.append(
                     self.admission.open_walk(
@@ -314,17 +316,12 @@ class DomainConfigurationService:
             span.set("admitted", sum(1 for o in finals if o.admitted))
             return finals  # type: ignore[return-value]
 
-    # -- results -------------------------------------------------------------------
+    # -- sessions ------------------------------------------------------------------
 
-    def outcome(self, request_id: str) -> Optional[RequestOutcome]:
-        """The final outcome of a request, if it has been served."""
-        with self._lock:
-            return self._outcomes.get(request_id)
-
-    def outcomes(self) -> List[RequestOutcome]:
-        """All final outcomes recorded so far (submit order not guaranteed)."""
-        with self._lock:
-            return list(self._outcomes.values())
+    def session_of(self, request_id: str) -> Optional[ApplicationSession]:
+        """The request's live session here (None once it stopped, or when
+        it never admitted)."""
+        return self.configurator.sessions.get(session_id_of(request_id))
 
     def stop_session(self, outcome: RequestOutcome) -> None:
         """Retire an admitted request's session (frees its reservations)."""
@@ -351,7 +348,7 @@ class DomainConfigurationService:
         ) as span:
             outcome = self._outcome_from(request, wait_s, result)
             span.set("status", outcome.status.value)
-            finals[index] = self._finish(outcome)
+            finals[index] = outcome
 
     def _outcome_from(
         self,
@@ -417,6 +414,10 @@ class DomainConfigurationService:
                 txn_id=result.session.deployment.ledger_txn.txn_id,
                 created_s=now,
                 updated_s=now,
+                ends_s=(
+                    None if request.duration_s is None
+                    else now + request.duration_s
+                ),
             )
         )
 
@@ -428,8 +429,3 @@ class DomainConfigurationService:
             self.store.mark_session(
                 str(session_id), SessionStatus.RELEASED, self._clock()
             )
-
-    def _finish(self, outcome: RequestOutcome) -> RequestOutcome:
-        with self._lock:
-            self._outcomes[outcome.request_id] = outcome
-        return outcome

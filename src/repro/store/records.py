@@ -67,6 +67,10 @@ class SessionRecord:
     txn_id: Optional[int] = None
     created_s: float = 0.0
     updated_s: float = 0.0
+    #: When the session's client leaves (admission time plus the
+    #: request's ``duration_s``; None for an open-ended session), so a
+    #: successor that re-adopts it can still stop it on time.
+    ends_s: Optional[float] = None
     #: Epoch the session originally ran in, when this record was
     #: re-adopted by a successor service after a crash (None otherwise).
     readopted_from: Optional[int] = None
@@ -99,6 +103,7 @@ class SessionRecord:
             "txn_id": self.txn_id,
             "created_s": round(self.created_s, 6),
             "updated_s": round(self.updated_s, 6),
+            "ends_s": None if self.ends_s is None else round(self.ends_s, 6),
             "readopted_from": self.readopted_from,
         }
 

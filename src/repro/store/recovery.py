@@ -63,18 +63,27 @@ class ReadoptionReport:
         """True when the dead epoch's audit history closes to zero."""
         return bool(self.balance.get("balanced"))
 
-    def to_dict(self) -> Dict[str, object]:
+    def to_dict(self, first_epoch: int = 1) -> Dict[str, object]:
+        """The report with every epoch counted from ``first_epoch`` as 1.
+
+        Pass a run's first boot so the reading does not depend on what a
+        reused store already held; the store keeps its own epoch ids.
+        """
+        shift = first_epoch - 1
         return {
-            "epoch": self.epoch,
-            "dead_epoch": self.dead_epoch,
+            "epoch": self.epoch - shift,
+            "dead_epoch": self.dead_epoch - shift,
             "at_s": self.at_s,
             "persisted_active": self.persisted_active,
             "readopted": self.readopted,
             "torn_down": self.torn_down,
             "reconciled_txns": self.reconciled_txns,
             "balanced": self.balanced,
-            "sessions": list(self.sessions),
-            "balance": self.balance,
+            "sessions": [
+                dict(entry, from_epoch=entry["from_epoch"] - shift)
+                for entry in self.sessions
+            ],
+            "balance": dict(self.balance, epoch=self.balance["epoch"] - shift),
         }
 
 

@@ -42,6 +42,7 @@ CREATE TABLE IF NOT EXISTS sessions (
     txn_id INTEGER,
     created_s REAL NOT NULL DEFAULT 0.0,
     updated_s REAL NOT NULL DEFAULT 0.0,
+    ends_s REAL,
     readopted_from INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_sessions_status_epoch
@@ -96,6 +97,12 @@ class SqliteRecordStore(RecordStore):
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.executescript(_SCHEMA)
+        columns = {
+            row[1] for row in self._conn.execute("PRAGMA table_info(sessions)")
+        }
+        if "ends_s" not in columns:
+            # A file written before session records kept their end.
+            self._conn.execute("ALTER TABLE sessions ADD COLUMN ends_s REAL")
         self._conn.commit()
 
     # -- epochs ------------------------------------------------------
@@ -122,8 +129,8 @@ class SqliteRecordStore(RecordStore):
                 INSERT OR REPLACE INTO sessions (
                     session_id, request_id, epoch, user_id, scenario,
                     workload, client_device, level, priority, status,
-                    txn_id, created_s, updated_s, readopted_from
-                ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+                    txn_id, created_s, updated_s, ends_s, readopted_from
+                ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
                 """,
                 (
                     record.session_id,
@@ -139,6 +146,7 @@ class SqliteRecordStore(RecordStore):
                     record.txn_id,
                     record.created_s,
                     record.updated_s,
+                    record.ends_s,
                     record.readopted_from,
                 ),
             )
@@ -147,7 +155,7 @@ class SqliteRecordStore(RecordStore):
     _SESSION_COLUMNS = (
         "session_id, request_id, epoch, user_id, scenario, workload, "
         "client_device, level, priority, status, txn_id, created_s, "
-        "updated_s, readopted_from"
+        "updated_s, ends_s, readopted_from"
     )
 
     @staticmethod
@@ -166,7 +174,8 @@ class SqliteRecordStore(RecordStore):
             txn_id=int(row[10]) if row[10] is not None else None,
             created_s=float(row[11]),
             updated_s=float(row[12]),
-            readopted_from=int(row[13]) if row[13] is not None else None,
+            ends_s=float(row[13]) if row[13] is not None else None,
+            readopted_from=int(row[14]) if row[14] is not None else None,
         )
 
     def session(self, session_id: str) -> Optional[SessionRecord]:

@@ -56,8 +56,10 @@ def admit_one(tier, testbeds, rid="req-0", home="cluster0"):
     """Submit one request, drain its serving shard, return the session."""
     placed = tier.submit(federated_request(testbeds, rid=rid, home=home))
     member = tier.member(placed.member)
-    member.cluster.shards[placed.placed.shard].drain()
-    outcome = tier.outcome(rid)
-    assert outcome is not None and outcome.admitted
+    served = member.cluster.shards[placed.placed.shard].drain()
+    (outcome,) = [o for o in served if o.request_id == rid]
+    tier.served(outcome)
+    assert outcome.admitted
     assert outcome.session is not None and outcome.session.running
+    assert member.cluster.session_of(rid) is outcome.session
     return outcome.session

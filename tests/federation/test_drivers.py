@@ -38,8 +38,11 @@ class TestSimulatedDriver:
             seed=3, rate_per_s=0.3, horizon_s=60.0, mean_duration_s=10.0
         )
         driver.schedule_trace(trace, lambda e: to_request(testbeds, e))
-        outcomes = driver.run()
-        assert len(outcomes) == len(list(trace))
+        driver.run()
+        whole = tier.metrics.snapshot()["federation"]
+        assert whole["submitted"] == len(list(trace))
+        disposed = whole["admitted"] + whole["failed"] + whole["shed_final"]
+        assert disposed == whole["submitted"]
         assert tier.audit() == []
 
     def test_replay_is_deterministic(self):
@@ -149,3 +152,8 @@ class TestThreadDriver:
         # semantics), so the three disjoint dispositions must cover all.
         disposed = whole["admitted"] + whole["failed"] + whole["shed_final"]
         assert disposed == 24
+        # Workers report each served escalation, racing the submits.
+        routing = snapshot["routing"]
+        assert sum(routing["escalation_outcomes"].values()) == routing[
+            "escalations"
+        ]

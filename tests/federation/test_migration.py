@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.federation import MIGRATION_PHASES, SessionMigrator
+from repro.apps.audio_on_demand import build_audio_testbed
+from repro.events.types import Topics
+from repro.federation import (
+    MIGRATION_PHASES,
+    FederationMember,
+    FederationTier,
+    SessionMigrator,
+)
 from repro.runtime.session import SessionState
+from repro.server.cluster import DomainCluster
+from repro.store import InMemoryRecordStore, SessionStatus
 from tests.federation.conftest import admit_one, two_cluster_federation
 
 
@@ -39,6 +48,44 @@ class TestSuccessfulMigration:
         assert outcome.new_session.session_id == f"{session.session_id}@cluster1"
         assert outcome.new_session.playback_position() == pytest.approx(240.0)
         assert tier.audit() == []
+
+    def test_origin_session_leaves_every_table(self):
+        store = InMemoryRecordStore()
+        testbeds = {
+            name: [build_audio_testbed()] for name in ("cluster0", "cluster1")
+        }
+        tier = FederationTier(
+            [
+                FederationMember(
+                    name,
+                    DomainCluster.build(
+                        [beds[0].configurator], skip_downloads=True, store=store
+                    ),
+                )
+                for name, beds in testbeds.items()
+            ]
+        )
+        session = admit_one(tier, testbeds)
+        source = session.configurator
+        subscribed = source.bus.subscriber_count()
+        source.enable_auto_reconfiguration(session)
+        outcome = make_migrator(tier).migrate(
+            session,
+            origin=tier.member("cluster0"),
+            destination=tier.member("cluster1"),
+            new_client_device="desktop1",
+        )
+        assert outcome.success
+        assert session.session_id not in source.sessions
+        assert source.bus.subscriber_count() == subscribed
+        assert store.session(session.session_id).status == SessionStatus.RELEASED
+        (event,) = source.bus.history(Topics.SESSION_RECONFIGURED)
+        assert event.payload["label"] == "migrate-out:cluster1"
+        # The request's own id has no live session left in any member: a
+        # later roam hint for it is dropped.
+        assert all(
+            member.cluster.session_of("req-0") is None for member in tier.members
+        )
 
     def test_origin_devices_freed_after_commit_release(self):
         tier, testbeds = two_cluster_federation()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.federation import FederationMember, FederationTier
-from repro.server.service import RequestStatus
+from repro.server.service import RequestOutcome, RequestStatus
 from tests.federation.conftest import (
     admit_one,
     federated_request,
@@ -62,7 +62,6 @@ class TestRouting:
         assert not placed.escalated
         assert placed.attempts == ("cluster0",)
         assert tier.registry.counter("federation.local").value == 1
-        assert tier.member_of("req-0") == "cluster0"
 
     def test_home_shed_escalates_to_sibling(self):
         tier, testbeds = two_cluster_federation(queue_capacity=1)
@@ -130,14 +129,36 @@ class TestRouting:
 
 
 class TestResults:
-    def test_outcome_served_from_escalated_member(self):
+    def test_session_runs_in_escalated_member(self):
         tier, testbeds = two_cluster_federation(queue_capacity=1)
         fill_queue(tier, testbeds, "cluster0")
         session = admit_one(tier, testbeds, rid="req-x")
-        assert tier.member_of("req-x") == "cluster1"
+        assert tier.member("cluster1").cluster.session_of("req-x") is session
+        assert tier.member("cluster0").cluster.session_of("req-x") is None
         assert session.running
-        assert tier.outcome("missing") is None
-        assert tier.member_of("missing") is None
+        assert tier.member("cluster1").cluster.session_of("missing") is None
+        session.stop()
+        assert tier.member("cluster1").cluster.session_of("req-x") is None
+
+    def test_escalation_outcomes_count_each_decision_once(self):
+        tier, testbeds = two_cluster_federation(queue_capacity=1)
+        fill_queue(tier, testbeds, "cluster0")
+        admit_one(tier, testbeds, rid="req-x")  # rescued at cluster1
+        fill_queue(tier, testbeds, "cluster1")
+        tier.submit(federated_request(testbeds, rid="req-y"))  # shed twice
+        routing = tier.metrics.snapshot()["routing"]
+        assert routing["escalations"] == 2
+        assert routing["escalation_outcomes"] == {
+            "admitted": 1,
+            "degraded": 0,
+            "failed": 0,
+            "shed": 1,
+        }
+        # Nothing is left in flight, and a repeated report counts nothing.
+        assert not tier._escalating
+        tier.served(RequestOutcome("req-x", RequestStatus.ADMITTED))
+        routing = tier.metrics.snapshot()["routing"]
+        assert routing["escalation_outcomes"]["admitted"] == 1
 
     def test_audit_unions_members(self):
         tier, testbeds = two_cluster_federation()

@@ -140,14 +140,13 @@ class TestEpochKill:
         _, _, _, _, _, audits = runs
         assert audits == [[], [], []]
 
-    def test_readopted_records_outlive_their_stop_time(self, runs):
+    def test_readopted_sessions_stop_at_their_persisted_end(self, runs):
+        """A re-adopted session keeps its departure time: the successor
+        releases it at its stored end, or at the kill when that passed."""
         spec, first, _, _, store, _ = runs
         trace = compile_scenario(spec).arrival_trace()
         durations = {f"req-{e.request_id}": e.duration_s for e in trace}
-        last_release = max(
-            record.updated_s
-            for record in store.sessions(status=SessionStatus.RELEASED)
-        )
+        killed_at = {kill["epoch"]: kill["at_s"] for _, kill in first.epoch_kills()}
         torn_down = {
             report["session_id"]
             for reading in first.domains.values()
@@ -155,17 +154,18 @@ class TestEpochKill:
             if not report["recovered"]
         }
         readopted = [r for r in store.sessions() if r.readopted_from]
-        # Only the successor's own recovery may stop a re-adopted session.
         for record in readopted:
-            if record.status != SessionStatus.ACTIVE:
-                assert record.session_id in torn_down
-        if spec.faults.random is None:
-            # The dead epoch would have stopped some of them before the
-            # run's last release; its stop timers died with it.
-            assert any(
-                r.created_s + durations[r.request_id] < last_release
-                for r in readopted
+            assert record.ends_s == pytest.approx(
+                record.created_s + durations[record.request_id]
             )
+            if record.session_id in torn_down:
+                continue
+            assert record.status == SessionStatus.RELEASED
+            assert record.updated_s == pytest.approx(
+                max(record.ends_s, killed_at[record.epoch])
+            )
+        if spec.faults.random is None:
+            assert readopted
 
     def test_killed_requests_count_as_failed(self, runs):
         _, first, _, _, _, _ = runs
@@ -182,7 +182,7 @@ class TestEpochKill:
 
 
 class TestConferenceCrash:
-    """The catalog document reproduces the two-phase readout it replaced."""
+    """The catalog document's readout across its one kill."""
 
     def test_readout(self):
         result = run_scenario(load_catalog_scenario("conference_crash"))
@@ -192,8 +192,12 @@ class TestConferenceCrash:
         assert (kill["admitted"], kill["persisted_active"]) == (10, 4)
         assert (kill["readopted"], kill["torn_down"]) == (4, 0)
         assert kill["reconciled_txns"] == 4 and kill["balanced"]
-        # Epoch 1 admitted 10 of 10; the successor 8 of 13, failing 5.
-        assert (result.submitted, result.admitted, result.failed) == (23, 18, 5)
+        # Epoch 1 admitted 10 of 10; the successor 11 of 13, failing 2.
+        # The re-adopted sessions leave on time, so the run reads like
+        # the document without its kill.
+        assert (result.submitted, result.admitted, result.failed) == (23, 21, 2)
+        bare = run_scenario(load_catalog_scenario("conference_mesh"))
+        assert (bare.admitted, bare.failed) == (21, 2)
         assert "shard0: epoch 1 killed at t=120s" in result.format_table()
 
     def test_kill_needs_no_recovery_stack(self):
@@ -218,12 +222,25 @@ class TestTwoKills:
             ("shard1", 4),
         ]
         assert all(store.ledger_balance(k["dead_epoch"])["balanced"] for _, k in kills)
-        # The second kill re-adopts what the first successor re-adopted.
-        second = {kill["dead_epoch"]: kill for _, kill in kills}[3]
-        first = {kill["dead_epoch"]: kill for _, kill in kills}[1]
-        carried = {entry["session_id"] for entry in first["sessions"]}
-        assert carried <= {entry["session_id"] for entry in second["sessions"]}
-        assert {store.session(session_id).epoch for session_id in carried} == {5}
+        # The second kill re-adopts what the first successor re-adopted
+        # and was still running; the rest left at their ends.
+        by_dead = {kill["dead_epoch"]: kill for _, kill in kills}
+        kept, left = set(), set()
+        for first, second in ((by_dead[1], by_dead[3]), (by_dead[2], by_dead[4])):
+            carried = {entry["session_id"] for entry in first["sessions"]}
+            recarried = {entry["session_id"] for entry in second["sessions"]}
+            for session_id in carried:
+                record = store.session(session_id)
+                if session_id in recarried:
+                    assert record.ends_s > 150.0
+                    assert record.epoch == second["epoch"]
+                else:
+                    assert record.ends_s < 150.0
+                    assert record.epoch == first["epoch"]
+                    assert record.status == SessionStatus.RELEASED
+            kept |= carried & recarried
+            left |= carried - recarried
+        assert kept and left
 
 
 class TestKilledQueue:

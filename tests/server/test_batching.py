@@ -200,12 +200,15 @@ class TestBatchedThreadStress:
         try:
             total = 24
             clients = ("desktop1", "desktop2", "desktop3")
+            shed = []
             for index in range(total):
-                service.submit(
+                outcome = service.submit(
                     request(
                         testbed, f"r{index}", client=clients[index % len(clients)]
                     )
                 )
+                if outcome.status is RequestStatus.SHED:
+                    shed.append(outcome)
             assert driver.wait_idle(timeout=60.0)
         finally:
             driver.stop()
@@ -222,8 +225,11 @@ class TestBatchedThreadStress:
             + metrics.shed_total
             == total
         )
-        assert len(service.outcomes()) == total
-        admitted = [o for o in service.outcomes() if o.admitted]
+        outcomes = shed + driver.outcomes
+        assert sorted(o.request_id for o in outcomes) == sorted(
+            f"r{index}" for index in range(total)
+        )
+        admitted = [o for o in outcomes if o.admitted]
         assert admitted, "batched stress run admitted nothing"
         for outcome in admitted:
             assert outcome.session.running

@@ -214,7 +214,7 @@ class TestOverflow:
 
 
 class TestClusterBookkeeping:
-    def test_placement_and_outcome_follow_the_serving_shard(self):
+    def test_session_lookup_follows_the_serving_shard(self):
         cluster, testbeds = make_cluster(2, queue_capacity=1)
         cluster.shards[0].queue.put("blocker")
         router = ConsistentHashRouter(2)
@@ -229,11 +229,12 @@ class TestClusterBookkeeping:
         )
         cluster.router = router
         placed = cluster.submit(request(testbeds[0], "r1", user_id=user))
-        assert cluster.shard_of("r1") == placed.shard == 1
+        assert placed.shard == 1
         served = cluster.shards[1].drain()
-        assert served and served[0].request_id == "r1"
-        assert cluster.outcome("r1").status is served[0].status
-        assert cluster.outcome("never-submitted") is None
+        assert served and served[0].request_id == "r1" and served[0].admitted
+        assert cluster.session_of("r1") is served[0].session
+        assert cluster.shards[0].session_of("r1") is None
+        assert cluster.session_of("never-submitted") is None
 
     def test_build_wires_shared_registry_namespaces(self):
         testbeds = [build_audio_testbed() for _ in range(2)]

@@ -142,14 +142,16 @@ class TestAdmission:
         assert len(testbed.configurator.sessions) == 0
         assert service.ledger.audit() == []
 
-    def test_outcome_lookup(self):
+    def test_session_lookup_sees_live_sessions_only(self):
         testbed = build_audio_testbed()
         service = make_service(testbed)
         service.submit(request(testbed, "r1"))
-        service.drain()
-        assert service.outcome("r1").status is RequestStatus.ADMITTED
-        assert service.outcome("missing") is None
-        assert len(service.outcomes()) == 1
+        (outcome,) = service.drain()
+        assert outcome.status is RequestStatus.ADMITTED
+        assert service.session_of("r1") is outcome.session
+        assert service.session_of("missing") is None
+        service.stop_session(outcome)
+        assert service.session_of("r1") is None
 
     def test_full_client_fails_each_rung_at_its_pin(self, monkeypatch):
         def failed_rungs():
@@ -191,8 +193,8 @@ class TestShedding:
         assert shed.shed_reason == "queue_full"
         assert shed.retry_after_s > 0.0
         assert service.metrics.count("shed_queue_full") == 1
-        # The shed outcome is final and queryable.
-        assert service.outcome("r2").status is RequestStatus.SHED
+        # The shed outcome is final and the caller's: nothing runs for it.
+        assert service.session_of("r2") is None
 
     def test_overload_sheds_before_queueing(self):
         testbed = build_audio_testbed()

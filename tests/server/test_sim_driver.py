@@ -62,9 +62,9 @@ class TestDeterminism:
                 ),
             )
         driver.run()
-        waits = sorted(o.queue_wait_s for o in driver.outcomes)
+        waits = sorted(service.metrics.stage("queue_wait_ms").iter_samples())
         assert waits[0] == pytest.approx(0.0)
-        assert waits[1] == pytest.approx(1.5)
+        assert waits[1] == pytest.approx(1500.0)
 
 
 class TestGracefulOverload:

@@ -13,7 +13,11 @@ import threading
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.server.drivers import ThreadPoolDriver
 from repro.server.ledger import LedgerConflictError, ReservationLedger
-from repro.server.service import DomainConfigurationService, ServerRequest
+from repro.server.service import (
+    DomainConfigurationService,
+    RequestStatus,
+    ServerRequest,
+)
 
 from tests.server.conftest import (
     audio_ladder,
@@ -110,8 +114,9 @@ class TestServiceStress:
         try:
             total = 24
             clients = ("desktop1", "desktop2", "desktop3")
+            shed = []
             for index in range(total):
-                service.submit(
+                outcome = service.submit(
                     ServerRequest(
                         request_id=f"r{index}",
                         composition=audio_request(
@@ -119,6 +124,8 @@ class TestServiceStress:
                         ),
                     )
                 )
+                if outcome.status is RequestStatus.SHED:
+                    shed.append(outcome)
             assert driver.wait_idle(timeout=60.0)
         finally:
             driver.stop()
@@ -138,11 +145,14 @@ class TestServiceStress:
             + metrics.shed_total
             == total
         )
-        assert len(service.outcomes()) == total
+        outcomes = shed + driver.outcomes
+        assert sorted(o.request_id for o in outcomes) == sorted(
+            f"r{index}" for index in range(total)
+        )
 
         # Every admitted session is genuinely deployed, and the devices
         # they hold stay within capacity.
-        admitted = [o for o in service.outcomes() if o.admitted]
+        admitted = [o for o in outcomes if o.admitted]
         assert admitted, "stress run admitted nothing"
         for outcome in admitted:
             assert outcome.session.running
@@ -172,17 +182,17 @@ class TestServiceStress:
 
         def churner():
             while not stop_churn.is_set():
-                for outcome in service.outcomes():
-                    if outcome.admitted and outcome.session.running:
-                        service.stop_session(outcome)
+                for outcome in list(driver.outcomes):
+                    service.stop_session(outcome)
 
         churn_thread = threading.Thread(target=churner, daemon=True)
         driver.start()
         churn_thread.start()
         try:
             clients = ("desktop1", "desktop2", "desktop3")
+            shed = []
             for index in range(30):
-                service.submit(
+                outcome = service.submit(
                     ServerRequest(
                         request_id=f"c{index}",
                         composition=audio_request(
@@ -190,6 +200,8 @@ class TestServiceStress:
                         ),
                     )
                 )
+                if outcome.status is RequestStatus.SHED:
+                    shed.append(outcome)
             assert driver.wait_idle(timeout=60.0)
         finally:
             driver.stop()
@@ -197,8 +209,9 @@ class TestServiceStress:
             churn_thread.join(timeout=5.0)
 
         assert service.ledger.audit() == []
-        assert len(service.outcomes()) == 30
+        outcomes = shed + driver.outcomes
+        assert len({o.request_id for o in outcomes}) == len(outcomes) == 30
         # How many land depends on the interleaving (workers can outrun
         # the churner); the floor is the domain's concurrent capacity.
-        admitted = [o for o in service.outcomes() if o.admitted]
+        admitted = [o for o in outcomes if o.admitted]
         assert len(admitted) >= 5

@@ -1,6 +1,7 @@
 """Unit tests for the pluggable durable record store."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -52,10 +53,38 @@ class TestSessions:
             priority=2,
             txn_id=7,
             created_s=1.5,
+            ends_s=31.5,
         )
         store.put_session(record)
         assert store.session("s-1") == record
         assert store.session("missing") is None
+        store.put_session(_record("s-2"))
+        assert store.session("s-2").ends_s is None
+
+    def test_sqlite_file_without_session_ends_opens(self, tmp_path):
+        path = str(tmp_path / "old.sqlite")
+        with sqlite3.connect(path) as old:
+            old.execute(
+                "CREATE TABLE sessions (session_id TEXT PRIMARY KEY,"
+                " request_id TEXT NOT NULL, epoch INTEGER NOT NULL,"
+                " user_id TEXT, scenario TEXT, workload TEXT,"
+                " client_device TEXT, level TEXT,"
+                " priority INTEGER NOT NULL DEFAULT 0, status TEXT NOT NULL,"
+                " txn_id INTEGER, created_s REAL NOT NULL DEFAULT 0.0,"
+                " updated_s REAL NOT NULL DEFAULT 0.0, readopted_from INTEGER)"
+            )
+            old.execute(
+                "INSERT INTO sessions (session_id, request_id, epoch, status)"
+                " VALUES ('s-0', 'req-0', 1, 'active')"
+            )
+        old.close()
+        store = SqliteRecordStore(path)
+        try:
+            assert store.session("s-0").ends_s is None
+            store.put_session(_record("s-1", ends_s=4.0))
+            assert store.session("s-1").ends_s == 4.0
+        finally:
+            store.close()
 
     def test_filters(self, store):
         store.put_session(_record("s-1", epoch=1))
@@ -151,6 +180,7 @@ class TestRecordValues:
         assert payload["created_s"] == 1.0
         assert payload["level"] == "full"
         assert payload["readopted_from"] is None
+        assert payload["ends_s"] is None
         assert json.loads(json.dumps(payload)) == payload
 
     def test_ledger_event_to_dict_unpacks_holds(self):

@@ -319,11 +319,13 @@ class TestScenarioCommand:
             ["conference_mesh"],
             ["stadium_surge"],
             ["conference_mesh", "--clusters", "2"],
+            ["conference_crash", "--multiplier", "1", "2"],
         ],
-        ids=["lone", "sharded", "federated"],
+        ids=["lone", "sharded", "federated", "kill-sweep"],
     )
     def test_store_only_observes(self, capsys, tmp_path, argv):
-        """A record store records the run; it never changes its JSON."""
+        """A record store records the run; it never changes its JSON, not
+        even when a sweep's points share it and its epochs run on."""
         bare, stored = tmp_path / "bare.json", tmp_path / "stored.json"
         store_path = tmp_path / "sessions.sqlite"
         assert main(["scenario", *argv, "--json", str(bare)]) == 0
